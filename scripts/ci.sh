@@ -213,6 +213,24 @@ cmp /tmp/eend_sf_j1.csv /tmp/eend_sf_j8.csv
 cmp /tmp/eend_sf_j1.jsonl /tmp/eend_sf_j8.jsonl
 echo "OK: eend_run output identical for jobs=1 and jobs=8"
 
+echo "== simulator bit-identity: e2e digests match bench/e2e/baseline.json =="
+# A digest covers every output check of the seed's first groups and
+# depends only on the seed, so a 2 s run reproduces the committed 30 s
+# baseline digest. The baseline file is read, never rewritten, here.
+for w in sim_psm_small sim_flood_n500; do
+  out="$(bash bench/e2e/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0)"
+  got="$(awk -v w="$w" '$1 == w && $2 == "digest" {print $3}' <<< "$out")"
+  want="$(awk -v key="\"$w\": {" 'index($0, key) {f = 1}
+    f && $1 == "\"digest\":" {gsub(/[",]/, "", $2); print $2; exit}' \
+    bench/e2e/baseline.json)"
+  failed="$(tail -n 1 <<< "$out" | grep -o '"failed":[0-9]*' | cut -d: -f2)"
+  if [[ -z "$want" || "$got" != "$want" || "$failed" != 0 ]]; then
+    echo "FAIL: $w digest '$got' (baseline '$want'), failed=$failed" >&2
+    exit 1
+  fi
+  echo "OK: $w digest $got, 0 failed"
+done
+
 # The golden regression suite runs under ctest above (from build/tests, so
 # any golden_diff_*.txt reports land where the workflow's artifact upload
 # looks for them).

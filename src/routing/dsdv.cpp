@@ -1,6 +1,8 @@
 #include "routing/dsdv.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace eend::routing {
 
@@ -20,7 +22,11 @@ DsdvEntry DsdvRouting::own_entry() {
 }
 
 void DsdvRouting::start() {
-  table_[env_.id] = Entry{0, 0.0, env_.id, true};
+  const std::size_t n = env_.channel->node_count();
+  table_.assign(n, Entry{});
+  link_cost_.assign(2 * n, std::numeric_limits<double>::quiet_NaN());
+  table_[env_.id] = Entry{0, 0.0, env_.id, true, true, false};
+  known_.insert(env_.id);
   const double first = env_.rng.uniform(0.0, cfg_.startup_jitter_s);
   env_.sim->schedule_in(first, [this] { periodic_dump(); });
   if (cfg_.quality_update_interval_s > 0.0) schedule_quality_tick();
@@ -34,17 +40,17 @@ void DsdvRouting::schedule_quality_tick() {
     // neighbors with fresh quality noise, modeling fading-driven metric
     // drift that the distance-only phy cannot produce.
     std::vector<mac::NodeId> valid;
-    // eend-lint: allow(unordered-iter) — pre-shuffle collection: the chosen
-    // subset lands in the sorted dirty_ set, and the collection order itself
-    // is --jobs-invariant (table_'s operation history does not depend on the
-    // thread count); re-ordering would re-roll the synthesized churn subset
-    // and invalidate the pinned dsdvh golden suites.
-    for (const auto& [dest, e] : table_)
-      if (dest != env_.id && e.valid) valid.push_back(dest);
+    // eend-lint: allow(unordered-iter) — pre-shuffle collection: known_'s
+    // order is a function of the first-adoption sequence alone, which does
+    // not depend on --jobs; walking ids in order instead would re-roll the
+    // synthesized churn subset and invalidate the pinned dsdvh goldens. The
+    // chosen subset is sorted by id before it goes on the wire.
+    for (const mac::NodeId dest : known_)
+      if (dest != env_.id && table_[dest].valid) valid.push_back(dest);
     env_.rng.shuffle(valid);
     const std::size_t n =
         std::min(cfg_.quality_update_entries, valid.size());
-    for (std::size_t i = 0; i < n; ++i) dirty_.insert(valid[i]);
+    for (std::size_t i = 0; i < n; ++i) mark_dirty(valid[i]);
     if (n > 0) schedule_triggered();
     schedule_quality_tick();
   });
@@ -54,16 +60,18 @@ void DsdvRouting::periodic_dump() {
   own_seq_ += 2;
   table_[env_.id].seq = own_seq_;
   std::vector<DsdvEntry> entries;
-  entries.reserve(table_.size());
+  entries.reserve(known_.size());
   // eend-lint: allow(unordered-iter) — wire order is behavior-neutral for
   // table CONTENTS (receivers fold each dest independently), but it fixes
-  // the order receivers first INSERT dests into their own table_, whose
-  // iteration order the quality-churn subset (see schedule_quality_tick)
-  // deliberately pins. Sorting here re-rolls the dsdvh golden suites.
-  for (const auto& [dest, e] : table_)
+  // the order receivers first adopt dests, i.e. the order of their own
+  // known_, which the quality-churn shuffle input (see
+  // schedule_quality_tick) pins. Sorting here re-rolls the dsdvh goldens.
+  for (const mac::NodeId dest : known_) {
+    const Entry& e = table_[dest];
     entries.push_back(DsdvEntry{dest, e.seq, e.valid ? e.metric : kInf});
-  broadcast_entries(entries);
-  dirty_.clear();
+  }
+  broadcast_entries(std::move(entries));
+  clear_dirty();
   env_.sim->schedule_in(cfg_.periodic_interval_s, [this] { periodic_dump(); });
 }
 
@@ -80,30 +88,43 @@ void DsdvRouting::schedule_triggered() {
 
 void DsdvRouting::send_triggered() {
   if (dirty_.empty()) return;
+  // Ascending id order on the wire.
+  std::sort(dirty_.begin(), dirty_.end());
   std::vector<DsdvEntry> entries;
   entries.reserve(dirty_.size() + 1);
   entries.push_back(own_entry());
-  for (mac::NodeId dest : dirty_) {
-    const auto it = table_.find(dest);
-    if (it == table_.end() || dest == env_.id) continue;
-    entries.push_back(DsdvEntry{dest, it->second.seq,
-                                it->second.valid ? it->second.metric : kInf});
+  for (const mac::NodeId dest : dirty_) {
+    const Entry& e = table_[dest];
+    entries.push_back(DsdvEntry{dest, e.seq, e.valid ? e.metric : kInf});
   }
-  dirty_.clear();
-  broadcast_entries(entries);
+  clear_dirty();
+  broadcast_entries(std::move(entries));
 }
 
-void DsdvRouting::broadcast_entries(const std::vector<DsdvEntry>& entries) {
+void DsdvRouting::mark_dirty(mac::NodeId dest) {
+  Entry& e = table_[dest];
+  if (e.dirty) return;
+  e.dirty = true;
+  dirty_.push_back(dest);
+}
+
+void DsdvRouting::clear_dirty() {
+  for (const mac::NodeId dest : dirty_) table_[dest].dirty = false;
+  dirty_.clear();
+}
+
+void DsdvRouting::broadcast_entries(std::vector<DsdvEntry> entries) {
   DsdvBody body;
   body.sender_is_am = env_.power->is_active_mode();
-  body.entries = entries;
+  const std::size_t count = entries.size();
+  body.entries = std::move(entries);
 
   mac::Packet p;
   p.uid = next_uid_++;
   p.category = energy::Category::Control;
   p.origin = env_.id;
   p.final_dest = mac::kBroadcast;
-  p.size_bits = dsdv_bits(entries.size());
+  p.size_bits = dsdv_bits(count);
   p.created_at = env_.sim->now();
   p.type = kDsdvUpdate;
   p.payload = mac::Packet::wrap(env_.sim->pool(), std::move(body));
@@ -116,20 +137,14 @@ void DsdvRouting::on_pm_mode_change() {
   if (!cfg_.advertise_pm_changes) return;
   // Our reachability cost (as seen by neighbors evaluating h against our
   // PM state) changed: re-advertise the full table.
-  // eend-lint: allow(unordered-iter) — inserts into the sorted dirty_ set;
-  // per-entry independent, so iteration order cannot leak.
-  for (const auto& [dest, e] : table_) {
-    (void)e;
-    if (dest != env_.id) dirty_.insert(dest);
-  }
+  for (mac::NodeId dest = 0; dest < table_.size(); ++dest)
+    if (dest != env_.id && table_[dest].known) mark_dirty(dest);
   schedule_triggered();
 }
 
 void DsdvRouting::handle_update(const mac::Packet& p, mac::NodeId from) {
   const auto& body = p.body<DsdvBody>();
-  double link = link_cost(cfg_.metric, env_.radio->card(),
-                          env_.distance_to(from), body.sender_is_am,
-                          env_.rate_over_b > 0 ? env_.rate_over_b : 1.0);
+  double link = cached_link_cost(from, body.sender_is_am);
   if (cfg_.quality_noise > 0.0)
     link *= 1.0 + env_.rng.uniform(-cfg_.quality_noise, cfg_.quality_noise);
   bool changed = false;
@@ -137,41 +152,49 @@ void DsdvRouting::handle_update(const mac::Packet& p, mac::NodeId from) {
     if (adv.dest == env_.id) continue;
     const bool broken = !std::isfinite(adv.metric);
     const double via = broken ? kInf : adv.metric + link;
-    auto it = table_.find(adv.dest);
-    const bool have = it != table_.end();
+    Entry& cur = table_[adv.dest];
+    const bool have = cur.known;
 
     bool adopt = false;
     if (!have) {
       adopt = !broken;
-    } else {
-      Entry& cur = it->second;
-      if (adv.seq > cur.seq) {
-        adopt = true;
-      } else if (adv.seq == cur.seq) {
-        // Same sequence: better cost wins; the current next hop is always
-        // authoritative (this is how cost *increases* — e.g. a relay
-        // dropping to PSM under DSDVH — propagate).
-        adopt = (cur.next_hop == from) || (via < cur.metric - kEps);
-      }
+    } else if (adv.seq > cur.seq) {
+      adopt = true;
+    } else if (adv.seq == cur.seq) {
+      // Same sequence: better cost wins; the current next hop is always
+      // authoritative (this is how cost *increases* — e.g. a relay
+      // dropping to PSM under DSDVH — propagate).
+      adopt = (cur.next_hop == from) || (via < cur.metric - kEps);
     }
     if (!adopt) continue;
 
-    Entry next;
-    next.seq = adv.seq;
-    next.metric = via;
-    next.next_hop = from;
-    next.valid = !broken;
     const bool materially_different =
-        !have || it->second.valid != next.valid ||
-        it->second.next_hop != next.next_hop ||
-        std::abs(it->second.metric - next.metric) > kEps;
-    table_[adv.dest] = next;
+        !have || cur.valid == broken || cur.next_hop != from ||
+        std::abs(cur.metric - via) > kEps;
+    if (!have) {
+      cur.known = true;
+      known_.insert(adv.dest);
+    }
+    cur.seq = adv.seq;
+    cur.metric = via;
+    cur.next_hop = from;
+    cur.valid = !broken;
     if (materially_different) {
-      dirty_.insert(adv.dest);
+      mark_dirty(adv.dest);
       changed = true;
     }
   }
   if (changed) schedule_triggered();
+}
+
+double DsdvRouting::cached_link_cost(mac::NodeId from, bool sender_is_am) {
+  double& cost = link_cost_[2 * std::size_t{from} + (sender_is_am ? 1 : 0)];
+  if (std::isnan(cost)) {
+    cost = link_cost(cfg_.metric, env_.radio->card(), env_.distance_to(from),
+                     sender_is_am,
+                     env_.rate_over_b > 0 ? env_.rate_over_b : 1.0);
+  }
+  return cost;
 }
 
 // ----------------------------------------------------------- data plane ---
@@ -193,18 +216,17 @@ void DsdvRouting::forward(mac::Packet packet) {
     return;
   }
   --packet.ttl;
-  const auto it = table_.find(packet.final_dest);
-  if (it == table_.end() || !it->second.valid ||
-      !std::isfinite(it->second.metric)) {
+  const Entry* route = valid_route(packet.final_dest);
+  if (route == nullptr || !std::isfinite(route->metric)) {
     ++stats_.drops_no_route;
     return;
   }
-  const mac::NodeId next = it->second.next_hop;
+  const mac::NodeId next = route->next_hop;
   packet.type = kData;
   if (!packet.payload) {
     packet.payload = mac::Packet::wrap(env_.sim->pool(), DataBody{});  // hop-by-hop: no route
   }
-  env_.mac->send_unicast(packet, next, env_.data_tx_power(next),
+  env_.mac->send_unicast(std::move(packet), next, env_.data_tx_power(next),
                          [this, next](bool ok) {
                            if (!ok) handle_link_failure(next);
                          });
@@ -224,14 +246,13 @@ void DsdvRouting::handle_data(const mac::Packet& p) {
 void DsdvRouting::handle_link_failure(mac::NodeId next_hop) {
   ++stats_.drops_mac;
   bool changed = false;
-  // eend-lint: allow(unordered-iter) — per-entry independent invalidation;
-  // results land in the sorted dirty_ set, order cannot leak.
-  for (auto& [dest, e] : table_) {
+  for (mac::NodeId dest = 0; dest < table_.size(); ++dest) {
+    Entry& e = table_[dest];
     if (dest == env_.id || e.next_hop != next_hop || !e.valid) continue;
     e.valid = false;
     e.metric = kInf;
     e.seq += 1;  // odd sequence: link-break advertisement (DSDV rule)
-    dirty_.insert(dest);
+    mark_dirty(dest);
     changed = true;
   }
   if (changed) schedule_triggered();
@@ -245,10 +266,19 @@ void DsdvRouting::on_receive(const mac::Packet& p, mac::NodeId from) {
   }
 }
 
+const DsdvRouting::Entry* DsdvRouting::valid_route(mac::NodeId dest) const {
+  if (dest >= table_.size() || !table_[dest].valid) return nullptr;
+  return &table_[dest];
+}
+
 mac::NodeId DsdvRouting::next_hop_to(mac::NodeId dest) const {
-  const auto it = table_.find(dest);
-  if (it == table_.end() || !it->second.valid) return mac::kBroadcast;
-  return it->second.next_hop;
+  const Entry* route = valid_route(dest);
+  return route == nullptr ? mac::kBroadcast : route->next_hop;
+}
+
+double DsdvRouting::route_cost(mac::NodeId dest) const {
+  const Entry* route = valid_route(dest);
+  return route == nullptr ? kInf : route->metric;
 }
 
 }  // namespace eend::routing

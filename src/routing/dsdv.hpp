@@ -13,8 +13,7 @@
 // energy goodput collapsing to DSR-Active levels.
 #pragma once
 
-#include <set>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "routing/messages.hpp"
@@ -54,7 +53,8 @@ class DsdvRouting final : public RoutingProtocol {
 
   /// Exposed for tests.
   mac::NodeId next_hop_to(mac::NodeId dest) const;
-  std::size_t table_size() const { return table_.size(); }
+  double route_cost(mac::NodeId dest) const;  ///< +inf when no route
+  std::size_t table_size() const { return known_.size(); }
 
  private:
   struct Entry {
@@ -62,6 +62,8 @@ class DsdvRouting final : public RoutingProtocol {
     double metric = 0.0;
     mac::NodeId next_hop = mac::kBroadcast;
     bool valid = false;
+    bool known = false;  ///< dest has ever been adopted into the table
+    bool dirty = false;  ///< dest is listed in dirty_
   };
 
   void on_receive(const mac::Packet& p, mac::NodeId from);
@@ -74,12 +76,28 @@ class DsdvRouting final : public RoutingProtocol {
   void schedule_quality_tick();
   void schedule_triggered();
   void send_triggered();
-  void broadcast_entries(const std::vector<DsdvEntry>& entries);
+  void broadcast_entries(std::vector<DsdvEntry> entries);
   DsdvEntry own_entry();
+  const Entry* valid_route(mac::NodeId dest) const;
+  void mark_dirty(mac::NodeId dest);
+  void clear_dirty();
+  double cached_link_cost(mac::NodeId from, bool sender_is_am);
 
   DsdvConfig cfg_;
-  std::unordered_map<mac::NodeId, Entry> table_;
-  std::set<mac::NodeId> dirty_;
+  /// Routing state, indexed by node id (ids are dense below the channel's
+  /// node count); sized by start(), where the protocol's state begins.
+  std::vector<Entry> table_;
+  /// The known dests, inserted in first-adoption order. Its iteration
+  /// order (a function of that insertion sequence) fixes the periodic-dump
+  /// wire order and the quality-churn shuffle input, both pinned by the
+  /// dsdvh goldens; it is iterated only by those two walks.
+  std::unordered_set<mac::NodeId> known_;
+  /// Known dests other than this node awaiting a triggered update, each
+  /// listed once (Entry::dirty); sorted ascending when the update goes out.
+  std::vector<mac::NodeId> dirty_;
+  /// link_cost() of a frame from node `from`, at [2 * from + sender_is_am];
+  /// NaN until first needed. Positions, card and rate are fixed for a run.
+  std::vector<double> link_cost_;
   std::uint32_t own_seq_ = 0;
   double last_update_tx_ = -1e18;
   sim::EventId trigger_event_ = sim::kInvalidEvent;
