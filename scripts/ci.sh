@@ -213,11 +213,11 @@ cmp /tmp/eend_sf_j1.csv /tmp/eend_sf_j8.csv
 cmp /tmp/eend_sf_j1.jsonl /tmp/eend_sf_j8.jsonl
 echo "OK: eend_run output identical for jobs=1 and jobs=8"
 
-echo "== simulator bit-identity: e2e digests match bench/e2e/baseline.json =="
+echo "== e2e bit-identity: digests match bench/e2e/baseline.json =="
 # A digest covers every output check of the seed's first groups and
 # depends only on the seed, so a 2 s run reproduces the committed 30 s
 # baseline digest. The baseline file is read, never rewritten, here.
-for w in sim_psm_small sim_flood_n500; do
+for w in sim_psm_small sim_flood_n500 design_cold_n100 churn_warm_n100; do
   out="$(bash bench/e2e/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0)"
   got="$(awk -v w="$w" '$1 == w && $2 == "digest" {print $3}' <<< "$out")"
   want="$(awk -v key="\"$w\": {" 'index($0, key) {f = 1}

@@ -1,6 +1,8 @@
 #include "core/design_problem.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <set>
 
 #include "graph/shortest_path.hpp"
@@ -81,35 +83,7 @@ std::optional<std::vector<analytical::RoutedDemand>>
 NetworkDesignProblem::try_route_in_subgraph(
     const std::vector<graph::NodeId>& allowed_nodes,
     std::size_t* failed_demand) const {
-  std::vector<bool> allowed(graph_.node_count(), allowed_nodes.empty());
-  for (graph::NodeId v : allowed_nodes) allowed[v] = true;
-
-  // Shortest paths restricted to allowed nodes: block forbidden nodes with
-  // an infinite entry cost (Dijkstra never expands them, so the search is
-  // O(allowed subgraph), not O(full graph)).
-  const auto node_cost = [&](graph::NodeId v) {
-    return allowed[v] ? 0.0 : graph::kInfCost;
-  };
-
-  std::vector<analytical::RoutedDemand> routes;
-  for (std::size_t i = 0; i < demands_.size(); ++i) {
-    const auto& d = demands_[i];
-    if (!allowed[d.source] || !allowed[d.destination]) {
-      if (failed_demand) *failed_demand = i;
-      return std::nullopt;
-    }
-    const auto spt = graph::dijkstra(graph_, d.source, node_cost);
-    analytical::RoutedDemand rd;
-    rd.demand = d;
-    rd.packets = d.rate;
-    rd.path = spt.path_to(d.destination);
-    if (rd.path.empty()) {
-      if (failed_demand) *failed_demand = i;
-      return std::nullopt;
-    }
-    routes.push_back(std::move(rd));
-  }
-  return routes;
+  return route_demands(allowed_nodes, nullptr, failed_demand);
 }
 
 std::optional<std::vector<analytical::RoutedDemand>>
@@ -120,57 +94,105 @@ NetworkDesignProblem::try_route_in_subgraph_cached(
     std::size_t* failed_demand) const {
   // Subset precondition: every node allowed now must have been allowed when
   // the cache was built (an empty list means "all nodes"). Otherwise the
-  // cache could hide a newly-created shorter path — fall back to the full
-  // routine rather than risk a stale reuse.
+  // cache could hide a newly-created shorter path — route uncached rather
+  // than risk a stale reuse.
   const bool usable = [&] {
     if (cached_routes.size() != demands_.size()) return false;
     if (cached_allowed.empty()) return true;
     if (allowed_nodes.empty()) return false;
-    std::vector<bool> in_cache(graph_.node_count(), false);
-    for (graph::NodeId v : cached_allowed) in_cache[v] = true;
-    for (graph::NodeId v : allowed_nodes)
-      if (!in_cache[v]) return false;
-    return true;
+    std::vector<char> in_cache(graph_.node_count(), 0);
+    for (graph::NodeId v : cached_allowed) in_cache[v] = 1;
+    return std::all_of(allowed_nodes.begin(), allowed_nodes.end(),
+                       [&](graph::NodeId v) { return in_cache[v] != 0; });
   }();
-  if (!usable) return try_route_in_subgraph(allowed_nodes, failed_demand);
+  return route_demands(allowed_nodes, usable ? &cached_routes : nullptr,
+                       failed_demand);
+}
 
-  std::vector<bool> allowed(graph_.node_count(), allowed_nodes.empty());
-  for (graph::NodeId v : allowed_nodes) allowed[v] = true;
-  const auto node_cost = [&](graph::NodeId v) {
-    return allowed[v] ? 0.0 : graph::kInfCost;
-  };
+std::optional<std::vector<analytical::RoutedDemand>>
+NetworkDesignProblem::route_demands(
+    const std::vector<graph::NodeId>& allowed_nodes,
+    const std::vector<analytical::RoutedDemand>* cached_routes,
+    std::size_t* failed_demand) const {
+  const std::size_t n = graph_.node_count();
+  std::vector<char> allowed(n, allowed_nodes.empty());
+  for (graph::NodeId v : allowed_nodes) allowed[v] = 1;
 
-  std::vector<analytical::RoutedDemand> routes;
-  for (std::size_t i = 0; i < demands_.size(); ++i) {
-    const auto& d = demands_[i];
-    if (!allowed[d.source] || !allowed[d.destination]) {
-      if (failed_demand) *failed_demand = i;
-      return std::nullopt;
-    }
-    const analytical::RoutedDemand& c = cached_routes[i];
-    const bool reuse =
-        c.demand.source == d.source &&
-        c.demand.destination == d.destination && !c.path.empty() &&
-        std::all_of(c.path.begin(), c.path.end(),
-                    [&](graph::NodeId v) { return bool(allowed[v]); });
-    analytical::RoutedDemand rd;
-    rd.demand = d;
-    rd.packets = d.rate;
-    if (reuse) {
-      obs::count("opt.cache.route_hits");
-      rd.path = c.path;
-    } else {
-      obs::count("opt.cache.route_misses");
-      const auto spt = graph::dijkstra(graph_, d.source, node_cost);
-      rd.path = spt.path_to(d.destination);
-      if (rd.path.empty()) {
-        if (failed_demand) *failed_demand = i;
-        return std::nullopt;
+  // Masked Dijkstra, its scratch reused across this call's demands and
+  // never shared (portfolio starts route concurrently). Relaxation and
+  // heap order are graph::dijkstra's with a +inf entry cost on forbidden
+  // nodes, so paths match it bit for bit; a search stops once t settles.
+  graph::ShortestPathTree spt;
+  auto& dist = spt.distance;
+  auto& par = spt.parent;
+  dist.assign(n, graph::kInfCost);
+  par.assign(n, graph::kInvalidNode);
+  std::vector<graph::NodeId> touched;  // finite dist entries to reset
+  std::vector<std::pair<double, graph::NodeId>> heap;
+  std::uint64_t searches = 0, settled = 0;
+  const auto shortest_path = [&](graph::NodeId s, graph::NodeId t) {
+    for (graph::NodeId v : touched) dist[v] = graph::kInfCost;
+    touched.assign(1, s);
+    heap.assign(1, {0.0, s});
+    dist[s] = 0.0;
+    spt.source = s;
+    ++searches;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, u] = heap.back();
+      heap.pop_back();
+      if (d > dist[u]) continue;  // stale entry
+      ++settled;
+      if (u == t) break;
+      for (const auto& [v, e] : graph_.neighbors(u)) {
+        const double nd = d + graph_.edge(e).weight;
+        if (!allowed[v] || !(nd < dist[v])) continue;
+        if (dist[v] == graph::kInfCost) touched.push_back(v);
+        dist[v] = nd;
+        par[v] = u;
+        heap.emplace_back(nd, v);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }
     }
-    routes.push_back(std::move(rd));
+    return spt.path_to(t);  // t's parent chain was all set by this search
+  };
+
+  std::uint64_t hits = 0, misses = 0;
+  std::optional<std::size_t> failed;
+  std::vector<analytical::RoutedDemand> routes;
+  routes.reserve(demands_.size());
+  for (std::size_t i = 0; i < demands_.size(); ++i) {
+    const graph::Demand& d = demands_[i];
+    if (!allowed[d.source] || !allowed[d.destination]) {
+      failed = i;
+      break;
+    }
+    // A cached path whose nodes are all still allowed stays shortest: the
+    // allowed set only shrank, which can only lengthen the other paths.
+    const analytical::RoutedDemand* c =
+        cached_routes ? &(*cached_routes)[i] : nullptr;
+    const bool reuse =
+        c && c->demand.source == d.source &&
+        c->demand.destination == d.destination && !c->path.empty() &&
+        std::all_of(c->path.begin(), c->path.end(),
+                    [&](graph::NodeId v) { return allowed[v] != 0; });
+    if (c) ++(reuse ? hits : misses);
+    auto path = reuse ? c->path : shortest_path(d.source, d.destination);
+    if (path.empty()) {
+      failed = i;
+      break;
+    }
+    routes.push_back({d, std::move(path), d.rate});
   }
-  return routes;
+  if (hits) obs::count("opt.cache.route_hits", hits);
+  if (misses) obs::count("opt.cache.route_misses", misses);
+  if (searches) {
+    obs::count("opt.route.searches", searches);
+    obs::count("opt.route.settled_nodes", settled);
+  }
+  if (!failed) return routes;
+  if (failed_demand) *failed_demand = *failed;
+  return std::nullopt;
 }
 
 std::vector<analytical::RoutedDemand>

@@ -106,6 +106,12 @@ class NetworkDesignProblem {
       std::size_t* failed_demand = nullptr) const;
 
  private:
+  /// The routing loop behind both twins above; `cached_routes` may be null.
+  std::optional<std::vector<analytical::RoutedDemand>> route_demands(
+      const std::vector<graph::NodeId>& allowed_nodes,
+      const std::vector<analytical::RoutedDemand>* cached_routes,
+      std::size_t* failed_demand) const;
+
   std::vector<analytical::RoutedDemand> route_in_subgraph(
       const std::vector<graph::NodeId>& allowed_nodes) const;
 

@@ -1,6 +1,8 @@
 #include "graph/steiner.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <queue>
 #include <set>
@@ -8,6 +10,7 @@
 #include "graph/connectivity.hpp"
 #include "graph/mst.hpp"
 #include "graph/shortest_path.hpp"
+#include "obs/counters.hpp"
 
 namespace eend::graph {
 
@@ -57,6 +60,28 @@ SteinerTree assemble(const Graph& g, std::span<const NodeId> terminals,
   t.feasible = std::all_of(terminals.begin(), terminals.end(),
                            [&](NodeId v) { return seen.count(v) > 0; });
   return t;
+}
+
+/// Edges of g forming Prim's MST, from `root`, of the subgraph induced by
+/// the nodes with in[v] set (nodes renumbered in id order, edges kept in id
+/// order).
+std::set<EdgeId> induced_mst(const Graph& g, const std::vector<bool>& in,
+                             NodeId root) {
+  std::vector<NodeId> remap(g.node_count(), kInvalidNode);
+  Graph sub;
+  std::vector<EdgeId> back;
+  for (NodeId v = 0; v < g.node_count(); ++v)
+    if (in[v]) remap[v] = sub.add_node();
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& ed = g.edge(e);
+    if (remap[ed.u] != kInvalidNode && remap[ed.v] != kInvalidNode) {
+      sub.add_edge(remap[ed.u], remap[ed.v], ed.weight);
+      back.push_back(e);
+    }
+  }
+  std::set<EdgeId> edges;
+  for (EdgeId se : prim_mst(sub, remap[root]).edges) edges.insert(back[se]);
+  return edges;
 }
 
 }  // namespace
@@ -180,79 +205,88 @@ SteinerTree klein_ravi_steiner(const Graph& g,
                                std::span<const NodeId> terminals) {
   EEND_REQUIRE(!terminals.empty());
   for (NodeId t : terminals) EEND_REQUIRE(g.valid_node(t));
+  const std::size_t n = g.node_count();
 
-  // Node cost: terminals are free (c(si) = c(di) = 0 per the paper).
-  auto cost_of = [&](NodeId v) {
-    return is_terminal(terminals, v) ? 0.0 : g.node_weight(v);
-  };
+  // Entry cost of each node: c(v), or 0 once the node is selected (already
+  // paid for). Terminals start selected, so they are free (c(si) = c(di) = 0
+  // per the paper).
+  std::vector<double> step(n);
+  std::vector<bool> selected(n, false);
+  for (NodeId v = 0; v < n; ++v) step[v] = g.node_weight(v);
+  for (NodeId t : terminals) {
+    step[t] = 0.0;
+    selected[t] = true;
+  }
 
   // Components: start with each terminal alone. We track, per node, which
   // component it belongs to (kInvalidNode = none yet). Selected nodes form
   // the growing solution.
-  std::vector<NodeId> comp(g.node_count(), kInvalidNode);
-  std::set<NodeId> selected(terminals.begin(), terminals.end());
+  std::vector<NodeId> comp(n, kInvalidNode);
   NodeId next_comp = 0;
   for (NodeId t : terminals)
     if (comp[t] == kInvalidNode) comp[t] = next_comp++;
   std::size_t active_components = next_comp;
+  std::size_t labelled = next_comp;  // nodes with a component id
 
   // Node-weighted shortest path FROM a candidate spider center v to each
-  // component: weight of a path = sum of costs of intermediate nodes (both
-  // endpoints excluded; the center is charged separately).
+  // component: weight of a path = sum of entry costs of the nodes after the
+  // center (the center is charged separately). One dist/par/heap buffer
+  // serves every center; par is only read along chains this search set.
+  // The heap is std::priority_queue's own push/pop over (dist, node)
+  // pairs, so ties settle in the same order. Once every labelled node is
+  // settled their distances and parent chains are final, and nothing else
+  // is read, so the search stops there.
+  using Item = std::pair<double, NodeId>;
+  std::vector<double> dist(n);
+  std::vector<NodeId> par(n, kInvalidNode);
+  std::vector<Item> heap;
+  std::uint64_t searches = 0;
   auto spider_paths = [&](NodeId center) {
-    // Dijkstra where entering node u costs cost_of(u), except entering a
-    // node already in `selected` costs 0 (it is already paid for).
-    std::vector<double> dist(g.node_count(), kInfCost);
-    std::vector<NodeId> par(g.node_count(), kInvalidNode);
-    using Item = std::pair<double, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    ++searches;
+    std::fill(dist.begin(), dist.end(), kInfCost);
     dist[center] = 0.0;
-    pq.emplace(0.0, center);
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
+    heap.assign(1, {0.0, center});
+    std::size_t unsettled = labelled;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, u] = heap.back();
+      heap.pop_back();
       if (d > dist[u]) continue;
-      for (const auto& [v, e] : g.neighbors(u)) {
-        (void)e;
-        const double step = selected.count(v) ? 0.0 : cost_of(v);
-        const double nd = d + step;
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          par[v] = u;
-          pq.emplace(nd, v);
+      if (comp[u] != kInvalidNode && --unsettled == 0) break;
+      for (const Adjacency& a : g.neighbors(u)) {
+        const double nd = d + step[a.neighbor];
+        if (nd < dist[a.neighbor]) {
+          dist[a.neighbor] = nd;
+          par[a.neighbor] = u;
+          heap.emplace_back(nd, a.neighbor);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
       }
     }
-    return std::make_pair(std::move(dist), std::move(par));
   };
 
+  std::vector<Item> legs;  // cheapest touch-point per component
   while (active_components > 1) {
     double best_ratio = kInfCost;
     NodeId best_center = kInvalidNode;
     std::vector<NodeId> best_targets;  // one representative node per comp
 
-    for (NodeId center = 0; center < g.node_count(); ++center) {
-      auto [dist, par] = spider_paths(center);
-      (void)par;  // only the winning center's parents are needed (below)
-      // Cheapest touch-point per component.
-      std::map<NodeId, std::pair<double, NodeId>> comp_best;
-      for (NodeId v = 0; v < g.node_count(); ++v) {
+    for (NodeId center = 0; center < n; ++center) {
+      spider_paths(center);
+      // Cheapest touch-point per component id; ascending ids + strict `<`
+      // keep the lowest id among equal distances.
+      legs.assign(next_comp, Item{kInfCost, kInvalidNode});
+      for (NodeId v = 0; v < n; ++v) {
         if (comp[v] == kInvalidNode || dist[v] == kInfCost) continue;
-        auto it = comp_best.find(comp[v]);
-        if (it == comp_best.end() || dist[v] < it->second.first)
-          comp_best[comp[v]] = {dist[v], v};
+        Item& best = legs[comp[v]];
+        if (dist[v] < best.first) best = {dist[v], v};
       }
-      if (comp_best.size() < 2) continue;
-      std::vector<std::pair<double, NodeId>> legs;
-      legs.reserve(comp_best.size());
-      for (const auto& [c, leg] : comp_best) {
-        (void)c;
-        legs.push_back(leg);
-      }
+      std::erase_if(legs,
+                    [](const Item& l) { return l.second == kInvalidNode; });
+      if (legs.size() < 2) continue;
       std::sort(legs.begin(), legs.end());
       // Try spider degrees 2..all, pick the best cost/#components ratio.
-      const double center_cost = selected.count(center) ? 0.0 : cost_of(center);
-      double acc = center_cost;
+      double acc = step[center];
       for (std::size_t i = 0; i < legs.size(); ++i) {
         acc += legs[i].first;
         const std::size_t deg = i + 1;
@@ -273,53 +307,44 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       break;
     }
 
-    // Re-derive the winning spider's parent links with one extra Dijkstra
-    // (`selected` is unchanged since the argmin scan, so the run is
-    // identical) instead of copying the N-sized parent vector on every
-    // ratio improvement inside the O(centers × merges) loop.
-    const std::vector<NodeId> best_parent = spider_paths(best_center).second;
+    // Re-derive the winning spider's parent links with one extra search
+    // (`step` is unchanged since the argmin scan, so the run is identical)
+    // instead of copying the N-sized parent vector on every ratio
+    // improvement inside the O(centers × merges) loop.
+    spider_paths(best_center);
 
     // Apply the spider: select center and all path nodes; merge components.
     const NodeId merged = comp[best_targets[0]];
     auto select_node = [&](NodeId v) {
-      selected.insert(v);
-      if (comp[v] == kInvalidNode) comp[v] = merged;
+      selected[v] = true;
+      step[v] = 0.0;
+      if (comp[v] == kInvalidNode) {
+        comp[v] = merged;
+        ++labelled;
+      }
     };
     select_node(best_center);
     for (NodeId target : best_targets) {
       for (NodeId cur = target; cur != kInvalidNode && cur != best_center;
-           cur = best_parent[cur])
+           cur = par[cur])
         select_node(cur);
     }
     // Relabel all nodes of merged components.
     std::set<NodeId> merged_comps;
     for (NodeId target : best_targets) merged_comps.insert(comp[target]);
-    for (NodeId v = 0; v < g.node_count(); ++v)
+    for (NodeId v = 0; v < n; ++v)
       if (comp[v] != kInvalidNode && merged_comps.count(comp[v]))
         comp[v] = merged;
     active_components -= merged_comps.size() - 1;
   }
+  obs::count("graph.klein_ravi.spider_searches", searches);
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
-  // spanning structure works; MST keeps edge cost tidy), then prune.
-  std::set<EdgeId> edges;
-  {
-    std::map<NodeId, NodeId> remap;
-    Graph sub;
-    std::vector<EdgeId> back;
-    for (NodeId v : selected) remap[v] = sub.add_node();
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const Edge& ed = g.edge(static_cast<EdgeId>(e));
-      if (remap.count(ed.u) && remap.count(ed.v)) {
-        sub.add_edge(remap[ed.u], remap[ed.v], ed.weight);
-        back.push_back(static_cast<EdgeId>(e));
-      }
-    }
-    if (sub.node_count() > 0) {
-      const MstResult mst = prim_mst(sub, 0);
-      for (EdgeId se : mst.edges) edges.insert(back[se]);
-    }
-  }
+  // spanning structure works; MST keeps edge cost tidy) from the lowest
+  // selected id, then prune.
+  const auto first = static_cast<NodeId>(
+      std::find(selected.begin(), selected.end(), true) - selected.begin());
+  std::set<EdgeId> edges = induced_mst(g, selected, first);
   prune_leaves(g, terminals, edges);
   return assemble(g, terminals, edges);
 }
@@ -350,26 +375,12 @@ SteinerTree exact_node_weighted_steiner(const Graph& g,
     for (std::size_t i = 1; i < terminals.size(); ++i)
       pairwise.push_back({terminals[0], terminals[i], 1.0});
     if (!demands_satisfiable(g, pairwise, active)) continue;
-    // Tree edges: MST over the active induced subgraph.
-    std::map<NodeId, NodeId> remap;
-    Graph sub;
-    std::vector<EdgeId> back;
-    for (NodeId v = 0; v < g.node_count(); ++v)
-      if (active[v]) remap[v] = sub.add_node();
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const Edge& ed = g.edge(e);
-      if (remap.count(ed.u) && remap.count(ed.v)) {
-        sub.add_edge(remap[ed.u], remap[ed.v], ed.weight);
-        back.push_back(e);
-      }
-    }
-    // Root Prim at terminals[0]'s remapped id: rooting at remapped id 0
-    // (the lowest active id) spans the wrong component — and silently
-    // rejects a feasible candidate — whenever the mask activates an
-    // optional node below terminals[0] that is disconnected from them.
-    const MstResult mst = prim_mst(sub, remap.at(terminals[0]));
-    std::set<EdgeId> edges;
-    for (EdgeId se : mst.edges) edges.insert(back[se]);
+    // Tree edges: MST over the active induced subgraph, rooted at
+    // terminals[0]: rooting at the lowest active id spans the wrong
+    // component — and silently rejects a feasible candidate — whenever the
+    // mask activates an optional node below terminals[0] that is
+    // disconnected from them.
+    std::set<EdgeId> edges = induced_mst(g, active, terminals[0]);
     prune_leaves(g, terminals, edges);
     SteinerTree cand = assemble(g, terminals, edges);
     if (cand.feasible && cand.node_cost < best_cost) {

@@ -93,8 +93,7 @@ WarmStartResult warm_start_search(
     std::size_t failed = 0;
     if (problem.try_route_in_subgraph(nodes, &failed)) break;
     const graph::Demand& d = problem.demands()[failed];
-    const auto spt =
-        graph::dijkstra(g, d.source, [](graph::NodeId) { return 0.0; });
+    const auto spt = graph::dijkstra(g, d.source);
     const auto path = spt.path_to(d.destination);
     EEND_REQUIRE_MSG(!path.empty(),
                      "warm start on an unroutable instance: demand "

@@ -1,7 +1,11 @@
 // Unit tests: the centralized design-problem facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/design_problem.hpp"
+#include "graph/shortest_path.hpp"
+#include "obs/counters.hpp"
 #include "util/rng.hpp"
 
 namespace eend::core {
@@ -188,6 +192,196 @@ TEST(DesignProblem, InfeasibleTreeEvaluationThrows) {
   p.add_demand({1, 2, 1.0});
   graph::SteinerTree bogus;  // infeasible by default
   EXPECT_THROW(p.evaluate_tree(bogus, {}), CheckError);
+}
+
+/// Random routing instance: `n` nodes, a spanning-ish random edge set
+/// (sparse enough to leave some pairs disconnected), and `k` demands that
+/// may start and end at the same node. `tie_weights` draws integer weights
+/// 1..3 so equal-length paths are common.
+NetworkDesignProblem random_routing_problem(Rng& rng, std::size_t n,
+                                            bool tie_weights) {
+  graph::Graph g(n);
+  const std::size_t m = n + rng.next_below(2 * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto a = static_cast<graph::NodeId>(rng.next_below(n));
+    const auto b = static_cast<graph::NodeId>(rng.next_below(n));
+    if (a == b) continue;
+    g.add_edge(a, b,
+               tie_weights ? static_cast<double>(1 + rng.next_below(3))
+                           : rng.uniform(0.5, 4.0));
+  }
+  NetworkDesignProblem p(std::move(g));
+  const std::size_t k = 1 + rng.next_below(6);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto s = static_cast<graph::NodeId>(rng.next_below(n));
+    const auto t = rng.bernoulli(0.15)
+                       ? s
+                       : static_cast<graph::NodeId>(rng.next_below(n));
+    p.add_demand({s, t, rng.uniform(0.5, 3.0)});
+  }
+  return p;
+}
+
+/// Random allowed-node list: empty (= every node) a quarter of the time,
+/// otherwise each node kept with probability `keep`.
+std::vector<graph::NodeId> random_mask(Rng& rng, std::size_t n, double keep) {
+  std::vector<graph::NodeId> out;
+  if (rng.bernoulli(0.25)) return out;
+  for (graph::NodeId v = 0; v < n; ++v)
+    if (rng.bernoulli(keep)) out.push_back(v);
+  if (out.empty()) out.push_back(0);
+  return out;
+}
+
+enum class RouteOutcome { kRouted, kBlockedEndpoint, kUnreachable };
+
+/// Oracle: one graph::dijkstra per demand with a +inf entry cost outside
+/// the mask; the first unroutable demand fails the whole call.
+RouteOutcome reference_routes(const NetworkDesignProblem& p,
+                              const std::vector<graph::NodeId>& allowed_nodes,
+                              std::vector<std::vector<graph::NodeId>>& paths,
+                              std::size_t& failed) {
+  const auto& g = p.graph();
+  std::vector<bool> allowed(g.node_count(), allowed_nodes.empty());
+  for (graph::NodeId v : allowed_nodes) allowed[v] = true;
+  const auto mask_cost = [&](graph::NodeId v) {
+    return allowed[v] ? 0.0 : graph::kInfCost;
+  };
+  paths.clear();
+  for (std::size_t i = 0; i < p.demands().size(); ++i) {
+    const auto& d = p.demands()[i];
+    failed = i;
+    if (!allowed[d.source] || !allowed[d.destination])
+      return RouteOutcome::kBlockedEndpoint;
+    paths.push_back(
+        graph::dijkstra(g, d.source, mask_cost).path_to(d.destination));
+    if (paths.back().empty()) return RouteOutcome::kUnreachable;
+  }
+  return RouteOutcome::kRouted;
+}
+
+void expect_same_routes(
+    const std::optional<std::vector<analytical::RoutedDemand>>& got,
+    const std::optional<std::vector<analytical::RoutedDemand>>& want,
+    int trial) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+  if (!got) return;
+  ASSERT_EQ(got->size(), want->size()) << "trial " << trial;
+  for (std::size_t i = 0; i < got->size(); ++i) {
+    EXPECT_EQ((*got)[i].path, (*want)[i].path) << "trial " << trial;
+    EXPECT_EQ((*got)[i].packets, (*want)[i].packets) << "trial " << trial;
+  }
+}
+
+TEST(DesignProblem, RestrictedRoutingMatchesMaskedDijkstra) {
+  Rng rng(77031);
+  std::size_t outcomes[3] = {0, 0, 0};
+  std::size_t self_demands = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 2 + rng.next_below(40);
+    const auto p = random_routing_problem(rng, n, trial % 2 == 0);
+    const auto mask = random_mask(rng, n, rng.uniform(0.4, 1.0));
+
+    std::vector<std::vector<graph::NodeId>> want;
+    std::size_t want_failed = 0;
+    const RouteOutcome outcome = reference_routes(p, mask, want, want_failed);
+    ++outcomes[static_cast<int>(outcome)];
+
+    std::size_t got_failed = p.demands().size();
+    const auto got = p.try_route_in_subgraph(mask, &got_failed);
+    ASSERT_EQ(got.has_value(), outcome == RouteOutcome::kRouted)
+        << "trial " << trial;
+    if (!got) {
+      EXPECT_EQ(got_failed, want_failed) << "trial " << trial;
+      continue;
+    }
+    ASSERT_EQ(got->size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const auto& rd = (*got)[i];
+      EXPECT_EQ(rd.path, want[i]) << "trial " << trial << " demand " << i;
+      EXPECT_EQ(rd.demand.source, p.demands()[i].source);
+      EXPECT_EQ(rd.packets, p.demands()[i].rate);
+      if (rd.demand.source == rd.demand.destination) {
+        EXPECT_EQ(rd.path, std::vector<graph::NodeId>{rd.demand.source});
+        ++self_demands;
+      }
+    }
+  }
+  // Every branch of the contract is exercised many times over.
+  EXPECT_GT(outcomes[0], 100u);
+  EXPECT_GT(outcomes[1], 100u);
+  EXPECT_GT(outcomes[2], 50u);
+  EXPECT_GT(self_demands, 20u);
+}
+
+TEST(DesignProblem, CachedRoutingMatchesUncachedAfterShrink) {
+  // Continuous weights (ties measure-zero, the cache's stated caveat).
+  // Shrinking the allowed set keeps the subset precondition, so cached
+  // paths that avoid the removed nodes are reused; growing it breaks the
+  // precondition and must route exactly as the uncached call does.
+  Rng rng(5150);
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 4 + rng.next_below(36);
+    const auto p = random_routing_problem(rng, n, false);
+    const auto before = random_mask(rng, n, 0.9);
+    const auto cached = p.try_route_in_subgraph(before);
+    if (!cached) continue;
+
+    std::vector<graph::NodeId> after;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const bool was = before.empty() ||
+                       std::binary_search(before.begin(), before.end(), v);
+      if (was && !rng.bernoulli(0.2)) after.push_back(v);
+    }
+    if (after.empty()) continue;
+    std::size_t plain_failed = n;
+    std::size_t fast_failed = n;
+    const auto plain = p.try_route_in_subgraph(after, &plain_failed);
+    const auto fast =
+        p.try_route_in_subgraph_cached(after, before, *cached, &fast_failed);
+    expect_same_routes(fast, plain, trial);
+    EXPECT_EQ(fast_failed, plain_failed) << "trial " << trial;
+    // Reversed roles: `before` is not a subset of `after` unless equal.
+    const auto grown = p.try_route_in_subgraph_cached(before, after, *fast);
+    if (fast) expect_same_routes(grown, cached, trial);
+    ++compared;
+  }
+  EXPECT_GT(compared, 150u);
+}
+
+TEST(DesignProblem, RoutingCountsSearchesAndCacheHits) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  auto p = NetworkDesignProblem::from_positions(cross_positions(),
+                                                energy::cabletron());
+  p.add_demand({1, 2, 1.0});
+  p.add_demand({3, 4, 1.0});
+  p.add_demand({3, 3, 1.0});
+  const std::vector<graph::NodeId> all{0, 1, 2, 3, 4};
+
+  obs::CounterRegistry reg;
+  std::optional<std::vector<analytical::RoutedDemand>> routes;
+  {
+    obs::ScopedRegistry scope(&reg);
+    routes = p.try_route_in_subgraph(all);
+  }
+  ASSERT_TRUE(routes.has_value());
+  auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counters["opt.route.searches"], 3u);
+  // The arms tie behind the hub and settle in id order: 1->2 settles
+  // {1, 0, 2}, 3->4 settles {3, 0, 1, 2, 4}, 3->3 settles only {3}.
+  EXPECT_EQ(snap.counters["opt.route.settled_nodes"], 9u);
+  EXPECT_EQ(snap.counters.count("opt.cache.route_hits"), 0u);
+
+  obs::CounterRegistry reg2;
+  {
+    obs::ScopedRegistry scope(&reg2);
+    ASSERT_TRUE(p.try_route_in_subgraph_cached(all, all, *routes));
+  }
+  snap = reg2.snapshot();
+  EXPECT_EQ(snap.counters["opt.cache.route_hits"], 3u);
+  EXPECT_EQ(snap.counters.count("opt.cache.route_misses"), 0u);
+  EXPECT_EQ(snap.counters.count("opt.route.searches"), 0u);
 }
 
 }  // namespace
