@@ -7,6 +7,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/experiment.hpp"
+#include "util/flags.hpp"
+#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace eend;

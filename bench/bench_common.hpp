@@ -1,8 +1,7 @@
-// Shared helpers for the figure/table regeneration benches.
+// Shared option parsing for the simulation benches (ablation, lifetime).
 //
-// Every bench binary accepts:
-//   --runs=N     replications per cell (default: the paper's count, or a
-//                reduced default where noted for wall-clock sanity)
+// Each of these bench binaries accepts:
+//   --runs=N     replications per cell (default: the bench's own count)
 //   --quick      tiny smoke configuration (1 run, short sims)
 //   --seed=S     base seed
 //   --jobs=N     worker threads for replications (1 = serial, 0 = one per
@@ -11,21 +10,14 @@
 #pragma once
 
 #include <algorithm>
-#include <iostream>
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
-#include "core/experiment.hpp"
-#include "core/experiment_engine.hpp"
-#include "core/manifest.hpp"
-#include "core/result_sink.hpp"
-#include "net/network.hpp"
 #include "util/flags.hpp"
-#include "util/table.hpp"
 
 namespace eend::bench {
 
-/// The knobs shared by every bench binary, parsed once from Flags.
+/// The knobs shared by the simulation benches, parsed once from Flags.
 struct BenchOptions {
   std::size_t runs = 1;
   std::uint64_t seed = 1;
@@ -48,74 +40,6 @@ inline BenchOptions parse_bench_options(const Flags& flags,
       flags.get_int("jobs", 1), 0));
   o.quiet = flags.get_bool("quiet", false);
   return o;
-}
-
-enum class Metric { Delivery, Goodput, TransmitEnergy };
-
-inline const char* metric_key(Metric m) {
-  switch (m) {
-    case Metric::Delivery: return "delivery_ratio";
-    case Metric::Goodput: return "goodput_bit_per_j";
-    case Metric::TransmitEnergy: return "transmit_energy_j";
-  }
-  return "?";
-}
-
-/// Build the manifest experiment a figure bench describes: one sweep over
-/// (stacks x rates) with the bench's already-resolved scenario.
-inline core::Experiment make_sweep_experiment(
-    const std::string& title, const net::ScenarioConfig& scenario,
-    const std::vector<net::StackSpec>& stacks,
-    const std::vector<double>& rates, const BenchOptions& opts,
-    const std::vector<Metric>& metrics, int precision) {
-  core::Experiment e;
-  e.id = "bench";
-  e.title = title;
-  e.kind = core::ExperimentKind::Sweep;
-  e.scenario_config = scenario;
-  e.stack_specs = stacks;
-  e.rates_pps = rates;
-  e.runs = opts.runs;
-  e.seed = opts.seed;
-  for (Metric m : metrics) e.metrics.push_back({metric_key(m), precision});
-  return e;
-}
-
-/// Run a (stack x rate) sweep through the manifest engine and print one
-/// pivot table per metric: rows = rate, one column per stack, cells =
-/// "mean +- ci95". Replications run on opts.jobs workers; the tables are
-/// identical for every jobs value.
-inline void sweep_and_print(std::ostream& os, const std::string& title,
-                            const net::ScenarioConfig& scenario,
-                            const std::vector<net::StackSpec>& stacks,
-                            const std::vector<double>& rates,
-                            const BenchOptions& opts,
-                            const std::vector<Metric>& metrics,
-                            int precision = 3) {
-  core::EngineOptions engine_opts;
-  engine_opts.jobs = opts.jobs;
-  engine_opts.progress = opts.quiet ? nullptr : &std::cerr;
-
-  core::ExperimentEngine engine(engine_opts);
-  core::TableSink table(os);
-  engine.add_sink(table);
-  engine.run(make_sweep_experiment(title, scenario, stacks, rates, opts,
-                                   metrics, precision));
-}
-
-inline std::vector<double> parse_rates(const Flags& flags,
-                                       std::vector<double> def) {
-  if (!flags.has("rates")) return def;
-  std::vector<double> out;
-  const std::string s = flags.get("rates", "");
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t next = s.find(',', pos);
-    if (next == std::string::npos) next = s.size();
-    out.push_back(std::stod(s.substr(pos, next - pos)));
-    pos = next + 1;
-  }
-  return out;
 }
 
 }  // namespace eend::bench

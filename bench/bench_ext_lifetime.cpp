@@ -9,6 +9,10 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/experiment.hpp"
+#include "util/flags.hpp"
+#include "util/stats.hpp"
+#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace eend;

@@ -71,7 +71,7 @@ std::vector<ExperimentResult> sweep_rates(ExperimentConfig cfg,
 /// stack's row completes — progress reporting for long sweeps.
 using StackProgressFn = std::function<void(const net::StackSpec&)>;
 
-/// Full (stack × rate) grid, the shape of every figure bench; returns
+/// Full (stack × rate) grid, the shape of every sweep figure; returns
 /// results[stack][rate]. Every replication in the grid is one task in a
 /// shared pool of `cfg.jobs` workers, so wide grids keep all cores busy
 /// even when individual cells have few runs. `cfg.stack` is ignored.

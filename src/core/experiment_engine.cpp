@@ -206,15 +206,9 @@ void ExperimentEngine::note(const std::string& line) {
 
 net::ScenarioConfig ExperimentEngine::resolve_scenario(
     const Experiment& e, std::optional<std::size_t> node_count) const {
-  net::ScenarioConfig sc;
-  if (e.scenario_config) {
-    sc = *e.scenario_config;
-    if (node_count) sc.node_count = *node_count;
-  } else {
-    ScenarioSpec spec = e.scenario;
-    if (node_count) spec.node_count = node_count;
-    sc = spec.resolve();
-  }
+  ScenarioSpec spec = e.scenario;
+  if (node_count) spec.node_count = node_count;
+  net::ScenarioConfig sc = spec.resolve();
   if (opts_.quick)
     sc.duration_s =
         std::min(sc.duration_s, e.quick.duration_s.value_or(kQuickDurationS));
@@ -233,7 +227,6 @@ std::uint64_t ExperimentEngine::effective_seed(const Experiment& e) const {
 
 std::vector<net::StackSpec> ExperimentEngine::resolve_stacks(
     const Experiment& e) {
-  if (e.stack_specs) return *e.stack_specs;
   std::vector<net::StackSpec> out;
   out.reserve(e.stacks.size());
   for (const auto& name : e.stacks) out.push_back(net::stack_preset(name));

@@ -15,6 +15,7 @@
 
 #include "core/manifest.hpp"
 #include "core/result_sink.hpp"
+#include "net/stack.hpp"
 #include "obs/counters.hpp"
 
 namespace eend::core {

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "energy/radio_card.hpp"
+#include "net/stack.hpp"
 #include "opt/design_heuristic.hpp"
 #include "util/check.hpp"
 
@@ -439,7 +440,7 @@ QuickSpec parse_quick(const json::Value& v, ExperimentKind kind,
       kind == ExperimentKind::Churn) {
     if (const auto* p = r.optional("runs")) {
       const auto n = as_uint(*p, ctx + " runs");
-      if (n == 0) fail(ctx + " runs must be >= 1");
+      if (n == 0 || n > 10000) fail(ctx + " runs must be in [1, 10000]");
       q.runs = static_cast<std::size_t>(n);
     }
   } else {
@@ -459,8 +460,9 @@ QuickSpec parse_quick(const json::Value& v, ExperimentKind kind,
   if (kind == ExperimentKind::Churn) {
     if (const auto* p = r.optional("epochs")) {
       const auto n = as_uint(*p, ctx + " epochs");
-      if (n < 2) fail(ctx + " epochs must be >= 2 (epoch 0 is the cold "
-                            "design; churn needs at least one more)");
+      if (n < 2 || n > 10000)
+        fail(ctx + " epochs must be in [2, 10000] (epoch 0 is the cold "
+                   "design; churn needs at least one more)");
       q.epochs = static_cast<std::size_t>(n);
     }
   } else {
@@ -1397,11 +1399,11 @@ std::vector<std::string> Manifest::experiment_summaries() const {
     switch (e.kind) {
       case ExperimentKind::Sweep:
       case ExperimentKind::Grid:
-        series = e.stack_specs ? e.stack_specs->size() : e.stacks.size();
+        series = e.stacks.size();
         xs = e.rates_pps.size();
         break;
       case ExperimentKind::Density:
-        series = e.stack_specs ? e.stack_specs->size() : e.stacks.size();
+        series = e.stacks.size();
         xs = e.node_counts.size();
         break;
       case ExperimentKind::Mopt:

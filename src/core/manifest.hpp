@@ -35,7 +35,6 @@
 
 #include "churn/trace.hpp"
 #include "net/scenario.hpp"
-#include "net/stack.hpp"
 #include "util/json.hpp"
 
 namespace eend::core {
@@ -93,14 +92,7 @@ struct Experiment {
   ExperimentKind kind = ExperimentKind::Sweep;
 
   ScenarioSpec scenario;
-  /// Escape hatch for programmatic callers (the bench binaries): when set,
-  /// used verbatim instead of scenario.resolve(). Never serialized.
-  std::optional<net::ScenarioConfig> scenario_config;
-
   std::vector<std::string> stacks;        ///< preset names (sim kinds)
-  /// Programmatic twin of `stacks`: full specs (possibly tweaked beyond any
-  /// preset) used verbatim when set. Never serialized.
-  std::optional<std::vector<net::StackSpec>> stack_specs;
   std::vector<double> rates_pps;          ///< x-axis: sweep, grid
   std::vector<std::size_t> node_counts;   ///< x-axis: density, design
   std::vector<CardSpec> cards;            ///< curves: mopt

@@ -91,10 +91,10 @@ void TableSink::end_experiment(const Experiment& e) {
     bool have_s = false;
     for (const auto& s : series) have_s = have_s || s == r.series;
     if (!have_s) series.push_back(r.series);
-    // Manifest parsing rejects duplicate cells, but programmatic callers
-    // (stack_specs / cards built in bench code) can emit two series whose
-    // labels render identically; collapsing them would silently drop one
-    // series from the table while CSV/JSONL keep both.
+    // Manifest parsing rejects duplicate cells, but a caller that builds
+    // an Experiment in code skips that validation (the same stack or card
+    // listed twice); collapsing the two series would silently drop one
+    // from the table while CSV/JSONL keep both.
     const bool inserted = cell_index.emplace(std::pair{r.series, r.x}, &r)
                               .second;
     EEND_CHECK_MSG(inserted, "duplicate cell (" << r.series << ", x=" << r.x

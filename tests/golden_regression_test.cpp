@@ -18,7 +18,9 @@
 //       --jsonl=tests/golden/<name>_quick.jsonl
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -337,6 +339,28 @@ TEST(GoldenRegression, DesignKindByteIdenticalAcrossJobs) {
   EXPECT_EQ(serial.jsonl, parallel.jsonl);
   EXPECT_EQ(serial.csv, parallel.csv);
   ASSERT_FALSE(serial.jsonl.empty());
+}
+
+// Every shipped manifest — golden-pinned or not — must load, round-trip
+// through its canonical form, and list one summary line per experiment.
+TEST(GoldenRegression, EveryShippedManifestLoadsAndRoundTrips) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(EEND_MANIFEST_DIR))
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const auto& file : files) {
+    SCOPED_TRACE(file.filename().string());
+    const Manifest m = Manifest::load(file.string());
+    const std::string canon = m.serialize();
+    EXPECT_EQ(canon, Manifest::parse(canon).serialize());
+    const auto lines = m.experiment_summaries();
+    ASSERT_EQ(lines.size(), m.experiments.size());
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      EXPECT_EQ(lines[i].substr(0, lines[i].find(' ')),
+                m.experiments[i].id);
+  }
 }
 
 TEST(GoldenRegression, ReplayKindByteIdenticalAcrossJobs) {

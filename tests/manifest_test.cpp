@@ -868,6 +868,21 @@ TEST(Manifest, ChurnScheduleChecksNodeRangeAndQuickEpochs) {
       "unreachable under quick epochs");
 }
 
+TEST(Manifest, QuickOverridesKeepTopLevelRanges) {
+  // --quick must never run more than the top-level key could ask for.
+  expect_rejected(
+      [] {
+        Manifest::parse(sweep_manifest_json("quick", R"({"runs": 1000000})"));
+      },
+      "quick runs must be in [1, 10000]");
+  expect_rejected(
+      [] {
+        Manifest::parse(churn_manifest_json(
+            R"("node_counts":[40],"epochs":6,"quick":{"epochs":10001})"));
+      },
+      "quick epochs must be in [2, 10000]");
+}
+
 TEST(Manifest, ChurnRejectsKindMismatchedAndGatedKeys) {
   // Churn's own keys are invalid elsewhere.
   expect_rejected(

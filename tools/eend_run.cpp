@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
                 << flags.get("runs", "") << "\"\n";
       return 2;
     }
-    // Replication counts only exist for sweep/density kinds; accepting the
-    // flag for a grid/mopt-only manifest would silently change nothing.
+    // Grid and mopt kinds have no replication count; accepting the flag
+    // for a manifest that selects only those would silently change nothing.
     bool applies = false;
     for (const auto& e : manifest.experiments)
       applies |= e.kind == core::ExperimentKind::Sweep ||
