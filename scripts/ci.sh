@@ -146,15 +146,18 @@ cmp /tmp/eend_dc_j1.csv /tmp/eend_dc_j8.csv
 cmp /tmp/eend_dc_j1.jsonl /tmp/eend_dc_j8.jsonl
 cmp /tmp/eend_dc_j1.counters.jsonl /tmp/eend_dc_j8.counters.jsonl
 echo "OK: churn kind byte-identical for jobs=1 and jobs=8 (incl. --counters)"
-# The counter catalog must cover all three layers: sim core, design
-# search cache, and the churn engine.
-for name in sim.events_fired opt.cache.route_hits churn.events_applied; do
+# The counter catalog must cover all four layers: sim core, design
+# search cache, the graph kernels (Klein-Ravi's spider search and its
+# bound) and the churn engine.
+for name in sim.events_fired opt.cache.route_hits \
+    graph.klein_ravi.spider_searches graph.klein_ravi.pruned_searches \
+    churn.events_applied; do
   grep -q "\"counter\":\"$name\"" /tmp/eend_dc_j1.counters.jsonl
 done
 test -s /tmp/eend_dc_j1.trace.json
 cp /tmp/eend_dc_j1.counters.jsonl COUNTERS_design_churn.jsonl
 cp /tmp/eend_dc_j1.trace.json TRACE_design_churn.json
-echo "OK: counters cover sim/opt/churn, wrote COUNTERS_design_churn.jsonl + TRACE_design_churn.json"
+echo "OK: counters cover sim/opt/graph/churn, wrote COUNTERS_design_churn.jsonl + TRACE_design_churn.json"
 
 echo "== event core: ladder-queue vs baseline-heap bench (JSON artifact) =="
 # Self-asserting floors: conservative bounds (measured ~4.8x / ~59M ops/s

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <set>
 
 #include "graph/shortest_path.hpp"
@@ -118,43 +117,22 @@ NetworkDesignProblem::route_demands(
   std::vector<char> allowed(n, allowed_nodes.empty());
   for (graph::NodeId v : allowed_nodes) allowed[v] = 1;
 
-  // Masked Dijkstra, its scratch reused across this call's demands and
-  // never shared (portfolio starts route concurrently). Relaxation and
+  // Masked Dijkstra on one workspace, reused across this call's demands
+  // and never shared (portfolio starts route concurrently). Relaxation and
   // heap order are graph::dijkstra's with a +inf entry cost on forbidden
   // nodes, so paths match it bit for bit; a search stops once t settles.
-  graph::ShortestPathTree spt;
-  auto& dist = spt.distance;
-  auto& par = spt.parent;
-  dist.assign(n, graph::kInfCost);
-  par.assign(n, graph::kInvalidNode);
-  std::vector<graph::NodeId> touched;  // finite dist entries to reset
-  std::vector<std::pair<double, graph::NodeId>> heap;
-  std::uint64_t searches = 0, settled = 0;
+  graph::SpWorkspace ws(n);
+  std::uint64_t searches = 0;
   const auto shortest_path = [&](graph::NodeId s, graph::NodeId t) {
-    for (graph::NodeId v : touched) dist[v] = graph::kInfCost;
-    touched.assign(1, s);
-    heap.assign(1, {0.0, s});
-    dist[s] = 0.0;
-    spt.source = s;
     ++searches;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-      const auto [d, u] = heap.back();
-      heap.pop_back();
-      if (d > dist[u]) continue;  // stale entry
-      ++settled;
-      if (u == t) break;
-      for (const auto& [v, e] : graph_.neighbors(u)) {
-        const double nd = d + graph_.edge(e).weight;
-        if (!allowed[v] || !(nd < dist[v])) continue;
-        if (dist[v] == graph::kInfCost) touched.push_back(v);
-        dist[v] = nd;
-        par[v] = u;
-        heap.emplace_back(nd, v);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-      }
-    }
-    return spt.path_to(t);  // t's parent chain was all set by this search
+    ws.run(
+        graph_, s,
+        [&](double d, const graph::Adjacency& a) {
+          return allowed[a.neighbor] ? d + graph_.edge(a.edge).weight
+                                     : graph::kInfCost;
+        },
+        [t](double, graph::NodeId u) { return u != t; });
+    return ws.tree.path_to(t);  // t's parent chain was all set by this run
   };
 
   std::uint64_t hits = 0, misses = 0;
@@ -188,7 +166,7 @@ NetworkDesignProblem::route_demands(
   if (misses) obs::count("opt.cache.route_misses", misses);
   if (searches) {
     obs::count("opt.route.searches", searches);
-    obs::count("opt.route.settled_nodes", settled);
+    obs::count("opt.route.settled_nodes", ws.settled);
   }
   if (!failed) return routes;
   if (failed_demand) *failed_demand = *failed;

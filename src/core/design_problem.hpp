@@ -93,11 +93,11 @@ class NetworkDesignProblem {
   /// paths) and is reused verbatim; only demands whose cached path touches
   /// a removed node — or whose endpoints changed — re-run Dijkstra. Falls
   /// back to the uncached routine whenever the subset precondition fails
-  /// (e.g. nodes were *added*, which can create shorter paths). Caveat:
-  /// bit-equality with the uncached twin additionally needs unique shortest
-  /// paths; exact float ties could re-break differently, but the random
-  /// geometric weights every instance family draws make ties measure-zero
-  /// (design_heuristic_test pins the equality on those families).
+  /// (e.g. nodes were *added*, which can create shorter paths). Exact ties
+  /// re-break identically: with positive weights nodes settle in (distance,
+  /// id) order, and a shrink only removes or delays the neighbours a cached
+  /// path's nodes chose among. Caveat: zero-weight edges break that order
+  /// (design_problem_test pins the equality with and without exact ties).
   std::optional<std::vector<analytical::RoutedDemand>>
   try_route_in_subgraph_cached(
       const std::vector<graph::NodeId>& allowed_nodes,

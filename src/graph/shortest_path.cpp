@@ -1,7 +1,6 @@
 #include "graph/shortest_path.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace eend::graph {
 
@@ -35,26 +34,17 @@ double enter_cost(const NodeCostFn& node_cost, NodeId v) {
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source,
                           const NodeCostFn& node_cost) {
-  ShortestPathTree t = make_tree(g, source);
-  using Item = std::pair<double, NodeId>;  // (distance, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > t.distance[u]) continue;  // stale entry
-    for (const auto& [v, e] : g.neighbors(u)) {
-      const double w = g.edge(e).weight;
-      EEND_CHECK_MSG(w >= 0.0, "Dijkstra requires non-negative weights");
-      const double nd = d + w + enter_cost(node_cost, v);
-      if (nd < t.distance[v]) {
-        t.distance[v] = nd;
-        t.parent[v] = u;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  return t;
+  EEND_REQUIRE(g.valid_node(source));
+  SpWorkspace ws(g.node_count());
+  ws.run(
+      g, source,
+      [&](double d, const Adjacency& a) {
+        const double w = g.edge(a.edge).weight;
+        EEND_CHECK_MSG(w >= 0.0, "Dijkstra requires non-negative weights");
+        return d + w + enter_cost(node_cost, a.neighbor);
+      },
+      [](double, NodeId) { return true; });
+  return std::move(ws.tree);
 }
 
 ShortestPathTree bellman_ford(const Graph& g, NodeId source,

@@ -4,8 +4,11 @@
 // joint-optimization routing metric h(u,v,r) requires.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,6 +25,64 @@ struct ShortestPathTree {
 
   /// Reconstruct source -> v as a node sequence (empty if unreachable).
   std::vector<NodeId> path_to(NodeId v) const;
+};
+
+/// The one Dijkstra loop: graph::dijkstra, the design search's masked
+/// demand routing and Klein-Ravi's spider search all run on it. The tree
+/// and the heap are reused; a run resets only the distances the last one
+/// reached. The heap is std::priority_queue's push/pop over (dist, node),
+/// so ties settle in its order. Callers own a workspace and run one search
+/// at a time on it (concurrent searches each need their own).
+class SpWorkspace {
+ public:
+  explicit SpWorkspace(std::size_t node_count)
+      : tree{kInvalidNode, std::vector<double>(node_count, kInfCost),
+             std::vector<NodeId>(node_count, kInvalidNode)} {
+    touched_.reserve(node_count);
+  }
+
+  /// The last run's tree; parents of nodes it did not reach may be stale.
+  ShortestPathTree tree;
+  std::uint64_t settled = 0;  ///< nodes settled over every run so far
+
+  /// Dijkstra from `source`. `relax(d, adj)` returns the candidate
+  /// distance of adj.neighbor through a node settled at `d` (kInfCost
+  /// skips the neighbour), so each caller keeps its own float expression.
+  /// `on_settle(d, u)` runs once per settled node, before u's neighbours
+  /// are relaxed; returning false stops the search there.
+  template <class Relax, class OnSettle>
+  void run(const Graph& g, NodeId source, Relax&& relax,
+           OnSettle&& on_settle) {
+    auto& dist = tree.distance;
+    EEND_REQUIRE(dist.size() == g.node_count() && g.valid_node(source));
+    for (NodeId v : touched_) dist[v] = kInfCost;
+    touched_.assign(1, source);
+    tree.source = source;
+    dist[source] = 0.0;
+    heap_.assign(1, {0.0, source});
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const auto [d, u] = heap_.back();
+      heap_.pop_back();
+      if (d > dist[u]) continue;  // stale entry
+      ++settled;
+      if (!on_settle(d, u)) return;
+      for (const Adjacency& a : g.neighbors(u)) {
+        const NodeId v = a.neighbor;
+        const double nd = relax(d, a);
+        if (!(nd < dist[v])) continue;
+        if (dist[v] == kInfCost) touched_.push_back(v);
+        dist[v] = nd;
+        tree.parent[v] = u;
+        heap_.emplace_back(nd, v);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      }
+    }
+  }
+
+ private:
+  std::vector<NodeId> touched_;  // entries of dist to reset next run
+  std::vector<std::pair<double, NodeId>> heap_;
 };
 
 /// Additional per-node cost charged when a path *enters* node v (not charged

@@ -230,76 +230,56 @@ SteinerTree klein_ravi_steiner(const Graph& g,
 
   // Node-weighted shortest path FROM a candidate spider center v to each
   // component: weight of a path = sum of entry costs of the nodes after the
-  // center (the center is charged separately). One dist/par/heap buffer
-  // serves every center; par is only read along chains this search set.
-  // The heap is std::priority_queue's own push/pop over (dist, node)
-  // pairs, so ties settle in the same order. Once every labelled node is
-  // settled their distances and parent chains are final, and nothing else
-  // is read, so the search stops there.
-  using Item = std::pair<double, NodeId>;
-  std::vector<double> dist(n);
-  std::vector<NodeId> par(n, kInvalidNode);
-  std::vector<Item> heap;
-  std::uint64_t searches = 0;
-  auto spider_paths = [&](NodeId center) {
-    ++searches;
-    std::fill(dist.begin(), dist.end(), kInfCost);
-    dist[center] = 0.0;
-    heap.assign(1, {0.0, center});
-    std::size_t unsettled = labelled;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-      const auto [d, u] = heap.back();
-      heap.pop_back();
-      if (d > dist[u]) continue;
-      if (comp[u] != kInvalidNode && --unsettled == 0) break;
-      for (const Adjacency& a : g.neighbors(u)) {
-        const double nd = d + step[a.neighbor];
-        if (nd < dist[a.neighbor]) {
-          dist[a.neighbor] = nd;
-          par[a.neighbor] = u;
-          heap.emplace_back(nd, a.neighbor);
-          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-        }
-      }
-    }
+  // center (the center is charged separately). One workspace serves every
+  // center. A component's leg is taken when its first node settles: legs
+  // arrive sorted, each at its component's cheapest distance, and degree
+  // m's ratio is acc / m with acc = step[center] + legs 1..m. With entry
+  // costs >= 0 (else nothing is pruned) every later leg costs at least the
+  // distance d being settled, so every unseen degree has ratio >=
+  // min(acc / m, d) (d when m = 0). Only a strictly smaller ratio wins, so
+  // a search stops once that bound beats the round's best ratio by more
+  // than the rounding of ~20 additions, or once every component-labelled
+  // node is settled.
+  const bool prunable = *std::min_element(step.begin(), step.end()) >= 0.0;
+  SpWorkspace ws(n);
+  const std::vector<double>& dist = ws.tree.distance;
+  const std::vector<NodeId>& par = ws.tree.parent;
+  std::vector<char> reached(next_comp);  // per component: leg taken
+  std::uint64_t searches = 0, pruned = 0;
+  const auto relax = [&](double d, const Adjacency& a) {
+    return d + step[a.neighbor];
   };
 
-  std::vector<Item> legs;  // cheapest touch-point per component
+  using Item = std::pair<double, NodeId>;
   while (active_components > 1) {
     double best_ratio = kInfCost;
     NodeId best_center = kInvalidNode;
-    std::vector<NodeId> best_targets;  // one representative node per comp
+    std::size_t best_deg = 0;
 
     for (NodeId center = 0; center < n; ++center) {
-      spider_paths(center);
-      // Cheapest touch-point per component id; ascending ids + strict `<`
-      // keep the lowest id among equal distances.
-      legs.assign(next_comp, Item{kInfCost, kInvalidNode});
-      for (NodeId v = 0; v < n; ++v) {
-        if (comp[v] == kInvalidNode || dist[v] == kInfCost) continue;
-        Item& best = legs[comp[v]];
-        if (dist[v] < best.first) best = {dist[v], v};
-      }
-      std::erase_if(legs,
-                    [](const Item& l) { return l.second == kInvalidNode; });
-      if (legs.size() < 2) continue;
-      std::sort(legs.begin(), legs.end());
-      // Try spider degrees 2..all, pick the best cost/#components ratio.
+      ++searches;
+      std::fill(reached.begin(), reached.end(), 0);
+      std::size_t unsettled = labelled, m = 0;
       double acc = step[center];
-      for (std::size_t i = 0; i < legs.size(); ++i) {
-        acc += legs[i].first;
-        const std::size_t deg = i + 1;
-        if (deg < 2) continue;
-        const double ratio = acc / static_cast<double>(deg);
-        if (ratio < best_ratio) {
-          best_ratio = ratio;
-          best_center = center;
-          best_targets.clear();
-          for (std::size_t j = 0; j <= i; ++j)
-            best_targets.push_back(legs[j].second);
+      ws.run(g, center, relax, [&](double d, NodeId u) {
+        const double bound =
+            m == 0 ? d : std::min(acc / static_cast<double>(m), d);
+        if (prunable && bound > best_ratio * (1.0 + 1e-9)) {
+          ++pruned;
+          return false;
         }
-      }
+        if (comp[u] == kInvalidNode) return true;
+        if (!reached[comp[u]]) {
+          reached[comp[u]] = 1;
+          acc += d;
+          if (++m >= 2 && acc / static_cast<double>(m) < best_ratio) {
+            best_ratio = acc / static_cast<double>(m);
+            best_center = center;
+            best_deg = m;
+          }
+        }
+        return --unsettled != 0;
+      });
     }
 
     if (best_center == kInvalidNode) {
@@ -307,11 +287,23 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       break;
     }
 
-    // Re-derive the winning spider's parent links with one extra search
-    // (`step` is unchanged since the argmin scan, so the run is identical)
-    // instead of copying the N-sized parent vector on every ratio
-    // improvement inside the O(centers × merges) loop.
-    spider_paths(best_center);
+    // Re-run the winner unpruned (`step` is unchanged) for its parents and
+    // targets: per component the lowest id at the cheapest distance, legs
+    // sorted by (distance, id). The first-settled node can differ, since a
+    // cost-0 selected node may be pushed at the distance just popped.
+    ++searches;
+    std::size_t unsettled = labelled;
+    ws.run(g, best_center, relax, [&](double, NodeId u) {
+      return comp[u] == kInvalidNode || --unsettled != 0;
+    });
+    std::vector<Item> legs(next_comp, {kInfCost, kInvalidNode});
+    for (NodeId v = 0; v < n; ++v)
+      if (comp[v] != kInvalidNode && dist[v] < legs[comp[v]].first)
+        legs[comp[v]] = {dist[v], v};
+    std::sort(legs.begin(), legs.end());
+    std::vector<NodeId> best_targets;  // one representative node per comp
+    for (std::size_t j = 0; j < best_deg; ++j)
+      best_targets.push_back(legs[j].second);
 
     // Apply the spider: select center and all path nodes; merge components.
     const NodeId merged = comp[best_targets[0]];
@@ -338,6 +330,8 @@ SteinerTree klein_ravi_steiner(const Graph& g,
     active_components -= merged_comps.size() - 1;
   }
   obs::count("graph.klein_ravi.spider_searches", searches);
+  obs::count("graph.klein_ravi.pruned_searches", pruned);
+  obs::count("graph.klein_ravi.settled_nodes", ws.settled);
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
   // spanning structure works; MST keeps edge cost tidy) from the lowest

@@ -113,7 +113,8 @@ struct RouteCache {
 /// superset allowed set on the same graph, demands whose cached path is
 /// untouched by the shrink skip Dijkstra entirely (see
 /// NetworkDesignProblem::try_route_in_subgraph_cached for the exact validity
-/// rule — the result is bit-identical to the uncached evaluation). When
+/// rule — with strictly positive edge weights the result is bit-identical
+/// to the uncached evaluation, exact ties included). When
 /// `fill` is non-null it receives this evaluation's allowed set and routes
 /// (only on feasible results) for the next round. Either pointer may be
 /// null; (nullptr, nullptr) is exactly the plain overload.

@@ -314,16 +314,15 @@ TEST(DesignProblem, RestrictedRoutingMatchesMaskedDijkstra) {
   EXPECT_GT(self_demands, 20u);
 }
 
-TEST(DesignProblem, CachedRoutingMatchesUncachedAfterShrink) {
-  // Continuous weights (ties measure-zero, the cache's stated caveat).
-  // Shrinking the allowed set keeps the subset precondition, so cached
-  // paths that avoid the removed nodes are reused; growing it breaks the
-  // precondition and must route exactly as the uncached call does.
+/// Shrinking the allowed set keeps the subset precondition, so cached
+/// paths that avoid the removed nodes are reused; growing it breaks the
+/// precondition and must route exactly as the uncached call does.
+void expect_cache_matches_uncached(bool tie_weights) {
   Rng rng(5150);
   std::size_t compared = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const std::size_t n = 4 + rng.next_below(36);
-    const auto p = random_routing_problem(rng, n, false);
+    const auto p = random_routing_problem(rng, n, tie_weights);
     const auto before = random_mask(rng, n, 0.9);
     const auto cached = p.try_route_in_subgraph(before);
     if (!cached) continue;
@@ -348,6 +347,17 @@ TEST(DesignProblem, CachedRoutingMatchesUncachedAfterShrink) {
     ++compared;
   }
   EXPECT_GT(compared, 150u);
+}
+
+TEST(DesignProblem, CachedRoutingMatchesUncachedAfterShrink) {
+  expect_cache_matches_uncached(/*tie_weights=*/false);
+}
+
+TEST(DesignProblem, CachedRoutingMatchesUncachedUnderTies) {
+  // Integer weights 1..3 make equal-length paths common. With strictly
+  // positive weights nodes settle in (distance, id) order, so removing an
+  // off-path node cannot re-break a tie on the cached path.
+  expect_cache_matches_uncached(/*tie_weights=*/true);
 }
 
 TEST(DesignProblem, RoutingCountsSearchesAndCacheHits) {

@@ -11,6 +11,8 @@
 
 #include "graph/mst.hpp"
 #include "graph/steiner.hpp"
+#include "obs/counters.hpp"
+#include "opt/design_instance.hpp"
 #include "util/rng.hpp"
 
 namespace eend::graph {
@@ -47,7 +49,8 @@ void prune_leaves_reference(const Graph& g,
 /// Reference Klein-Ravi: the std::set / std::map / per-center-allocation
 /// implementation that preceded the flat-array spider search, kept here
 /// verbatim (with its result assembly) as the oracle that the kernel in
-/// steiner.cpp reproduces bit for bit.
+/// steiner.cpp reproduces bit for bit. `searches`, when non-null, counts
+/// its spider searches.
 bool is_terminal(std::span<const NodeId> terminals, NodeId v) {
   return std::find(terminals.begin(), terminals.end(), v) != terminals.end();
 }
@@ -96,7 +99,8 @@ SteinerTree assemble_reference(const Graph& g,
 }
 
 SteinerTree klein_ravi_reference(const Graph& g,
-                                std::span<const NodeId> terminals) {
+                                std::span<const NodeId> terminals,
+                                std::uint64_t* searches = nullptr) {
   EEND_REQUIRE(!terminals.empty());
   for (NodeId t : terminals) EEND_REQUIRE(g.valid_node(t));
 
@@ -121,6 +125,7 @@ SteinerTree klein_ravi_reference(const Graph& g,
   auto spider_paths = [&](NodeId center) {
     // Dijkstra where entering node u costs cost_of(u), except entering a
     // node already in `selected` costs 0 (it is already paid for).
+    if (searches) ++*searches;
     std::vector<double> dist(g.node_count(), kInfCost);
     std::vector<NodeId> par(g.node_count(), kInvalidNode);
     using Item = std::pair<double, NodeId>;
@@ -543,6 +548,48 @@ TEST(KleinRavi, MatchesReferenceImplementationBitIdentically) {
   // terminal sets, not only trivia.
   EXPECT_GT(merged_trees, 100u);
   EXPECT_GT(split_trees, 40u);
+}
+
+TEST(KleinRavi, BoundPruningMatchesReferenceOnDesignInstances) {
+  // Design-scale instances (N = 100, 6-8 demands), each with the uniform
+  // idle weights from_positions gives and with the 1 ± 0.3 jitter
+  // random_klein_ravi applies. Here the ratio bound stops most spider
+  // searches early; trees must still match the unpruned reference bit for
+  // bit, and every stopped search still counts as one. Seeds 7-18 include
+  // an instance (seed 10, uniform weights) whose tree changes if the bound
+  // drops its acc / m term.
+  Rng rng(16016);
+  for (int trial = 0; trial < 24; ++trial) {
+    opt::DesignInstanceSpec spec;
+    spec.node_count = 100;
+    spec.demand_count = 6 + static_cast<std::size_t>(trial / 2 % 3);
+    spec.seed = 7 + static_cast<std::uint64_t>(trial / 2);
+    const opt::DesignInstance inst = opt::make_design_instance(spec);
+    Graph g = inst.problem.graph();
+    const std::vector<NodeId> terms = inst.problem.terminals();
+    if (trial % 2 == 1)
+      for (NodeId v = 0; v < g.node_count(); ++v)
+        g.set_node_weight(
+            v, g.node_weight(v) * (1.0 + 0.3 * (2.0 * rng.uniform() - 1.0)));
+
+    obs::CounterRegistry reg;
+    SteinerTree got;
+    {
+      obs::ScopedRegistry scope(&reg);
+      got = klein_ravi_steiner(g, terms);
+    }
+    std::uint64_t want_searches = 0;
+    const SteinerTree want = klein_ravi_reference(g, terms, &want_searches);
+    expect_same_tree(got, want, trial);
+    EXPECT_TRUE(want.feasible) << "trial " << trial;
+    if (!obs::kEnabled) continue;
+    auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters["graph.klein_ravi.spider_searches"],
+              want_searches)
+        << "trial " << trial;
+    EXPECT_GT(snap.counters["graph.klein_ravi.pruned_searches"], 0u)
+        << "trial " << trial;
+  }
 }
 
 }  // namespace
