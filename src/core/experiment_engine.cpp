@@ -4,10 +4,10 @@
 #include <mutex>
 #include <ostream>
 
-#include "analytical/route_energy.hpp"
 #include "churn/trace.hpp"
 #include "core/experiment.hpp"
 #include "core/grid_study.hpp"
+#include "core/metric_table.hpp"
 #include "core/parallel_runner.hpp"
 #include "energy/radio_card.hpp"
 #include "obs/trace.hpp"
@@ -28,55 +28,29 @@ namespace {
 /// its own quick.duration_s — matches the bench binaries' --quick.
 constexpr double kQuickDurationS = 120.0;
 
-MetricValue sim_metric(const ExperimentResult& r, const std::string& name) {
-  MetricValue out;
-  out.name = name;
-  const auto from_stats = [&](const SampleStats& s) {
-    out.mean = s.mean;
-    out.ci95 = s.ci95_half_width;
-    out.n = s.n;
-  };
-  const auto from_raw = [&](auto pick) {
-    std::vector<double> xs;
-    xs.reserve(r.raw.size());
-    for (const auto& run : r.raw) xs.push_back(pick(run));
-    from_stats(summarize(xs));
-  };
-  if (name == "delivery_ratio") from_stats(r.delivery_ratio);
-  else if (name == "goodput_bit_per_j") from_stats(r.goodput_bit_per_j);
-  else if (name == "transmit_energy_j") from_stats(r.transmit_energy_j);
-  else if (name == "total_energy_j") from_stats(r.total_energy_j);
-  else if (name == "control_energy_j") from_stats(r.control_energy_j);
-  else if (name == "passive_energy_j") from_stats(r.passive_energy_j);
-  else if (name == "nodes_carrying_data") from_stats(r.nodes_carrying_data);
-  else if (name == "rreq_transmissions")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.rreq_transmissions);
-    });
-  else if (name == "mac_collisions")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_collisions);
-    });
-  else if (name == "mac_cs_drops")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_cs_drops);
-    });
-  else if (name == "mac_defers_exhausted")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_defers_exhausted);
-    });
-  else if (name == "mac_stale_bcast_drops")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_stale_bcast_drops);
-    });
-  else if (name == "mac_unicast_failures")
-    from_raw([](const metrics::RunResult& x) {
-      return static_cast<double>(x.mac_unicast_failures);
-    });
-  else if (name == "average_delay_s")
-    from_raw([](const metrics::RunResult& x) { return x.average_delay_s; });
-  else
-    EEND_REQUIRE_MSG(false, "unknown sim metric \"" << name << "\"");
+/// Aggregates each requested metric over a row's `runs` per-run records
+/// (`run_at(i)` yields run i's record) through the kind's metric table —
+/// the one summarize-over-runs path behind every kind's rows.
+template <class Run, std::size_t N, class RunAt>
+std::vector<MetricValue> summarize_metrics(const Experiment& e,
+                                           const Metric<Run> (&table)[N],
+                                           std::size_t runs, RunAt run_at) {
+  std::vector<MetricValue> out;
+  for (const MetricSpec& spec : e.metrics) {
+    const Metric<Run>* m = nullptr;
+    for (const Metric<Run>& candidate : table)
+      if (spec.name == candidate.name) m = &candidate;
+    // The parser rejects both; these guard programmatic Experiment structs.
+    EEND_REQUIRE_MSG(m, "unknown " << kind_name(e.kind) << " metric \""
+                                   << spec.name << "\"");
+    const char* need = unmet_need(e, m->needs);
+    EEND_REQUIRE_MSG(!need, kind_name(e.kind) << " metric \"" << spec.name
+                                              << "\" requires " << need);
+    std::vector<double> xs(runs);
+    for (std::size_t i = 0; i < runs; ++i) xs[i] = m->get(run_at(i));
+    const SampleStats st = summarize(xs);
+    out.push_back({spec.name, st.mean, st.ci95_half_width, st.n});
+  }
   return out;
 }
 
@@ -149,22 +123,6 @@ CellSearchResult search_design_cell(
                      "portfolio worse than Klein-Ravi baseline (n="
                          << n << ", seed=" << seed << ")");
   }
-  return out;
-}
-
-MetricValue grid_metric(const GridSeries& s, const GridPoint& p,
-                        const std::string& name) {
-  MetricValue out;
-  out.name = name;
-  out.n = 1;
-  if (name == "goodput_kbit_per_j") out.mean = p.goodput_bit_per_j / 1e3;
-  else if (name == "network_power_w") out.mean = p.network_power_w;
-  else if (name == "data_power_w") out.mean = p.data_power_w;
-  else if (name == "passive_power_w") out.mean = p.passive_power_w;
-  else if (name == "active_nodes")
-    out.mean = static_cast<double>(s.active_nodes.size());
-  else
-    EEND_REQUIRE_MSG(false, "unknown grid metric \"" << name << "\"");
   return out;
 }
 
@@ -269,8 +227,10 @@ void ExperimentEngine::run_sweep(const Experiment& e) {
       row.x = rates[ri];
       row.runs = cfg.runs;
       row.seed = cfg.base_seed;
-      for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(sim_metric(results[si][ri], m.name));
+      const std::vector<metrics::RunResult>& raw = results[si][ri].raw;
+      row.metrics = summarize_metrics(
+          e, kSimMetrics, raw.size(),
+          [&](std::size_t run) -> const SimRun& { return raw[run]; });
       emit(row);
     }
   }
@@ -317,8 +277,10 @@ void ExperimentEngine::run_density(const Experiment& e) {
     row.x = static_cast<double>(cells[i].scenario.node_count);
     row.runs = cells[i].runs;
     row.seed = cells[i].base_seed;
-    for (const MetricSpec& m : e.metrics)
-      row.metrics.push_back(sim_metric(results[i], m.name));
+    const std::vector<metrics::RunResult>& raw = results[i].raw;
+    row.metrics = summarize_metrics(
+        e, kSimMetrics, raw.size(),
+        [&](std::size_t run) -> const SimRun& { return raw[run]; });
     emit(row);
   }
 }
@@ -362,9 +324,9 @@ void ExperimentEngine::run_grid(const Experiment& e) {
       row.x = rates[ri];
       row.runs = 1;
       row.seed = sc.seed;
-      for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(
-            grid_metric(series[si], series[si].points[ri], m.name));
+      row.metrics = summarize_metrics(e, kGridMetrics, 1, [&](std::size_t) {
+        return GridCell{series[si], series[si].points[ri]};
+      });
       emit(row);
     }
   }
@@ -397,13 +359,7 @@ void ExperimentEngine::run_design(const Experiment& e) {
   ho.jobs = cells.size() > 1 ? 1 : opts_.jobs;
 
   // Per-cell results: [cell][heuristic] -> this instance's metric values.
-  struct Sample {
-    double total = 0.0, data = 0.0, idle = 0.0, gap = 0.0, relays = 0.0,
-           wall = 0.0;
-    // Presolve-only columns (e.presolve gates the metrics that read them).
-    double lb = 0.0, cert_gap = 0.0, rnodes = 0.0, redges = 0.0;
-  };
-  std::vector<std::vector<Sample>> samples(cells.size());
+  std::vector<std::vector<DesignSample>> samples(cells.size());
   std::vector<obs::CounterSnapshot> snaps(cells.size());
 
   std::mutex io_m;
@@ -429,7 +385,7 @@ void ExperimentEngine::run_design(const Experiment& e) {
     samples[ci].resize(e.heuristics.size());
     for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi) {
       const opt::CandidateDesign& cand = sr.designs[hi];
-      Sample& s = samples[ci][hi];
+      DesignSample& s = samples[ci][hi];
       s.total = cand.cost();
       s.data = cand.score.data;
       s.idle = cand.score.idle;
@@ -466,42 +422,10 @@ void ExperimentEngine::run_design(const Experiment& e) {
       row.x = static_cast<double>(nodes[ni]);
       row.runs = runs;
       row.seed = base_seed;
-      const auto metric_of = [&](const std::string& name) {
-        std::vector<double> xs;
-        xs.reserve(runs);
-        for (std::size_t run = 0; run < runs; ++run) {
-          const Sample& s = samples[ni * runs + run][hi];
-          if (name == "eq5_total") xs.push_back(s.total);
-          else if (name == "eq5_data") xs.push_back(s.data);
-          else if (name == "eq5_idle") xs.push_back(s.idle);
-          else if (name == "gap_vs_klein_ravi") xs.push_back(s.gap);
-          else if (name == "relay_nodes") xs.push_back(s.relays);
-          else if (name == "wall_time_s") xs.push_back(s.wall);
-          else if (name == "lb" || name == "certified_gap_pct" ||
-                   name == "reduced_nodes" || name == "reduced_edges") {
-            // parse_metrics already rejects these without presolve; guard
-            // against programmatic Experiment structs skipping validation.
-            EEND_REQUIRE_MSG(e.presolve, "design metric \""
-                                             << name
-                                             << "\" requires presolve=true");
-            if (name == "lb") xs.push_back(s.lb);
-            else if (name == "certified_gap_pct") xs.push_back(s.cert_gap);
-            else if (name == "reduced_nodes") xs.push_back(s.rnodes);
-            else xs.push_back(s.redges);
-          } else
-            EEND_REQUIRE_MSG(false,
-                             "unknown design metric \"" << name << "\"");
-        }
-        const SampleStats st = summarize(xs);
-        MetricValue mv;
-        mv.name = name;
-        mv.mean = st.mean;
-        mv.ci95 = st.ci95_half_width;
-        mv.n = st.n;
-        return mv;
-      };
-      for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(metric_of(m.name));
+      row.metrics = summarize_metrics(
+          e, kDesignMetrics, runs, [&](std::size_t run) -> const DesignSample& {
+            return samples[ni * runs + run][hi];
+          });
       emit(row);
     }
   }
@@ -620,38 +544,10 @@ void ExperimentEngine::run_replay(const Experiment& e) {
       row.x = static_cast<double>(nodes[ni]);
       row.runs = runs;
       row.seed = base_seed;
-      const auto metric_of = [&](const std::string& name) {
-        std::vector<double> xs;
-        xs.reserve(runs);
-        for (std::size_t run = 0; run < runs; ++run) {
-          const replay::ReplayReport& rep =
-              reports[(ni * runs + run) * e.heuristics.size() + hi];
-          if (name == "analytic_eq5_j") xs.push_back(rep.analytic_energy_j);
-          else if (name == "sim_energy_j") xs.push_back(rep.sim_energy_j);
-          else if (name == "analytic_gap_pct") xs.push_back(rep.gap_pct);
-          else if (name == "sim_j_per_kbit") xs.push_back(rep.sim_j_per_kbit);
-          else if (name == "delivery_ratio") xs.push_back(rep.delivery_ratio);
-          else if (name == "first_death_s") xs.push_back(rep.first_death_s);
-          else if (name == "depleted_nodes")
-            xs.push_back(static_cast<double>(rep.depleted_nodes));
-          else if (name == "active_nodes")
-            xs.push_back(static_cast<double>(rep.active_nodes));
-          else if (name == "max_node_load_j")
-            xs.push_back(rep.max_node_load_j);
-          else
-            EEND_REQUIRE_MSG(false,
-                             "unknown replay metric \"" << name << "\"");
-        }
-        const SampleStats st2 = summarize(xs);
-        MetricValue mv;
-        mv.name = name;
-        mv.mean = st2.mean;
-        mv.ci95 = st2.ci95_half_width;
-        mv.n = st2.n;
-        return mv;
-      };
-      for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(metric_of(m.name));
+      row.metrics = summarize_metrics(
+          e, kReplayMetrics, runs, [&](std::size_t run) -> const ReplayRun& {
+            return reports[(ni * runs + run) * e.heuristics.size() + hi];
+          });
       emit(row);
     }
   }
@@ -688,13 +584,8 @@ void ExperimentEngine::run_churn(const Experiment& e) {
     for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
   const std::size_t inner_jobs = cells.size() > 1 ? 1 : opts_.jobs;
 
-  struct Sample {
-    double warm = 0.0, cold = 0.0, gap = 0.0, events = 0.0,
-           rerouted = 0.0, fellback = 0.0, active = 0.0, live = 0.0,
-           warm_wall = 0.0, cold_wall = 0.0, replay_gap = 0.0;
-  };
   // samples[cell][epoch]
-  std::vector<std::vector<Sample>> samples(cells.size());
+  std::vector<std::vector<ChurnSample>> samples(cells.size());
   std::vector<obs::CounterSnapshot> snaps(cells.size());
 
   std::mutex io_m;
@@ -762,7 +653,7 @@ void ExperimentEngine::run_churn(const Experiment& e) {
     serving = opt::evaluate_design(inst.problem, serving.nodes, objective,
                                    nullptr, &serving_routes);
     {
-      Sample& s = samples[ci][0];
+      ChurnSample& s = samples[ci][0];
       s.warm = s.cold = serving.cost();
       s.rerouted = static_cast<double>(serving_routes.routes.size());
       s.active = static_cast<double>(serving.nodes.size());
@@ -812,7 +703,7 @@ void ExperimentEngine::run_churn(const Experiment& e) {
 
       const auto [cold, cold_wall] = cold_solve(problem, pre_ptr);
 
-      Sample& s = samples[ci][epoch];
+      ChurnSample& s = samples[ci][epoch];
       s.warm = wr.design.cost();
       s.cold = cold.cost();
       s.gap = 100.0 * (s.warm - s.cold) / s.cold;
@@ -866,42 +757,10 @@ void ExperimentEngine::run_churn(const Experiment& e) {
       row.x = static_cast<double>(epoch);
       row.runs = runs;
       row.seed = base_seed;
-      const auto metric_of = [&](const std::string& name) {
-        std::vector<double> xs;
-        xs.reserve(runs);
-        for (std::size_t run = 0; run < runs; ++run) {
-          const Sample& s = samples[ni * runs + run][epoch];
-          if (name == "warm_score") xs.push_back(s.warm);
-          else if (name == "cold_score") xs.push_back(s.cold);
-          else if (name == "gap_vs_cold_pct") xs.push_back(s.gap);
-          else if (name == "events_applied") xs.push_back(s.events);
-          else if (name == "rerouted_demands") xs.push_back(s.rerouted);
-          else if (name == "fallbacks") xs.push_back(s.fellback);
-          else if (name == "active_nodes") xs.push_back(s.active);
-          else if (name == "live_demands") xs.push_back(s.live);
-          else if (name == "warm_wall_s") xs.push_back(s.warm_wall);
-          else if (name == "cold_wall_s") xs.push_back(s.cold_wall);
-          else if (name == "replay_gap_pct") {
-            // parse_metrics already rejects this without replay epochs;
-            // guard programmatic Experiment structs skipping validation.
-            EEND_REQUIRE_MSG(e.replay_every > 0,
-                             "churn metric \"replay_gap_pct\" requires "
-                             "replay_every > 0");
-            xs.push_back(s.replay_gap);
-          } else
-            EEND_REQUIRE_MSG(false,
-                             "unknown churn metric \"" << name << "\"");
-        }
-        const SampleStats st = summarize(xs);
-        MetricValue mv;
-        mv.name = name;
-        mv.mean = st.mean;
-        mv.ci95 = st.ci95_half_width;
-        mv.n = st.n;
-        return mv;
-      };
-      for (const MetricSpec& m : e.metrics)
-        row.metrics.push_back(metric_of(m.name));
+      row.metrics = summarize_metrics(
+          e, kChurnMetrics, runs, [&](std::size_t run) -> const ChurnSample& {
+            return samples[ni * runs + run][epoch];
+          });
       emit(row);
     }
   }
@@ -932,15 +791,9 @@ void ExperimentEngine::run_mopt(const Experiment& e) {
       row.x = rb;
       row.runs = 1;
       row.seed = 0;
-      for (const MetricSpec& m : e.metrics) {
-        MetricValue mv;
-        mv.name = m.name;
-        mv.n = 1;
-        EEND_REQUIRE_MSG(m.name == "mopt",
-                         "unknown mopt metric \"" << m.name << "\"");
-        mv.mean = analytical::mopt_continuous(cv.card, cv.distance, rb);
-        row.metrics.push_back(std::move(mv));
-      }
+      row.metrics = summarize_metrics(e, kMoptMetrics, 1, [&](std::size_t) {
+        return MoptCell{cv.card, cv.distance, rb};
+      });
       emit(row);
     }
   }

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "core/metric_table.hpp"
 #include "energy/radio_card.hpp"
 #include "net/stack.hpp"
 #include "opt/design_heuristic.hpp"
@@ -16,6 +19,8 @@
 namespace eend::core {
 
 namespace {
+
+using enum ExperimentKind;
 
 [[noreturn]] void fail(const std::string& msg) {
   throw CheckError("manifest: " + msg);
@@ -60,8 +65,8 @@ class ObjectReader {
     return *v;
   }
 
-  /// Declare a key as recognized (for the unknown-key message) without
-  /// reading it — used for keys that are invalid for the current kind.
+  /// Reject `key` with `why` if present — for keys that are known but
+  /// invalid here.
   void forbid(const std::string& key, const std::string& why) {
     for (std::size_t i = 0; i < obj_->size(); ++i)
       if ((*obj_)[i].first == key)
@@ -82,8 +87,6 @@ class ObjectReader {
            " (allowed: " + join(names) + ")");
     }
   }
-
-  const std::string& ctx() const { return ctx_; }
 
  private:
   const json::Object* obj_ = nullptr;
@@ -109,7 +112,98 @@ std::uint64_t as_uint(const json::Value& v, const std::string& ctx) {
   return static_cast<std::uint64_t>(d);
 }
 
-std::vector<double> as_rate_list(const json::Value& v, const std::string& ctx) {
+const json::Array& as_nonempty_array(const json::Value& v,
+                                     const std::string& ctx) {
+  if (!v.is_array() || v.as_array().empty())
+    fail(ctx + " must be a non-empty array");
+  return v.as_array();
+}
+
+// ------------------------------------------------------------------- kinds ---
+
+/// A kind's metric as the parser and the table banners see it.
+struct MetricInfo {
+  std::string name;
+  std::string display;
+  MetricNeeds needs;
+};
+
+template <class Run, std::size_t N>
+std::vector<MetricInfo> describe(const Metric<Run> (&table)[N]) {
+  std::vector<MetricInfo> out;
+  for (const Metric<Run>& m : table)
+    out.push_back({m.name, m.display, m.needs});
+  return out;
+}
+
+/// Single registry of experiment kinds: the manifest name, the metric
+/// table and default metric set, the scenario preset a simulation kind
+/// falls back to, and the --list cell counts.
+struct KindInfo {
+  ExperimentKind kind;
+  const char* name;
+  std::vector<MetricInfo> metrics;
+  std::vector<MetricSpec> default_metrics;
+  const char* scenario_preset;  ///< nullptr: the kind takes no scenario
+  std::size_t (*series)(const Experiment&);
+  std::size_t (*xs)(const Experiment&);
+};
+
+std::size_t count_stacks(const Experiment& e) { return e.stacks.size(); }
+std::size_t count_heuristics(const Experiment& e) {
+  return e.heuristics.size();
+}
+std::size_t count_node_counts(const Experiment& e) {
+  return e.node_counts.size();
+}
+
+const KindInfo kKinds[] = {
+    {Sweep, "sweep", describe(kSimMetrics),
+     {{"delivery_ratio", 3}, {"goodput_bit_per_j", 1}}, "small_network",
+     count_stacks, [](const Experiment& e) { return e.rates_pps.size(); }},
+    {Density, "density", describe(kSimMetrics),
+     {{"delivery_ratio", 3}, {"goodput_bit_per_j", 1}}, "density_network",
+     count_stacks, count_node_counts},
+    {Grid, "grid", describe(kGridMetrics), {{"goodput_kbit_per_j", 3}},
+     "hypothetical_grid", count_stacks,
+     [](const Experiment& e) { return e.rates_pps.size(); }},
+    {Mopt, "mopt", describe(kMoptMetrics), {{"mopt", 3}}, nullptr,
+     [](const Experiment& e) { return e.cards.size(); },
+     [](const Experiment& e) { return e.rb.size(); }},
+    {Design, "design", describe(kDesignMetrics),
+     {{"eq5_total", 1}, {"gap_vs_klein_ravi", 2}}, nullptr, count_heuristics,
+     count_node_counts},
+    {Replay, "replay", describe(kReplayMetrics),
+     {{"analytic_eq5_j", 1},
+      {"sim_energy_j", 1},
+      {"analytic_gap_pct", 1},
+      {"delivery_ratio", 3},
+      {"first_death_s", 1}},
+     nullptr, count_heuristics, count_node_counts},
+    {Churn, "churn", describe(kChurnMetrics),
+     {{"warm_score", 1}, {"gap_vs_cold_pct", 2}, {"events_applied", 1}},
+     nullptr, count_node_counts,
+     [](const Experiment& e) { return e.epochs; }},
+};
+
+const KindInfo& kind_info(ExperimentKind kind) {
+  for (const KindInfo& k : kKinds)
+    if (k.kind == kind) return k;
+  fail("unknown experiment kind " +
+       std::to_string(static_cast<unsigned>(kind)));
+}
+
+const MetricInfo* find_metric(ExperimentKind kind, const std::string& name) {
+  for (const MetricInfo& m : kind_info(kind).metrics)
+    if (m.name == name) return &m;
+  return nullptr;
+}
+
+// ---------------------------------------------------------- list readers ---
+// Each reads one list-valued key; `ctx` already names the key.
+
+std::vector<double> as_rate_list(const json::Value& v, const Experiment&,
+                                 const std::string& ctx) {
   if (!v.is_array() || v.as_array().empty())
     fail(ctx + " must be a non-empty array of rates");
   std::vector<double> out;
@@ -127,7 +221,7 @@ std::vector<double> as_rate_list(const json::Value& v, const std::string& ctx) {
   return out;
 }
 
-std::vector<std::size_t> as_node_list(const json::Value& v,
+std::vector<std::size_t> as_node_list(const json::Value& v, const Experiment&,
                                       const std::string& ctx) {
   if (!v.is_array() || v.as_array().empty())
     fail(ctx + " must be a non-empty array of node counts");
@@ -145,139 +239,114 @@ std::vector<std::size_t> as_node_list(const json::Value& v,
   return out;
 }
 
-// ----------------------------------------------------------------- metrics ---
-
-// Single registry of metric names and their table-banner labels: valid
-// names per kind and display lookup both derive from these, so a metric
-// added here is complete (the engine's extractors are the remaining
-// counterpart, and they fail loudly on unknown names).
-struct MetricInfo {
-  const char* name;
-  const char* display;
-};
-
-constexpr MetricInfo kSimMetricInfo[] = {
-    {"delivery_ratio", "delivery ratio"},
-    {"goodput_bit_per_j", "energy goodput (bit/J)"},
-    {"transmit_energy_j", "transmit energy (J)"},
-    {"total_energy_j", "total energy (J)"},
-    {"control_energy_j", "control energy (J)"},
-    {"passive_energy_j", "passive energy (J)"},
-    {"nodes_carrying_data", "nodes carrying data"},
-    {"rreq_transmissions", "RREQ transmissions"},
-    {"mac_collisions", "MAC collisions"},
-    {"mac_cs_drops", "carrier-sense drops"},
-    {"mac_defers_exhausted", "MAC defers exhausted"},
-    {"mac_stale_bcast_drops", "stale broadcast drops"},
-    {"mac_unicast_failures", "unicast failures"},
-    {"average_delay_s", "average delay (s)"},
-};
-constexpr MetricInfo kGridMetricInfo[] = {
-    {"goodput_kbit_per_j", "energy goodput (Kbit/J)"},
-    {"network_power_w", "network power (W)"},
-    {"data_power_w", "data power (W)"},
-    {"passive_power_w", "passive power (W)"},
-    {"active_nodes", "active nodes"},
-};
-constexpr MetricInfo kMoptMetricInfo[] = {
-    {"mopt", "m_opt"},
-};
-constexpr MetricInfo kDesignMetricInfo[] = {
-    {"eq5_total", "Eq. 5 total cost"},
-    {"eq5_data", "Eq. 5 data cost"},
-    {"eq5_idle", "Eq. 5 passive (idle) cost"},
-    {"gap_vs_klein_ravi", "gap vs Klein-Ravi (%)"},
-    {"relay_nodes", "relay nodes"},
-    // Wall time is real elapsed time and therefore NOT covered by the
-    // determinism contract — keep it out of golden-pinned manifests.
-    {"wall_time_s", "wall time (s)"},
-    // The next four require `presolve: true` on the experiment (validated
-    // after parsing); they surface the certified bound and instance shrink.
-    {"lb", "certified Eq. 5 lower bound"},
-    {"certified_gap_pct", "certified gap vs lower bound (%)"},
-    {"reduced_nodes", "presolve-removed nodes"},
-    {"reduced_edges", "presolve-removed edges"},
-};
-constexpr MetricInfo kChurnMetricInfo[] = {
-    {"warm_score", "warm-start Eq. 5 score"},
-    {"cold_score", "from-scratch Eq. 5 score"},
-    {"gap_vs_cold_pct", "warm vs from-scratch gap (%)"},
-    {"events_applied", "churn events applied"},
-    {"rerouted_demands", "demands re-routed"},
-    {"fallbacks", "portfolio fallbacks"},
-    {"active_nodes", "active nodes (warm design)"},
-    {"live_demands", "live demands"},
-    // Wall times are real elapsed time and therefore NOT covered by the
-    // determinism contract — keep them out of golden-pinned manifests.
-    {"warm_wall_s", "warm re-design latency (s)"},
-    {"cold_wall_s", "from-scratch latency (s)"},
-    // Requires `replay_every` > 0 on the experiment (validated after
-    // parsing); zero on epochs that skip the replay validation.
-    {"replay_gap_pct", "replayed sim vs Eq. 5 gap (%)"},
-};
-constexpr MetricInfo kReplayMetricInfo[] = {
-    {"analytic_eq5_j", "Eq. 5 analytic energy (J)"},
-    {"sim_energy_j", "simulated energy (J)"},
-    {"analytic_gap_pct", "simulated vs Eq. 5 gap (%)"},
-    {"sim_j_per_kbit", "simulated J per delivered Kbit"},
-    {"delivery_ratio", "delivery ratio"},
-    {"first_death_s", "first battery death (s; horizon = none)"},
-    {"depleted_nodes", "battery-depleted nodes"},
-    {"active_nodes", "active nodes"},
-    {"max_node_load_j", "max per-node analytic load (J)"},
-};
-
-template <std::size_t N>
-std::vector<std::string> names_of(const MetricInfo (&infos)[N]) {
+std::vector<std::string> parse_stacks(const json::Value& v, const Experiment&,
+                                      const std::string& ctx) {
   std::vector<std::string> out;
-  out.reserve(N);
-  for (const MetricInfo& m : infos) out.emplace_back(m.name);
+  for (const auto& s : as_nonempty_array(v, ctx)) {
+    const std::string name = as_string(s, ctx + " entry");
+    net::stack_preset(name);  // throws listing valid presets
+    if (std::find(out.begin(), out.end(), name) != out.end())
+      fail("duplicate stack \"" + name + "\" in " + ctx +
+           " — each stack defines one cell row");
+    out.push_back(name);
+  }
   return out;
 }
 
-const std::vector<std::string> kSimMetrics = names_of(kSimMetricInfo);
-const std::vector<std::string> kGridMetrics = names_of(kGridMetricInfo);
-const std::vector<std::string> kMoptMetrics = names_of(kMoptMetricInfo);
-const std::vector<std::string> kDesignMetrics = names_of(kDesignMetricInfo);
-const std::vector<std::string> kReplayMetrics = names_of(kReplayMetricInfo);
-const std::vector<std::string> kChurnMetrics = names_of(kChurnMetricInfo);
-
-std::vector<MetricSpec> default_metrics(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::Sweep:
-    case ExperimentKind::Density:
-      return {{"delivery_ratio", 3}, {"goodput_bit_per_j", 1}};
-    case ExperimentKind::Grid: return {{"goodput_kbit_per_j", 3}};
-    case ExperimentKind::Mopt: return {{"mopt", 3}};
-    case ExperimentKind::Design:
-      return {{"eq5_total", 1}, {"gap_vs_klein_ravi", 2}};
-    case ExperimentKind::Replay:
-      return {{"analytic_eq5_j", 1},
-              {"sim_energy_j", 1},
-              {"analytic_gap_pct", 1},
-              {"delivery_ratio", 3},
-              {"first_death_s", 1}};
-    case ExperimentKind::Churn:
-      return {{"warm_score", 1},
-              {"gap_vs_cold_pct", 2},
-              {"events_applied", 1}};
-  }
-  return {};
+std::string parse_stack(const json::Value& v, const Experiment&,
+                        const std::string& ctx) {
+  std::string name = as_string(v, ctx);
+  net::stack_preset(name);  // throws listing valid presets
+  return name;
 }
 
+std::vector<std::string> parse_heuristics(const json::Value& v,
+                                          const Experiment& e,
+                                          const std::string& ctx) {
+  std::vector<std::string> out;
+  for (const auto& h : as_nonempty_array(v, ctx)) {
+    const std::string name = as_string(h, ctx + " entry");
+    opt::heuristic_by_name(name);  // throws listing valid names
+    if (e.kind == Design && opt::heuristic_uses_battery_budget(name))
+      fail("heuristic \"" + name + "\" in " + ctx +
+           " needs a battery budget and is only valid for kind "
+           "\"replay\" (its \"battery_j\" defines the per-node budget)");
+    if (std::find(out.begin(), out.end(), name) != out.end())
+      fail("duplicate heuristic \"" + name + "\" in " + ctx +
+           " — each heuristic defines one series");
+    out.push_back(name);
+  }
+  return out;
+}
+
+std::vector<double> parse_weights(const json::Value& v, const Experiment&,
+                                  const std::string& ctx) {
+  std::vector<double> out;
+  for (const auto& w : as_nonempty_array(v, ctx)) {
+    const double m = as_finite(w, ctx + " entry");
+    if (!(m > 0.0) || m > 1e3)
+      fail(ctx + " entries must be in (0, 1e3], got " + json::dump(w));
+    out.push_back(m);
+  }
+  return out;
+}
+
+std::vector<CardSpec> parse_cards(const json::Value& v, const Experiment&,
+                                  const std::string& ctx) {
+  std::vector<CardSpec> out;
+  for (const auto& cv : as_nonempty_array(v, ctx)) {
+    ObjectReader cr(cv, ctx + " entry");
+    CardSpec c;
+    // Canonicalize case (lookup is case-insensitive, legends are not) and
+    // reject unknown names in one step.
+    c.card = energy::card_by_name(as_string(cr.required("card"), ctx + " card"))
+                 .name;
+    c.distance_m = as_finite(cr.required("distance_m"), ctx + " distance_m");
+    if (!(c.distance_m > 0.0)) fail(ctx + " distance_m must be positive");
+    cr.finish();
+    // Series legends render the distance rounded to whole meters, so two
+    // cards that only differ past that would silently merge into one
+    // table column — treat them as duplicates.
+    for (const auto& prev : out)
+      if (prev.card == c.card &&
+          std::llround(prev.distance_m) == std::llround(c.distance_m))
+        fail("duplicate card \"" + c.card + "\" in " + ctx +
+             " — distances render identically in the legend (D=" +
+             std::to_string(std::llround(c.distance_m)) + "m)");
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+std::vector<double> parse_rb(const json::Value& v, const Experiment&,
+                             const std::string& ctx) {
+  std::vector<double> out;
+  for (const auto& x : as_nonempty_array(v, ctx)) {
+    const double rb = as_finite(x, ctx + " entry");
+    if (!(rb > 0.0) || rb > 0.5)
+      fail(ctx + " entries must be in (0, 0.5] — a relay both sends and "
+           "receives each packet, so utilization beyond 1/2 is infeasible; "
+           "got " + json::dump(x));
+    if (std::find(out.begin(), out.end(), rb) != out.end())
+      fail("duplicate value " + json::dump(x) + " in " + ctx);
+    out.push_back(rb);
+  }
+  return out;
+}
+
+/// Metric names validate against the kind's metric table, and a metric
+/// whose switch is off (e.g. `lb` without presolve) is rejected — the
+/// switches precede "metrics" in the knob table, so `e` already holds them.
 std::vector<MetricSpec> parse_metrics(const json::Value& v,
-                                      ExperimentKind kind,
+                                      const Experiment& e,
                                       const std::string& ctx) {
-  if (!v.is_array() || v.as_array().empty())
-    fail(ctx + " must be a non-empty array");
-  const auto& valid = metric_names(kind);
   std::vector<MetricSpec> out;
-  for (const auto& e : v.as_array()) {
+  for (const auto& x : as_nonempty_array(v, ctx)) {
     MetricSpec m;
-    if (e.is_string()) {
-      m.name = e.as_string();
+    if (x.is_string()) {
+      m.name = x.as_string();
     } else {
-      ObjectReader r(e, ctx + " entry");
+      ObjectReader r(x, ctx + " entry");
       m.name = as_string(r.required("name"), ctx + " name");
       if (const auto* p = r.optional("precision")) {
         const auto prec = as_uint(*p, ctx + " precision");
@@ -286,9 +355,17 @@ std::vector<MetricSpec> parse_metrics(const json::Value& v,
       }
       r.finish();
     }
-    if (std::find(valid.begin(), valid.end(), m.name) == valid.end())
+    const MetricInfo* info = find_metric(e.kind, m.name);
+    if (!info) {
+      std::vector<std::string> valid;
+      for (const MetricInfo& k : kind_info(e.kind).metrics)
+        valid.push_back(k.name);
       fail("metric \"" + m.name + "\" is not valid for kind \"" +
-           kind_name(kind) + "\" (valid: " + join(valid) + ")");
+           kind_name(e.kind) + "\" (valid: " + join(valid) + ")");
+    }
+    if (const char* need = unmet_need(e, info->needs))
+      fail("metric \"" + m.name + "\" in " + ctx + " requires " + need +
+           " on the experiment");
     for (const auto& prev : out)
       if (prev.name == m.name) fail("duplicate metric \"" + m.name + "\"");
     out.push_back(std::move(m));
@@ -334,142 +411,14 @@ std::vector<std::string> scenario_preset_names() {
 
 const std::vector<std::string> kScenarioPresets = scenario_preset_names();
 
-ScenarioSpec parse_scenario(const json::Value& v, const std::string& ctx) {
-  ScenarioSpec s;
-  ObjectReader r(v, ctx);
-  s.preset = as_string(r.required("preset"), ctx + " preset");
-  if (std::find(kScenarioPresets.begin(), kScenarioPresets.end(), s.preset) ==
+std::string parse_preset(const json::Value& v, const Experiment&,
+                         const std::string& ctx) {
+  std::string preset = as_string(v, ctx);
+  if (std::find(kScenarioPresets.begin(), kScenarioPresets.end(), preset) ==
       kScenarioPresets.end())
-    fail("unknown scenario preset \"" + s.preset +
+    fail("unknown scenario preset \"" + preset +
          "\" (valid: " + join(kScenarioPresets) + ")");
-  if (const auto* p = r.optional("node_count"))
-    s.node_count = static_cast<std::size_t>(as_uint(*p, ctx + " node_count"));
-  if (const auto* p = r.optional("field_w")) {
-    s.field_w = as_finite(*p, ctx + " field_w");
-    if (!(*s.field_w > 0.0)) fail(ctx + " field_w must be positive");
-  }
-  if (const auto* p = r.optional("field_h")) {
-    s.field_h = as_finite(*p, ctx + " field_h");
-    if (!(*s.field_h > 0.0)) fail(ctx + " field_h must be positive");
-  }
-  if (const auto* p = r.optional("flow_count"))
-    s.flow_count = static_cast<std::size_t>(as_uint(*p, ctx + " flow_count"));
-  if (const auto* p = r.optional("rate_pps")) {
-    s.rate_pps = as_finite(*p, ctx + " rate_pps");
-    if (!(*s.rate_pps > 0.0) || *s.rate_pps > 1e6)
-      fail(ctx + " rate_pps must be in (0, 1e6]");
-  }
-  if (const auto* p = r.optional("payload_bits")) {
-    const auto bits = as_uint(*p, ctx + " payload_bits");
-    if (bits == 0 || bits > 1u << 24)
-      fail(ctx + " payload_bits must be in [1, 2^24]");
-    s.payload_bits = static_cast<std::uint32_t>(bits);
-  }
-  if (const auto* p = r.optional("duration_s")) {
-    s.duration_s = as_finite(*p, ctx + " duration_s");
-    if (!(*s.duration_s > 0.0)) fail(ctx + " duration_s must be positive");
-  }
-  if (const auto* p = r.optional("flow_endpoint_pool"))
-    s.flow_endpoint_pool =
-        static_cast<std::size_t>(as_uint(*p, ctx + " flow_endpoint_pool"));
-  if (const auto* p = r.optional("rate_multipliers")) {
-    if (!p->is_array() || p->as_array().empty())
-      fail(ctx + " rate_multipliers must be a non-empty array");
-    std::vector<double> mult;
-    for (const auto& e : p->as_array()) {
-      const double m = as_finite(e, ctx + " rate_multipliers entry");
-      if (!(m > 0.0) || !std::isfinite(m) || m > 1e3)
-        fail(ctx + " rate_multipliers entries must be in (0, 1e3]");
-      mult.push_back(m);
-    }
-    s.rate_multipliers = std::move(mult);
-  }
-  r.finish();
-  return s;
-}
-
-json::Object scenario_to_json(const ScenarioSpec& s) {
-  json::Object o;
-  o.emplace_back("preset", s.preset);
-  if (s.node_count)
-    o.emplace_back("node_count", static_cast<double>(*s.node_count));
-  if (s.field_w) o.emplace_back("field_w", *s.field_w);
-  if (s.field_h) o.emplace_back("field_h", *s.field_h);
-  if (s.flow_count)
-    o.emplace_back("flow_count", static_cast<double>(*s.flow_count));
-  if (s.rate_pps) o.emplace_back("rate_pps", *s.rate_pps);
-  if (s.payload_bits)
-    o.emplace_back("payload_bits", static_cast<double>(*s.payload_bits));
-  if (s.duration_s) o.emplace_back("duration_s", *s.duration_s);
-  if (s.flow_endpoint_pool)
-    o.emplace_back("flow_endpoint_pool",
-                   static_cast<double>(*s.flow_endpoint_pool));
-  if (s.rate_multipliers) {
-    json::Array a;
-    for (double m : *s.rate_multipliers) a.emplace_back(m);
-    o.emplace_back("rate_multipliers", std::move(a));
-  }
-  return o;
-}
-
-// -------------------------------------------------------------- experiment ---
-
-QuickSpec parse_quick(const json::Value& v, ExperimentKind kind,
-                      const std::string& ctx) {
-  QuickSpec q;
-  ObjectReader r(v, ctx);
-  // Design experiments have no simulated duration, so a quick
-  // "duration_s" there would be silently ignored — reject it like the
-  // kind-mismatched top-level keys. (Replay experiments DO simulate; churn
-  // replay-validation epochs clamp their own quick duration.)
-  if (kind == ExperimentKind::Design || kind == ExperimentKind::Churn) {
-    r.forbid("duration_s",
-             kind == ExperimentKind::Design
-                 ? "is only valid for simulation kinds (design instances "
-                   "are solved, not simulated)"
-                 : "is not valid for kind \"churn\" (quick mode clamps the "
-                   "replay-validation horizon itself)");
-  } else if (const auto* p = r.optional("duration_s")) {
-    q.duration_s = as_finite(*p, ctx + " duration_s");
-    if (!(*q.duration_s > 0.0)) fail(ctx + " duration_s must be positive");
-  }
-  // Grid experiments have no replication count, so a quick "runs" there
-  // would be silently ignored — reject it like the top-level key.
-  if (kind == ExperimentKind::Sweep || kind == ExperimentKind::Density ||
-      kind == ExperimentKind::Design || kind == ExperimentKind::Replay ||
-      kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("runs")) {
-      const auto n = as_uint(*p, ctx + " runs");
-      if (n == 0 || n > 10000) fail(ctx + " runs must be in [1, 10000]");
-      q.runs = static_cast<std::size_t>(n);
-    }
-  } else {
-    r.forbid("runs",
-             "is only valid for kinds \"sweep\", \"density\", \"design\", "
-             "\"replay\" and \"churn\"");
-  }
-  if (kind == ExperimentKind::Sweep || kind == ExperimentKind::Grid) {
-    if (const auto* p = r.optional("rates_pps"))
-      q.rates_pps = as_rate_list(*p, ctx + " rates_pps");
-  }
-  if (kind == ExperimentKind::Density || kind == ExperimentKind::Design ||
-      kind == ExperimentKind::Replay || kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("node_counts"))
-      q.node_counts = as_node_list(*p, ctx + " node_counts");
-  }
-  if (kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("epochs")) {
-      const auto n = as_uint(*p, ctx + " epochs");
-      if (n < 2 || n > 10000)
-        fail(ctx + " epochs must be in [2, 10000] (epoch 0 is the cold "
-                   "design; churn needs at least one more)");
-      q.epochs = static_cast<std::size_t>(n);
-    }
-  } else {
-    r.forbid("epochs", "is only valid for kind \"churn\"");
-  }
-  r.finish();
-  return q;
+  return preset;
 }
 
 // ------------------------------------------------------------------- churn ---
@@ -526,45 +475,43 @@ churn::Event parse_churn_event(const json::Value& v, const std::string& ctx) {
   return ev;
 }
 
-/// Parse + statically validate an explicit churn schedule. The validator
-/// replays the live demand list as the events would mutate it: the
-/// instance's initial demands have instance-dependent endpoints (unknown
-/// here — nullopt), arrivals are fully known. That catches out-of-range
-/// indices, departures below one demand, duplicate failures and failures
-/// of a known flow endpoint at parse time; graph-dependent breakage (a
-/// failure stranding an *initial* demand, an unroutable arrival) is caught
-/// at run time by ChurnState::apply.
-std::vector<churn::EpochEvents> parse_churn_schedule(
-    const json::Value& v, std::size_t epochs, std::size_t initial_demands,
-    const std::string& ctx) {
+/// Parse + statically validate an explicit churn schedule against the
+/// experiment's epochs and initial demand count. The validator replays the
+/// live demand list as the events would mutate it: the instance's initial
+/// demands have instance-dependent endpoints (unknown here — nullopt),
+/// arrivals are fully known. That catches out-of-range indices, departures
+/// below one demand, duplicate failures and failures of a known flow
+/// endpoint at parse time; graph-dependent breakage (a failure stranding an
+/// *initial* demand, an unroutable arrival) is caught at run time by
+/// ChurnState::apply.
+std::vector<churn::EpochEvents> parse_churn_schedule(const json::Value& v,
+                                                     const Experiment& e,
+                                                     const std::string& ctx) {
   if (!v.is_array() || v.as_array().empty())
-    fail(ctx + " schedule must be a non-empty array of epoch entries");
+    fail(ctx + " must be a non-empty array of epoch entries");
   using MaybePair = std::optional<std::pair<graph::NodeId, graph::NodeId>>;
-  std::vector<MaybePair> live(initial_demands);
+  std::vector<MaybePair> live(e.demands);
   std::set<graph::NodeId> failed;
   std::vector<churn::EpochEvents> out;
   std::size_t prev_at = 0;
   for (const auto& entry : v.as_array()) {
-    ObjectReader er(entry, ctx + " schedule entry");
+    ObjectReader er(entry, ctx + " entry");
     churn::EpochEvents ee;
-    ee.at = static_cast<std::size_t>(
-        as_uint(er.required("at"), ctx + " schedule at"));
-    if (ee.at < 1 || ee.at >= epochs)
-      fail(ctx + " schedule entry at=" + std::to_string(ee.at) +
-           " outside [1, " + std::to_string(epochs) +
-           ") — epoch 0 is the untouched instance");
+    ee.at = static_cast<std::size_t>(as_uint(er.required("at"), ctx + " at"));
+    if (ee.at < 1 || ee.at >= e.epochs)
+      fail(ctx + " entry at=" + std::to_string(ee.at) + " outside [1, " +
+           std::to_string(e.epochs) + ") — epoch 0 is the untouched instance");
     if (ee.at <= prev_at)
-      fail(ctx + " schedule entries must be strictly increasing in \"at\" "
-           "(saw " + std::to_string(ee.at) + " after " +
-           std::to_string(prev_at) + ")");
+      fail(ctx + " entries must be strictly increasing in \"at\" (saw " +
+           std::to_string(ee.at) + " after " + std::to_string(prev_at) + ")");
     prev_at = ee.at;
     const json::Value& evs = er.required("events");
     if (!evs.is_array() || evs.as_array().empty())
-      fail(ctx + " schedule entry at=" + std::to_string(ee.at) +
+      fail(ctx + " entry at=" + std::to_string(ee.at) +
            " must list at least one event");
     for (const auto& evv : evs.as_array()) {
       const std::string ectx =
-          ctx + " schedule (at=" + std::to_string(ee.at) + ") event";
+          ctx + " (at=" + std::to_string(ee.at) + ") event";
       churn::Event ev = parse_churn_event(evv, ectx);
       switch (ev.op) {
         case churn::EventOp::Arrive: {
@@ -617,6 +564,469 @@ std::vector<churn::EpochEvents> parse_churn_schedule(
   return out;
 }
 
+// ---------------------------------------------------------------- writers ---
+// Canonical JSON of each member type; written() also decides omission.
+
+json::Value to_value(bool b) { return json::Value(b); }
+json::Value to_value(double x) { return json::Value(x); }
+template <std::unsigned_integral U>
+json::Value to_value(U n) {
+  return json::Value(static_cast<double>(n));
+}
+json::Value to_value(const std::string& s) { return json::Value(s); }
+
+json::Value to_value(const CardSpec& c) {
+  return json::Object{{"card", json::Value(c.card)},
+                      {"distance_m", json::Value(c.distance_m)}};
+}
+
+json::Value to_value(const MetricSpec& m) {
+  return json::Object{
+      {"name", json::Value(m.name)},
+      {"precision", json::Value(static_cast<double>(m.precision))}};
+}
+
+json::Value to_value(const churn::EpochEvents& ee) {
+  json::Array evs;
+  for (const churn::Event& ev : ee.events) {
+    json::Object eo;
+    eo.emplace_back("op", std::string(churn::event_op_name(ev.op)));
+    switch (ev.op) {
+      case churn::EventOp::Arrive:
+        eo.emplace_back("source", static_cast<double>(ev.source));
+        eo.emplace_back("destination", static_cast<double>(ev.destination));
+        eo.emplace_back("weight", ev.weight);
+        break;
+      case churn::EventOp::Depart:
+        eo.emplace_back("demand", static_cast<double>(ev.demand));
+        break;
+      case churn::EventOp::RateSwing:
+        eo.emplace_back("demand", static_cast<double>(ev.demand));
+        eo.emplace_back("factor", ev.factor);
+        break;
+      case churn::EventOp::Fail:
+        eo.emplace_back("node", static_cast<double>(ev.node));
+        break;
+      case churn::EventOp::Move:
+        eo.emplace_back("node", static_cast<double>(ev.node));
+        eo.emplace_back("x", ev.x);
+        eo.emplace_back("y", ev.y);
+        break;
+    }
+    evs.push_back(std::move(eo));
+  }
+  return json::Object{{"at", json::Value(static_cast<double>(ee.at))},
+                      {"events", json::Value(std::move(evs))}};
+}
+
+/// The canonical value of a member, or nullopt to omit its key: unset
+/// optionals and empty lists are left out.
+template <class T>
+std::optional<json::Value> written(const T& x) {
+  return to_value(x);
+}
+template <class T>
+std::optional<json::Value> written(const std::vector<T>& xs) {
+  if (xs.empty()) return std::nullopt;
+  json::Array a;
+  for (const T& x : xs) a.push_back(to_value(x));
+  return json::Value(std::move(a));
+}
+template <class T>
+std::optional<json::Value> written(const std::optional<T>& x) {
+  if (!x) return std::nullopt;
+  return written(*x);
+}
+
+// ------------------------------------------------------------------- knobs ---
+
+using Kinds = unsigned;  ///< bitmask over ExperimentKind
+
+constexpr Kinds bit(ExperimentKind k) {
+  return 1u << static_cast<unsigned>(k);
+}
+constexpr Kinds kSimKinds = bit(Sweep) | bit(Density) | bit(Grid);
+constexpr Kinds kSearchKinds = bit(Design) | bit(Replay) | bit(Churn);
+constexpr Kinds kAllKinds = kSimKinds | bit(Mopt) | kSearchKinds;
+constexpr Kinds kRunsKinds = kAllKinds & ~bit(Grid) & ~bit(Mopt);
+
+/// Accepted interval of a numeric knob and how its rejection words it
+/// ("runs must be in [1, 10000]"); text nullptr = any value of the type.
+struct Range {
+  double lo = 0.0, hi = 0.0;
+  bool lo_open = false;
+  const char* text = nullptr;
+};
+constexpr Range within(double lo, double hi, const char* text) {
+  return {lo, hi, false, text};
+}
+constexpr Range above(double lo, double hi, const char* text) {
+  return {lo, hi, true, text};
+}
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct Knob;
+
+/// How a knob's value moves between JSON and the Experiment: `read`
+/// parses and validates `v` into `e`; `write` returns the canonical value,
+/// or nullopt to omit the key.
+struct Access {
+  void (*read)(Experiment& e, const json::Value& v, const Knob& k,
+               const std::string& ctx);
+  std::optional<json::Value> (*write)(const Experiment& e);
+};
+
+/// A condition some kinds put on a key: `reason(e)` is nullptr while the
+/// key is usable, else the rejection text.
+struct Gate {
+  Kinds kinds = 0;
+  const char* (*reason)(const Experiment&) = nullptr;
+};
+
+/// The JSON object a key lives in: the experiment itself or one of its
+/// nested "quick" and "scenario" blocks.
+enum class Block { Top, Quick, Scenario };
+
+/// One manifest key of an experiment (or of a nested block).
+struct Knob {
+  const char* key;
+  Kinds kinds;  ///< kinds that accept the key
+  Access access;
+  Range range = {};
+  bool required = false;
+  /// Kinds that reject the key with a reason — "is not valid for kind
+  /// \"k\" (reason)" — instead of "is only valid for kind(s) ...".
+  std::vector<std::pair<ExperimentKind, const char*>> hints = {};
+  /// Kinds in `gate.kinds` accept the key only while the gate passes;
+  /// "only valid for" rejections name the other kinds of `kinds`.
+  Gate gate = {};
+  Block block = Block::Top;
+};
+
+template <class E, class T>
+auto& slot(E& e, T Experiment::*member) {
+  return e.*member;
+}
+template <class E, class T>
+auto& slot(E& e, T QuickSpec::*member) {
+  return e.quick.*member;
+}
+template <class E, class T>
+auto& slot(E& e, T ScenarioSpec::*member) {
+  return e.scenario.*member;
+}
+
+double in_range(const Knob& k, double x, const std::string& ctx) {
+  const Range& r = k.range;
+  if (r.text && ((r.lo_open ? !(x > r.lo) : x < r.lo) || x > r.hi))
+    fail(ctx + " " + k.key + " must be " + r.text);
+  return x;
+}
+
+void assign(bool& dst, const json::Value& v, const Knob& k,
+            const std::string& ctx) {
+  if (!v.is_bool()) fail(ctx + " " + k.key + " must be a boolean");
+  dst = v.as_bool();
+}
+void assign(double& dst, const json::Value& v, const Knob& k,
+            const std::string& ctx) {
+  dst = in_range(k, as_finite(v, ctx + " " + k.key), ctx);
+}
+template <std::unsigned_integral U>
+void assign(U& dst, const json::Value& v, const Knob& k,
+            const std::string& ctx) {
+  const std::uint64_t n = as_uint(v, ctx + " " + k.key);
+  in_range(k, static_cast<double>(n), ctx);
+  dst = static_cast<U>(n);
+}
+template <class T>
+void assign(std::optional<T>& dst, const json::Value& v, const Knob& k,
+            const std::string& ctx) {
+  T x{};
+  assign(x, v, k, ctx);
+  dst = x;
+}
+
+/// Access to the member `M`: scalars parse through assign() and the
+/// knob's range; a list member names the reader `Read` that parses it.
+template <auto M, auto Read = nullptr>
+constexpr Access field() {
+  return {[](Experiment& e, const json::Value& v, const Knob& k,
+             const std::string& ctx) {
+            if constexpr (Read == nullptr)
+              assign(slot(e, M), v, k, ctx);
+            else
+              slot(e, M) = Read(v, e, ctx + " " + k.key);
+          },
+          [](const Experiment& e) { return written(slot(e, M)); }};
+}
+
+template <Block B>
+void read_block(Experiment& e, const json::Value& v, const Knob& k,
+                const std::string& ctx);
+template <Block B>
+std::optional<json::Value> write_block(const Experiment& e);
+
+constexpr Gate kReplayEpochs{bit(Churn), [](const Experiment& e) {
+  return e.replay_every > 0 ? nullptr
+                            : "requires \"replay_every\" > 0 (no "
+                              "replay-validation epochs to run on)";
+}};
+constexpr Gate kNoSchedule{bit(Churn), [](const Experiment& e) {
+  return e.churn_schedule.empty()
+             ? nullptr
+             : "is not valid alongside an explicit \"schedule\" (the "
+               "schedule replaces the trace generator)";
+}};
+
+constexpr Range kRunsRange = within(1, 10000, "in [1, 10000]");
+constexpr Range kPerEpoch = within(0, 100, "<= 100");
+constexpr Range kEpochsRange =
+    within(2, 10000,
+           "in [2, 10000] (epoch 0 is the cold design; churn needs at least "
+           "one more)");
+constexpr const char* kDensityLaw =
+    "instances derive from the node counts via the fixed density law";
+constexpr const char* kSimHorizon =
+    "the simulated horizon is scenario.duration_s";
+
+/// Single registry of experiment keys (nested blocks included), in
+/// canonical serialization order. It drives parsing, both rejection forms
+/// and experiment_to_json. A key whose reader or gate reads another key
+/// comes after it ("schedule" after "epochs" and "demands", the generator
+/// knobs after "schedule", the replay knobs after "replay_every",
+/// "metrics" after the switches). "schedule" and the generator knobs never
+/// serialize together, so their relative order is free.
+const Knob kKnobs[] = {
+    {.key = "scenario", .kinds = kSimKinds,
+     .access = {read_block<Block::Scenario>, write_block<Block::Scenario>},
+     .hints = {{Design, kDensityLaw}, {Replay, kDensityLaw},
+               {Churn, kDensityLaw}, {Mopt, "analytic model"}}},
+    {.key = "stacks", .kinds = kSimKinds,
+     .access = field<&Experiment::stacks, parse_stacks>(), .required = true,
+     .hints = {{Design, "use \"heuristics\""},
+               {Replay, "use \"heuristics\" for the series and the singular "
+                        "\"stack\" for the simulated protocol stack"},
+               {Churn, "the serving loop runs the fixed warm-start vs "
+                       "portfolio pipeline; the singular \"stack\" selects "
+                       "the replay-validation protocol stack"},
+               {Mopt, "use \"cards\""}}},
+    {.key = "rates_pps", .kinds = bit(Sweep) | bit(Grid),
+     .access = field<&Experiment::rates_pps, as_rate_list>(),
+     .required = true,
+     .hints = {{Density, "set the density rate via scenario.rate_pps"},
+               {Replay, "set the replay rate via \"rate_pps\""},
+               {Churn, "set the replay rate via \"rate_pps\""}}},
+    {.key = "node_counts", .kinds = bit(Density) | kSearchKinds,
+     .access = field<&Experiment::node_counts, as_node_list>(),
+     .required = true},
+    {.key = "heuristics", .kinds = bit(Design) | bit(Replay),
+     .access = field<&Experiment::heuristics, parse_heuristics>(),
+     .required = true,
+     .hints = {{Churn, "the serving loop always compares warm-start repair "
+                       "against the from-scratch portfolio; series are node "
+                       "counts"}}},
+    {.key = "demands", .kinds = kSearchKinds,
+     .access = field<&Experiment::demands>(),
+     .range = within(1, 1000, "in [1, 1000]")},
+    {.key = "starts", .kinds = kSearchKinds,
+     .access = field<&Experiment::starts>(),
+     .range = within(1, 1000, "in [1, 1000]")},
+    {.key = "anneal_iters", .kinds = kSearchKinds,
+     .access = field<&Experiment::anneal_iters>(),
+     .range = within(0, 1e6, "<= 1e6")},
+    {.key = "presolve", .kinds = kSearchKinds,
+     .access = field<&Experiment::presolve>()},
+    {.key = "field_scale", .kinds = kSearchKinds,
+     .access = field<&Experiment::field_scale>(),
+     .range = above(0, 10, "in (0, 10] (multiplier on the density-law field "
+                           "side)")},
+    {.key = "epochs", .kinds = bit(Churn),
+     .access = field<&Experiment::epochs>(), .range = kEpochsRange},
+    {.key = "fallback_pct", .kinds = bit(Churn),
+     .access = field<&Experiment::fallback_pct>(),
+     .range = above(0, 100, "in (0, 100]")},
+    {.key = "replay_every", .kinds = bit(Churn),
+     .access = field<&Experiment::replay_every>(),
+     .range = within(0, 10000, "<= 10000")},
+    {.key = "schedule", .kinds = bit(Churn),
+     .access = field<&Experiment::churn_schedule, parse_churn_schedule>()},
+    {.key = "arrivals_per_epoch", .kinds = bit(Churn),
+     .access = field<&Experiment::arrivals_per_epoch>(),
+     .range = kPerEpoch, .gate = kNoSchedule},
+    {.key = "departures_per_epoch", .kinds = bit(Churn),
+     .access = field<&Experiment::departures_per_epoch>(),
+     .range = kPerEpoch, .gate = kNoSchedule},
+    {.key = "swings_per_epoch", .kinds = bit(Churn),
+     .access = field<&Experiment::swings_per_epoch>(),
+     .range = kPerEpoch, .gate = kNoSchedule},
+    {.key = "failures_per_epoch", .kinds = bit(Churn),
+     .access = field<&Experiment::failures_per_epoch>(),
+     .range = kPerEpoch, .gate = kNoSchedule},
+    {.key = "rate_swing", .kinds = bit(Churn),
+     .access = field<&Experiment::rate_swing>(),
+     .range = within(0, 0.9, "in [0, 0.9] (a factor of zero would silence "
+                             "the demand)"),
+     .gate = kNoSchedule},
+    {.key = "move_fraction", .kinds = bit(Churn),
+     .access = field<&Experiment::move_fraction>(),
+     .range = within(0, 1, "in [0, 1]"), .gate = kNoSchedule},
+    {.key = "move_sigma_m", .kinds = bit(Churn),
+     .access = field<&Experiment::move_sigma_m>(),
+     .range = above(0, 1e4, "in (0, 1e4] meters"), .gate = kNoSchedule},
+    {.key = "stack", .kinds = bit(Replay) | bit(Churn),
+     .access = field<&Experiment::replay_stack, parse_stack>(),
+     .gate = kReplayEpochs},
+    {.key = "duration_s", .kinds = bit(Replay) | bit(Churn),
+     .access = field<&Experiment::replay_duration_s>(),
+     .range = above(0, 1e6, "in (0, 1e6] seconds"),
+     .hints = {{Sweep, kSimHorizon}, {Density, kSimHorizon},
+               {Grid, kSimHorizon}},
+     .gate = kReplayEpochs},
+    {.key = "rate_pps", .kinds = bit(Replay) | bit(Churn),
+     .access = field<&Experiment::replay_rate_pps>(),
+     .range = above(0, 1e6, "in (0, 1e6]"), .gate = kReplayEpochs},
+    {.key = "battery_j", .kinds = bit(Replay),
+     .access = field<&Experiment::battery_j>(),
+     .range = within(0, 1e9, "in [0, 1e9] joules (0 = infinite)"),
+     .hints = {{Churn, "replay-validation epochs run with infinite "
+                       "batteries"}}},
+    {.key = "demand_weights", .kinds = bit(Replay) | bit(Churn),
+     .access = field<&Experiment::demand_weights, parse_weights>()},
+    {.key = "cards", .kinds = bit(Mopt),
+     .access = field<&Experiment::cards, parse_cards>(), .required = true},
+    {.key = "rb", .kinds = bit(Mopt),
+     .access = field<&Experiment::rb, parse_rb>(), .required = true},
+    {.key = "runs", .kinds = kRunsKinds, .access = field<&Experiment::runs>(),
+     .range = kRunsRange},
+    {.key = "seed", .kinds = kAllKinds & ~bit(Mopt),
+     .access = field<&Experiment::seed>(),
+     .hints = {{Mopt, "deterministic model"}}},
+    {.key = "base_rate_pps", .kinds = bit(Grid),
+     .access = field<&Experiment::base_rate_pps>(),
+     .range = above(0, 1e6, "in (0, 1e6]")},
+    {.key = "metrics", .kinds = kAllKinds,
+     .access = field<&Experiment::metrics, parse_metrics>()},
+    {.key = "quick", .kinds = kAllKinds & ~bit(Mopt),
+     .access = {read_block<Block::Quick>, write_block<Block::Quick>},
+     .hints = {{Mopt, "already instant"}}},
+
+    // The "quick" block: reduced-scale overrides, each kept inside the
+    // top-level key's range.
+    {.key = "duration_s", .kinds = kSimKinds | bit(Replay),
+     .access = field<&QuickSpec::duration_s>(),
+     .range = above(0, kInf, "positive"),
+     .hints = {{Design, "design instances are solved, not simulated"},
+               {Churn, "quick mode clamps the replay-validation horizon "
+                       "itself"}},
+     .block = Block::Quick},
+    {.key = "runs", .kinds = kRunsKinds, .access = field<&QuickSpec::runs>(),
+     .range = kRunsRange, .block = Block::Quick},
+    {.key = "rates_pps", .kinds = bit(Sweep) | bit(Grid),
+     .access = field<&QuickSpec::rates_pps, as_rate_list>(),
+     .block = Block::Quick},
+    {.key = "node_counts", .kinds = bit(Density) | kSearchKinds,
+     .access = field<&QuickSpec::node_counts, as_node_list>(),
+     .block = Block::Quick},
+    {.key = "epochs", .kinds = bit(Churn),
+     .access = field<&QuickSpec::epochs>(), .range = kEpochsRange,
+     .block = Block::Quick},
+
+    // The "scenario" block: a preset plus overrides of its parameters.
+    {.key = "preset", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::preset, parse_preset>(), .required = true,
+     .block = Block::Scenario},
+    {.key = "node_count", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::node_count>(), .block = Block::Scenario},
+    {.key = "field_w", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::field_w>(),
+     .range = above(0, kInf, "positive"), .block = Block::Scenario},
+    {.key = "field_h", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::field_h>(),
+     .range = above(0, kInf, "positive"), .block = Block::Scenario},
+    {.key = "flow_count", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::flow_count>(), .block = Block::Scenario},
+    {.key = "rate_pps", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::rate_pps>(),
+     .range = above(0, 1e6, "in (0, 1e6]"), .block = Block::Scenario},
+    {.key = "payload_bits", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::payload_bits>(),
+     .range = within(1, 1u << 24, "in [1, 2^24]"), .block = Block::Scenario},
+    {.key = "duration_s", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::duration_s>(),
+     .range = above(0, kInf, "positive"), .block = Block::Scenario},
+    {.key = "flow_endpoint_pool", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::flow_endpoint_pool>(),
+     .block = Block::Scenario},
+    {.key = "rate_multipliers", .kinds = kSimKinds,
+     .access = field<&ScenarioSpec::rate_multipliers, parse_weights>(),
+     .block = Block::Scenario},
+};
+
+std::string rejection(const Knob& k, ExperimentKind kind) {
+  for (const auto& [hinted, why] : k.hints)
+    if (hinted == kind)
+      return std::string("is not valid for kind \"") + kind_name(kind) +
+             "\" (" + why + ")";
+  const Kinds ungated = k.kinds & ~k.gate.kinds;
+  const Kinds listed = ungated ? ungated : k.kinds;
+  std::vector<std::string> names;
+  for (const KindInfo& info : kKinds)
+    if (listed & bit(info.kind))
+      names.push_back(std::string("\"") + info.name + "\"");
+  std::string out = names.size() > 1 ? "is only valid for kinds "
+                                     : "is only valid for kind ";
+  for (std::size_t i = 0; i < names.size(); ++i)
+    out += (i == 0 ? "" : i + 1 == names.size() ? " and " : ", ") + names[i];
+  return out;
+}
+
+/// Parse the keys of `block` that `e.kind` accepts, in table order, and
+/// reject the known keys it does not.
+void read_knobs(ObjectReader& r, Experiment& e, Block block,
+                const std::string& ctx) {
+  for (const Knob& k : kKnobs) {
+    if (k.block != block) continue;
+    if (!(k.kinds & bit(e.kind))) {
+      r.forbid(k.key, rejection(k, e.kind));
+      continue;
+    }
+    const json::Value* v = k.required ? &r.required(k.key) : r.optional(k.key);
+    if (!v) continue;
+    if (k.gate.kinds & bit(e.kind))
+      if (const char* why = k.gate.reason(e)) r.forbid(k.key, why);
+    k.access.read(e, *v, k, ctx);
+  }
+}
+
+void write_knobs(const Experiment& e, Block block, json::Object& o) {
+  for (const Knob& k : kKnobs) {
+    if (k.block != block || !(k.kinds & bit(e.kind))) continue;
+    if ((k.gate.kinds & bit(e.kind)) && k.gate.reason(e)) continue;
+    if (std::optional<json::Value> v = k.access.write(e))
+      o.emplace_back(k.key, std::move(*v));
+  }
+}
+
+/// Access to a nested block: its keys are knob rows of block `B`.
+template <Block B>
+void read_block(Experiment& e, const json::Value& v, const Knob& k,
+                const std::string& ctx) {
+  ObjectReader r(v, ctx + " " + k.key);
+  read_knobs(r, e, B, ctx + " " + k.key);
+  r.finish();
+}
+
+template <Block B>
+std::optional<json::Value> write_block(const Experiment& e) {
+  json::Object o;
+  write_knobs(e, B, o);
+  if (o.empty()) return std::nullopt;
+  return json::Value(std::move(o));
+}
+
+// -------------------------------------------------------------- experiment ---
+
 Experiment parse_experiment(const json::Value& v, std::size_t index) {
   const std::string base = "experiment #" + std::to_string(index + 1);
   ObjectReader r(v, base);
@@ -634,405 +1044,40 @@ Experiment parse_experiment(const json::Value& v, std::size_t index) {
   const std::string ctx = "experiment \"" + e.id + "\"";
 
   e.kind = kind_from_name(as_string(r.required("kind"), ctx + " kind"));
+  const KindInfo& kind = kind_info(e.kind);
   if (const auto* p = r.optional("title"))
     e.title = as_string(*p, ctx + " title");
   if (e.title.empty()) e.title = e.id;
+  if (kind.scenario_preset) e.scenario.preset = kind.scenario_preset;
 
-  const bool sim = e.kind != ExperimentKind::Mopt &&
-                   e.kind != ExperimentKind::Design &&
-                   e.kind != ExperimentKind::Replay &&
-                   e.kind != ExperimentKind::Churn;
-  if (sim) {
-    if (const auto* p = r.optional("scenario"))
-      e.scenario = parse_scenario(*p, ctx + " scenario");
-    else if (e.kind == ExperimentKind::Density)
-      e.scenario.preset = "density_network";
-    else if (e.kind == ExperimentKind::Grid)
-      e.scenario.preset = "hypothetical_grid";
+  read_knobs(r, e, Block::Top, ctx);
+  if (e.metrics.empty()) e.metrics = kind.default_metrics;
 
-    const json::Value& stacks = r.required("stacks");
-    if (!stacks.is_array() || stacks.as_array().empty())
-      fail(ctx + " stacks must be a non-empty array");
-    for (const auto& s : stacks.as_array()) {
-      const std::string name = as_string(s, ctx + " stacks entry");
-      net::stack_preset(name);  // throws listing valid presets
-      if (std::find(e.stacks.begin(), e.stacks.end(), name) != e.stacks.end())
-        fail("duplicate stack \"" + name + "\" in " + ctx +
-             " — each stack defines one cell row");
-      e.stacks.push_back(name);
-    }
-
-    if (const auto* p = r.optional("seed"))
-      e.seed = as_uint(*p, ctx + " seed");
-  } else if (e.kind == ExperimentKind::Design ||
-             e.kind == ExperimentKind::Replay ||
-             e.kind == ExperimentKind::Churn) {
-    const std::string kname = kind_name(e.kind);
-    r.forbid("scenario",
-             "is not valid for kind \"" + kname +
-                 "\" (instances derive from the node counts via the fixed "
-                 "density law)");
-    r.forbid("stacks",
-             e.kind == ExperimentKind::Design
-                 ? "is not valid for kind \"design\" (use \"heuristics\")"
-             : e.kind == ExperimentKind::Replay
-                 ? "is not valid for kind \"replay\" (use \"heuristics\" "
-                   "for the series and the singular \"stack\" for the "
-                   "simulated protocol stack)"
-                 : "is not valid for kind \"churn\" (the serving loop runs "
-                   "the fixed warm-start vs portfolio pipeline; the "
-                   "singular \"stack\" selects the replay-validation "
-                   "protocol stack)");
-    if (const auto* p = r.optional("seed"))
-      e.seed = as_uint(*p, ctx + " seed");
-  } else {
-    r.forbid("scenario", "is not valid for kind \"mopt\" (analytic model)");
-    r.forbid("stacks", "is not valid for kind \"mopt\" (use \"cards\")");
-    r.forbid("seed", "is not valid for kind \"mopt\" (deterministic model)");
-  }
-
-  switch (e.kind) {
-    case ExperimentKind::Sweep:
-    case ExperimentKind::Grid:
-      e.rates_pps = as_rate_list(r.required("rates_pps"), ctx + " rates_pps");
-      r.forbid("node_counts",
-               "is only valid for kinds \"density\", \"design\", "
-               "\"replay\" and \"churn\"");
-      break;
-    case ExperimentKind::Density:
-    case ExperimentKind::Design:
-    case ExperimentKind::Replay:
-    case ExperimentKind::Churn:
-      e.node_counts =
-          as_node_list(r.required("node_counts"), ctx + " node_counts");
-      r.forbid("rates_pps",
-               "is only valid for kinds \"sweep\" and \"grid\" (set the "
-               "density rate via scenario.rate_pps" +
-                   std::string(e.kind == ExperimentKind::Replay ||
-                                       e.kind == ExperimentKind::Churn
-                                   ? ", the replay rate via \"rate_pps\""
-                                   : "") +
-                   ")");
-      break;
-    case ExperimentKind::Mopt: break;
-  }
-
-  if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay) {
-    const json::Value& heur = r.required("heuristics");
-    if (!heur.is_array() || heur.as_array().empty())
-      fail(ctx + " heuristics must be a non-empty array");
-    for (const auto& h : heur.as_array()) {
-      const std::string name = as_string(h, ctx + " heuristics entry");
-      opt::heuristic_by_name(name);  // throws listing valid names
-      if (e.kind == ExperimentKind::Design &&
-          opt::heuristic_uses_battery_budget(name))
-        fail("heuristic \"" + name + "\" in " + ctx +
-             " needs a battery budget and is only valid for kind "
-             "\"replay\" (its \"battery_j\" defines the per-node budget)");
-      if (std::find(e.heuristics.begin(), e.heuristics.end(), name) !=
-          e.heuristics.end())
-        fail("duplicate heuristic \"" + name + "\" in " + ctx +
-             " — each heuristic defines one series");
-      e.heuristics.push_back(name);
-    }
-  } else if (e.kind == ExperimentKind::Churn) {
-    r.forbid("heuristics",
-             "is not valid for kind \"churn\" (the serving loop always "
-             "compares warm-start repair against the from-scratch "
-             "portfolio; series are node counts)");
-  }
-
-  if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("demands")) {
-      const auto n = as_uint(*p, ctx + " demands");
-      if (n == 0 || n > 1000) fail(ctx + " demands must be in [1, 1000]");
-      e.demands = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("starts")) {
-      const auto n = as_uint(*p, ctx + " starts");
-      if (n == 0 || n > 1000) fail(ctx + " starts must be in [1, 1000]");
-      e.starts = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("anneal_iters")) {
-      const auto n = as_uint(*p, ctx + " anneal_iters");
-      if (n > 1000000) fail(ctx + " anneal_iters must be <= 1e6");
-      e.anneal_iters = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("presolve")) {
-      if (!p->is_bool()) fail(ctx + " presolve must be a boolean");
-      e.presolve = p->as_bool();
-    }
-    if (const auto* p = r.optional("field_scale")) {
-      e.field_scale = as_finite(*p, ctx + " field_scale");
-      if (!(e.field_scale > 0.0) || e.field_scale > 10.0)
-        fail(ctx + " field_scale must be in (0, 10] "
-                   "(multiplier on the density-law field side)");
-    }
-    // Cross-check: every instance must be able to host the demand count,
-    // or make_design_instance would abort mid-run after earlier
-    // experiments already burned their wall time.
-    const auto check_capacity = [&](std::size_t n) {
+  // Every instance must be able to host the demand count, or
+  // make_design_instance would abort mid-run after earlier experiments
+  // already burned their wall time.
+  if (bit(e.kind) & kSearchKinds) {
+    for (const std::size_t n : e.node_counts)
       if (e.demands > n * (n - 1))
         fail(ctx + " requests " + std::to_string(e.demands) +
              " demands but node count " + std::to_string(n) + " has only " +
              std::to_string(n * (n - 1)) +
              " distinct (source, destination) pairs");
-    };
-    for (const std::size_t n : e.node_counts) check_capacity(n);
-  } else {
-    r.forbid("heuristics",
-             "is only valid for kinds \"design\" and \"replay\"");
-    r.forbid("demands",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("starts",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("anneal_iters",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("presolve",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
-    r.forbid("field_scale",
-             "is only valid for kinds \"design\", \"replay\" and \"churn\"");
+    if (e.quick.node_counts)
+      for (const std::size_t n : *e.quick.node_counts)
+        if (e.demands > n * (n - 1))
+          fail(ctx + " quick node count " + std::to_string(n) +
+               " cannot host " + std::to_string(e.demands) + " demands");
   }
 
-  if (e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("epochs")) {
-      const auto n = as_uint(*p, ctx + " epochs");
-      if (n < 2 || n > 10000)
-        fail(ctx + " epochs must be in [2, 10000] (epoch 0 is the cold "
-             "design; churn needs at least one more)");
-      e.epochs = static_cast<std::size_t>(n);
-    }
-    if (const auto* p = r.optional("fallback_pct")) {
-      e.fallback_pct = as_finite(*p, ctx + " fallback_pct");
-      if (!(e.fallback_pct > 0.0) || e.fallback_pct > 100.0)
-        fail(ctx + " fallback_pct must be in (0, 100]");
-    }
-    if (const auto* p = r.optional("replay_every")) {
-      const auto n = as_uint(*p, ctx + " replay_every");
-      if (n > 10000) fail(ctx + " replay_every must be <= 10000");
-      e.replay_every = static_cast<std::size_t>(n);
-    }
-    if (const auto* sched = r.optional("schedule")) {
-      // An explicit schedule replaces the generator wholesale; a generator
-      // knob alongside it would be silently inert — reject the mix.
-      for (const char* k :
-           {"arrivals_per_epoch", "departures_per_epoch", "swings_per_epoch",
-            "failures_per_epoch", "rate_swing", "move_fraction",
-            "move_sigma_m"})
-        r.forbid(k, "is not valid alongside an explicit \"schedule\" (the "
-                    "schedule replaces the trace generator)");
-      e.churn_schedule =
-          parse_churn_schedule(*sched, e.epochs, e.demands, ctx);
-    } else {
-      const auto uint_knob = [&](const char* key, std::size_t& dst) {
-        if (const auto* p = r.optional(key)) {
-          const auto n = as_uint(*p, ctx + " " + key);
-          if (n > 100) fail(ctx + " " + std::string(key) +
-                            " must be <= 100");
-          dst = static_cast<std::size_t>(n);
-        }
-      };
-      uint_knob("arrivals_per_epoch", e.arrivals_per_epoch);
-      uint_knob("departures_per_epoch", e.departures_per_epoch);
-      uint_knob("swings_per_epoch", e.swings_per_epoch);
-      uint_knob("failures_per_epoch", e.failures_per_epoch);
-      if (const auto* p = r.optional("rate_swing")) {
-        e.rate_swing = as_finite(*p, ctx + " rate_swing");
-        if (e.rate_swing < 0.0 || e.rate_swing > 0.9)
-          fail(ctx + " rate_swing must be in [0, 0.9] (a factor of zero "
-               "would silence the demand)");
-      }
-      if (const auto* p = r.optional("move_fraction")) {
-        e.move_fraction = as_finite(*p, ctx + " move_fraction");
-        if (e.move_fraction < 0.0 || e.move_fraction > 1.0)
-          fail(ctx + " move_fraction must be in [0, 1]");
-      }
-      if (const auto* p = r.optional("move_sigma_m")) {
-        e.move_sigma_m = as_finite(*p, ctx + " move_sigma_m");
-        if (!(e.move_sigma_m > 0.0) || e.move_sigma_m > 1e4)
-          fail(ctx + " move_sigma_m must be in (0, 1e4] meters");
-      }
-    }
-  } else {
-    for (const char* k :
-         {"epochs", "arrivals_per_epoch", "departures_per_epoch",
-          "swings_per_epoch", "failures_per_epoch", "rate_swing",
-          "move_fraction", "move_sigma_m", "fallback_pct", "replay_every",
-          "schedule"})
-      r.forbid(k, "is only valid for kind \"churn\"");
-  }
-
-  const bool churn_replays =
-      e.kind == ExperimentKind::Churn && e.replay_every > 0;
-  if (e.kind == ExperimentKind::Replay || churn_replays) {
-    if (const auto* p = r.optional("stack")) {
-      e.replay_stack = as_string(*p, ctx + " stack");
-      net::stack_preset(e.replay_stack);  // throws listing valid presets
-    }
-    if (const auto* p = r.optional("duration_s")) {
-      e.replay_duration_s = as_finite(*p, ctx + " duration_s");
-      if (!(e.replay_duration_s > 0.0) || e.replay_duration_s > 1e6)
-        fail(ctx + " duration_s must be in (0, 1e6] seconds");
-    }
-    if (const auto* p = r.optional("rate_pps")) {
-      e.replay_rate_pps = as_finite(*p, ctx + " rate_pps");
-      if (!(e.replay_rate_pps > 0.0) || e.replay_rate_pps > 1e6)
-        fail(ctx + " rate_pps must be in (0, 1e6]");
-    }
-  }
-  if (e.kind == ExperimentKind::Replay) {
-    if (const auto* p = r.optional("battery_j")) {
-      e.battery_j = as_finite(*p, ctx + " battery_j");
-      if (e.battery_j < 0.0 || e.battery_j > 1e9)
-        fail(ctx + " battery_j must be in [0, 1e9] joules (0 = infinite)");
-    }
-    // A lifetime heuristic without a battery would silently degenerate to
-    // its base variant and mislabel the series — demand the budget.
+  // A lifetime heuristic without a battery would silently degenerate to
+  // its base variant and mislabel the series — demand the budget.
+  if (e.kind == Replay)
     for (const auto& name : e.heuristics)
       if (opt::heuristic_uses_battery_budget(name) && !(e.battery_j > 0.0))
         fail(ctx + " lists heuristic \"" + name +
              "\" but battery_j is 0 — lifetime-constrained search needs a "
              "positive per-node battery budget");
-  } else if (e.kind == ExperimentKind::Churn) {
-    if (!churn_replays) {
-      r.forbid("stack", "requires \"replay_every\" > 0 (no replay-"
-                        "validation epochs to run a stack on)");
-      r.forbid("rate_pps", "requires \"replay_every\" > 0");
-      r.forbid("duration_s", "requires \"replay_every\" > 0");
-    }
-    r.forbid("battery_j",
-             "is not valid for kind \"churn\" (replay-validation epochs "
-             "run with infinite batteries)");
-  } else {
-    r.forbid("stack",
-             "is only valid for kind \"replay\" (simulation kinds take a "
-             "\"stacks\" array)");
-    r.forbid("rate_pps", "is only valid for kind \"replay\"");
-    r.forbid("battery_j", "is only valid for kind \"replay\"");
-    if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Mopt)
-      r.forbid("duration_s",
-               "is only valid for kinds with a simulated horizon (the "
-               "\"replay\" kind, or scenario.duration_s on sim kinds)");
-  }
-  if (e.kind == ExperimentKind::Replay || e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("demand_weights")) {
-      if (!p->is_array() || p->as_array().empty())
-        fail(ctx + " demand_weights must be a non-empty array");
-      for (const auto& w : p->as_array()) {
-        const double m = as_finite(w, ctx + " demand_weights entry");
-        if (!(m > 0.0) || m > 1e3)
-          fail(ctx + " demand_weights entries must be in (0, 1e3], got " +
-               json::dump(w));
-        e.demand_weights.push_back(m);
-      }
-    }
-  } else {
-    r.forbid("demand_weights",
-             "is only valid for kinds \"replay\" and \"churn\"");
-  }
-
-  if (e.kind == ExperimentKind::Sweep || e.kind == ExperimentKind::Density ||
-      e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn) {
-    if (const auto* p = r.optional("runs")) {
-      const auto n = as_uint(*p, ctx + " runs");
-      if (n == 0 || n > 10000) fail(ctx + " runs must be in [1, 10000]");
-      e.runs = static_cast<std::size_t>(n);
-    }
-  } else {
-    r.forbid("runs",
-             "is only valid for kinds \"sweep\", \"density\", \"design\", "
-             "\"replay\" and \"churn\"");
-  }
-
-  if (e.kind == ExperimentKind::Grid) {
-    if (const auto* p = r.optional("base_rate_pps")) {
-      e.base_rate_pps = as_finite(*p, ctx + " base_rate_pps");
-      if (!(e.base_rate_pps > 0.0) || e.base_rate_pps > 1e6)
-        fail(ctx + " base_rate_pps must be in (0, 1e6]");
-    }
-  } else {
-    r.forbid("base_rate_pps", "is only valid for kind \"grid\"");
-  }
-
-  if (e.kind == ExperimentKind::Mopt) {
-    const json::Value& cards = r.required("cards");
-    if (!cards.is_array() || cards.as_array().empty())
-      fail(ctx + " cards must be a non-empty array");
-    for (const auto& cv : cards.as_array()) {
-      ObjectReader cr(cv, ctx + " cards entry");
-      CardSpec c;
-      c.card = as_string(cr.required("card"), ctx + " card");
-      // Canonicalize case (lookup is case-insensitive, legends are not)
-      // and reject unknown names in one step.
-      c.card = energy::card_by_name(c.card).name;
-      c.distance_m = as_finite(cr.required("distance_m"), ctx + " distance_m");
-      if (!(c.distance_m > 0.0)) fail(ctx + " distance_m must be positive");
-      cr.finish();
-      // Series legends render the distance rounded to whole meters, so two
-      // cards that only differ past that would silently merge into one
-      // table column — treat them as duplicates.
-      for (const auto& prev : e.cards)
-        if (prev.card == c.card &&
-            std::llround(prev.distance_m) == std::llround(c.distance_m))
-          fail("duplicate card \"" + c.card + "\" in " + ctx +
-               " — distances render identically in the legend (D=" +
-               std::to_string(std::llround(c.distance_m)) + "m)");
-      e.cards.push_back(std::move(c));
-    }
-    const json::Value& rb = r.required("rb");
-    if (!rb.is_array() || rb.as_array().empty())
-      fail(ctx + " rb must be a non-empty array");
-    for (const auto& x : rb.as_array()) {
-      const double v2 = as_finite(x, ctx + " rb entry");
-      if (!(v2 > 0.0) || v2 > 0.5)
-        fail(ctx + " rb entries must be in (0, 0.5] — a relay both sends "
-             "and receives each packet, so utilization beyond 1/2 is "
-             "infeasible; got " + json::dump(x));
-      for (const double prev : e.rb)
-        if (prev == v2) fail("duplicate rb value in " + ctx);
-      e.rb.push_back(v2);
-    }
-  } else {
-    r.forbid("cards", "is only valid for kind \"mopt\"");
-    r.forbid("rb", "is only valid for kind \"mopt\"");
-  }
-
-  if (const auto* p = r.optional("metrics"))
-    e.metrics = parse_metrics(*p, e.kind, ctx + " metrics");
-  else
-    e.metrics = default_metrics(e.kind);
-
-  // The certified-bound metrics only exist when the presolve pass ran.
-  if (e.kind == ExperimentKind::Design && !e.presolve)
-    for (const auto& m : e.metrics)
-      if (m.name == "lb" || m.name == "certified_gap_pct" ||
-          m.name == "reduced_nodes" || m.name == "reduced_edges")
-        fail(ctx + " metric \"" + m.name +
-             "\" requires \"presolve\": true on the experiment");
-
-  // The replay-validation metric only exists when replay epochs run.
-  if (e.kind == ExperimentKind::Churn && e.replay_every == 0)
-    for (const auto& m : e.metrics)
-      if (m.name == "replay_gap_pct")
-        fail(ctx + " metric \"replay_gap_pct\" requires \"replay_every\" "
-             "> 0 on the experiment");
-
-  if (e.kind != ExperimentKind::Mopt) {
-    if (const auto* p = r.optional("quick"))
-      e.quick = parse_quick(*p, e.kind, ctx + " quick");
-    if ((e.kind == ExperimentKind::Design ||
-         e.kind == ExperimentKind::Replay ||
-         e.kind == ExperimentKind::Churn) &&
-        e.quick.node_counts)
-      for (const std::size_t n : *e.quick.node_counts)
-        if (e.demands > n * (n - 1))
-          fail(ctx + " quick node count " + std::to_string(n) +
-               " cannot host " + std::to_string(e.demands) + " demands");
-  } else {
-    r.forbid("quick", "is not valid for kind \"mopt\" (already instant)");
-  }
 
   // Every explicit-schedule node reference must exist in every cell's
   // instance — quick node counts included, or --quick would abort mid-run.
@@ -1050,10 +1095,10 @@ Experiment parse_experiment(const json::Value& v, std::size_t index) {
              " is unreachable under quick epochs " +
              std::to_string(min_epochs));
       for (const churn::Event& ev : ee.events) {
-        const auto check_node = [&](graph::NodeId v2) {
-          if (static_cast<std::size_t>(v2) >= min_n)
+        const auto check_node = [&](graph::NodeId node) {
+          if (static_cast<std::size_t>(node) >= min_n)
             fail(ctx + " schedule (at=" + std::to_string(ee.at) +
-                 ") references node " + std::to_string(v2) +
+                 ") references node " + std::to_string(node) +
                  " but the smallest instance (full or quick) has only " +
                  std::to_string(min_n) + " nodes");
         };
@@ -1074,6 +1119,32 @@ Experiment parse_experiment(const json::Value& v, std::size_t index) {
     }
   }
 
+  // Resolve every simulation cell's scenario now (density resolves per
+  // node count, quick counts included), so a bad override fails here
+  // rather than mid-run after earlier experiments printed their tables.
+  if (kind.scenario_preset) {
+    std::vector<std::optional<std::size_t>> counts;
+    if (e.kind == Density) {
+      counts.assign(e.node_counts.begin(), e.node_counts.end());
+      if (e.quick.node_counts)
+        counts.insert(counts.end(), e.quick.node_counts->begin(),
+                      e.quick.node_counts->end());
+    } else {
+      counts.emplace_back();
+    }
+    for (const std::optional<std::size_t>& n : counts) {
+      ScenarioSpec spec = e.scenario;
+      if (n) spec.node_count = n;
+      try {
+        spec.resolve();
+      } catch (const CheckError& err) {
+        fail(ctx + " scenario" +
+             (n ? " at node count " + std::to_string(*n) : std::string()) +
+             " is invalid: " + err.what());
+      }
+    }
+  }
+
   r.finish();
   return e;
 }
@@ -1083,157 +1154,7 @@ json::Object experiment_to_json(const Experiment& e) {
   o.emplace_back("id", e.id);
   if (e.title != e.id) o.emplace_back("title", e.title);
   o.emplace_back("kind", std::string(kind_name(e.kind)));
-
-  const bool sim = e.kind != ExperimentKind::Mopt &&
-                   e.kind != ExperimentKind::Design &&
-                   e.kind != ExperimentKind::Replay &&
-                   e.kind != ExperimentKind::Churn;
-  if (sim) {
-    o.emplace_back("scenario", scenario_to_json(e.scenario));
-    json::Array stacks;
-    for (const auto& s : e.stacks) stacks.emplace_back(s);
-    o.emplace_back("stacks", std::move(stacks));
-  }
-  if (e.kind == ExperimentKind::Sweep || e.kind == ExperimentKind::Grid) {
-    json::Array rates;
-    for (double r : e.rates_pps) rates.emplace_back(r);
-    o.emplace_back("rates_pps", std::move(rates));
-  }
-  if (e.kind == ExperimentKind::Density || e.kind == ExperimentKind::Design ||
-      e.kind == ExperimentKind::Replay || e.kind == ExperimentKind::Churn) {
-    json::Array nodes;
-    for (std::size_t n : e.node_counts)
-      nodes.emplace_back(static_cast<double>(n));
-    o.emplace_back("node_counts", std::move(nodes));
-  }
-  if (e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn) {
-    if (e.kind != ExperimentKind::Churn) {
-      json::Array heur;
-      for (const auto& h : e.heuristics) heur.emplace_back(h);
-      o.emplace_back("heuristics", std::move(heur));
-    }
-    o.emplace_back("demands", static_cast<double>(e.demands));
-    o.emplace_back("starts", static_cast<double>(e.starts));
-    o.emplace_back("anneal_iters", static_cast<double>(e.anneal_iters));
-    o.emplace_back("presolve", e.presolve);
-    o.emplace_back("field_scale", e.field_scale);
-  }
-  if (e.kind == ExperimentKind::Churn) {
-    o.emplace_back("epochs", static_cast<double>(e.epochs));
-    o.emplace_back("fallback_pct", e.fallback_pct);
-    o.emplace_back("replay_every", static_cast<double>(e.replay_every));
-    if (e.churn_schedule.empty()) {
-      o.emplace_back("arrivals_per_epoch",
-                     static_cast<double>(e.arrivals_per_epoch));
-      o.emplace_back("departures_per_epoch",
-                     static_cast<double>(e.departures_per_epoch));
-      o.emplace_back("swings_per_epoch",
-                     static_cast<double>(e.swings_per_epoch));
-      o.emplace_back("failures_per_epoch",
-                     static_cast<double>(e.failures_per_epoch));
-      o.emplace_back("rate_swing", e.rate_swing);
-      o.emplace_back("move_fraction", e.move_fraction);
-      o.emplace_back("move_sigma_m", e.move_sigma_m);
-    } else {
-      json::Array sched;
-      for (const churn::EpochEvents& ee : e.churn_schedule) {
-        json::Array evs;
-        for (const churn::Event& ev : ee.events) {
-          json::Object eo;
-          eo.emplace_back("op", std::string(churn::event_op_name(ev.op)));
-          switch (ev.op) {
-            case churn::EventOp::Arrive:
-              eo.emplace_back("source", static_cast<double>(ev.source));
-              eo.emplace_back("destination",
-                              static_cast<double>(ev.destination));
-              eo.emplace_back("weight", ev.weight);
-              break;
-            case churn::EventOp::Depart:
-              eo.emplace_back("demand", static_cast<double>(ev.demand));
-              break;
-            case churn::EventOp::RateSwing:
-              eo.emplace_back("demand", static_cast<double>(ev.demand));
-              eo.emplace_back("factor", ev.factor);
-              break;
-            case churn::EventOp::Fail:
-              eo.emplace_back("node", static_cast<double>(ev.node));
-              break;
-            case churn::EventOp::Move:
-              eo.emplace_back("node", static_cast<double>(ev.node));
-              eo.emplace_back("x", ev.x);
-              eo.emplace_back("y", ev.y);
-              break;
-          }
-          evs.push_back(std::move(eo));
-        }
-        sched.push_back(
-            json::Object{{"at", json::Value(static_cast<double>(ee.at))},
-                         {"events", json::Value(std::move(evs))}});
-      }
-      o.emplace_back("schedule", std::move(sched));
-    }
-  }
-  if (e.kind == ExperimentKind::Replay ||
-      (e.kind == ExperimentKind::Churn && e.replay_every > 0)) {
-    o.emplace_back("stack", e.replay_stack);
-    o.emplace_back("duration_s", e.replay_duration_s);
-    o.emplace_back("rate_pps", e.replay_rate_pps);
-  }
-  if (e.kind == ExperimentKind::Replay)
-    o.emplace_back("battery_j", e.battery_j);
-  if ((e.kind == ExperimentKind::Replay ||
-       e.kind == ExperimentKind::Churn) &&
-      !e.demand_weights.empty()) {
-    json::Array weights;
-    for (double w : e.demand_weights) weights.emplace_back(w);
-    o.emplace_back("demand_weights", std::move(weights));
-  }
-  if (e.kind == ExperimentKind::Mopt) {
-    json::Array cards;
-    for (const auto& c : e.cards)
-      cards.push_back(json::Object{{"card", json::Value(c.card)},
-                                   {"distance_m", json::Value(c.distance_m)}});
-    o.emplace_back("cards", std::move(cards));
-    json::Array rb;
-    for (double x : e.rb) rb.emplace_back(x);
-    o.emplace_back("rb", std::move(rb));
-  }
-  if (e.kind == ExperimentKind::Sweep || e.kind == ExperimentKind::Density ||
-      e.kind == ExperimentKind::Design || e.kind == ExperimentKind::Replay ||
-      e.kind == ExperimentKind::Churn)
-    o.emplace_back("runs", static_cast<double>(e.runs));
-  if (e.kind != ExperimentKind::Mopt)
-    o.emplace_back("seed", static_cast<double>(e.seed));
-  if (e.kind == ExperimentKind::Grid)
-    o.emplace_back("base_rate_pps", e.base_rate_pps);
-
-  json::Array metrics;
-  for (const auto& m : e.metrics)
-    metrics.push_back(
-        json::Object{{"name", json::Value(m.name)},
-                     {"precision", json::Value(static_cast<double>(
-                                       m.precision))}});
-  o.emplace_back("metrics", std::move(metrics));
-
-  json::Object quick;
-  if (e.quick.duration_s) quick.emplace_back("duration_s", *e.quick.duration_s);
-  if (e.quick.runs)
-    quick.emplace_back("runs", static_cast<double>(*e.quick.runs));
-  if (e.quick.rates_pps) {
-    json::Array rates;
-    for (double r : *e.quick.rates_pps) rates.emplace_back(r);
-    quick.emplace_back("rates_pps", std::move(rates));
-  }
-  if (e.quick.node_counts) {
-    json::Array nodes;
-    for (std::size_t n : *e.quick.node_counts)
-      nodes.emplace_back(static_cast<double>(n));
-    quick.emplace_back("node_counts", std::move(nodes));
-  }
-  if (e.quick.epochs)
-    quick.emplace_back("epochs", static_cast<double>(*e.quick.epochs));
-  if (!quick.empty()) o.emplace_back("quick", std::move(quick));
+  write_knobs(e, Block::Top, o);
   return o;
 }
 
@@ -1241,58 +1162,22 @@ json::Object experiment_to_json(const Experiment& e) {
 
 // ------------------------------------------------------------------- kinds ---
 
-const char* kind_name(ExperimentKind k) {
-  switch (k) {
-    case ExperimentKind::Sweep: return "sweep";
-    case ExperimentKind::Density: return "density";
-    case ExperimentKind::Grid: return "grid";
-    case ExperimentKind::Mopt: return "mopt";
-    case ExperimentKind::Design: return "design";
-    case ExperimentKind::Replay: return "replay";
-    case ExperimentKind::Churn: return "churn";
-  }
-  return "?";
-}
+const char* kind_name(ExperimentKind k) { return kind_info(k).name; }
 
 ExperimentKind kind_from_name(const std::string& name) {
-  if (name == "sweep") return ExperimentKind::Sweep;
-  if (name == "density") return ExperimentKind::Density;
-  if (name == "grid") return ExperimentKind::Grid;
-  if (name == "mopt") return ExperimentKind::Mopt;
-  if (name == "design") return ExperimentKind::Design;
-  if (name == "replay") return ExperimentKind::Replay;
-  if (name == "churn") return ExperimentKind::Churn;
-  fail("unknown experiment kind \"" + name +
-       "\" (valid: sweep, density, grid, mopt, design, replay, churn)");
-}
-
-const std::vector<std::string>& metric_names(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::Sweep:
-    case ExperimentKind::Density: return kSimMetrics;
-    case ExperimentKind::Grid: return kGridMetrics;
-    case ExperimentKind::Mopt: return kMoptMetrics;
-    case ExperimentKind::Design: return kDesignMetrics;
-    case ExperimentKind::Replay: return kReplayMetrics;
-    case ExperimentKind::Churn: return kChurnMetrics;
+  std::vector<std::string> valid;
+  for (const KindInfo& k : kKinds) {
+    if (name == k.name) return k.kind;
+    valid.emplace_back(k.name);
   }
-  return kSimMetrics;
+  fail("unknown experiment kind \"" + name + "\" (valid: " + join(valid) +
+       ")");
 }
 
-std::string metric_display_name(const std::string& name) {
-  for (const MetricInfo& m : kSimMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kGridMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kMoptMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kDesignMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kReplayMetricInfo)
-    if (name == m.name) return m.display;
-  for (const MetricInfo& m : kChurnMetricInfo)
-    if (name == m.name) return m.display;
-  fail("no display name for metric \"" + name + "\"");
+std::string metric_display_name(ExperimentKind kind, const std::string& name) {
+  if (const MetricInfo* m = find_metric(kind, name)) return m->display;
+  fail("no display name for " + std::string(kind_name(kind)) + " metric \"" +
+       name + "\"");
 }
 
 // ---------------------------------------------------------------- scenario ---
@@ -1395,34 +1280,10 @@ std::string Manifest::serialize() const { return json::dump(to_json(), 2); }
 std::vector<std::string> Manifest::experiment_summaries() const {
   std::vector<std::string> out;
   for (const Experiment& e : experiments) {
-    std::size_t series = 0, xs = 0;
-    switch (e.kind) {
-      case ExperimentKind::Sweep:
-      case ExperimentKind::Grid:
-        series = e.stacks.size();
-        xs = e.rates_pps.size();
-        break;
-      case ExperimentKind::Density:
-        series = e.stacks.size();
-        xs = e.node_counts.size();
-        break;
-      case ExperimentKind::Mopt:
-        series = e.cards.size();
-        xs = e.rb.size();
-        break;
-      case ExperimentKind::Design:
-      case ExperimentKind::Replay:
-        series = e.heuristics.size();
-        xs = e.node_counts.size();
-        break;
-      case ExperimentKind::Churn:
-        series = e.node_counts.size();
-        xs = e.epochs;
-        break;
-    }
-    out.push_back(e.id + "  [" + kind_name(e.kind) + "]  " +
-                  std::to_string(series) + " series x " +
-                  std::to_string(xs) + " x-values  " + e.title);
+    const KindInfo& kind = kind_info(e.kind);
+    out.push_back(e.id + "  [" + kind.name + "]  " +
+                  std::to_string(kind.series(e)) + " series x " +
+                  std::to_string(kind.xs(e)) + " x-values  " + e.title);
   }
   return out;
 }

@@ -5,7 +5,7 @@
 //
 // A manifest is a list of experiments; each experiment is one "figure's
 // worth" of cells and produces a stream of ResultRows (see result_sink.hpp)
-// when executed by ExperimentEngine. Four kinds cover every evaluation
+// when executed by ExperimentEngine. Seven kinds cover every evaluation
 // shape in the paper:
 //
 //   sweep    (stack × rate) replication grid        — Figs. 8-12, ablations
@@ -25,7 +25,10 @@
 // Parsing is strict: unknown keys, duplicate experiment ids, duplicate
 // cells (repeated stacks / rates / node counts), and out-of-range values
 // are rejected with actionable messages. Specs stay symbolic (preset name +
-// overrides) so serialize() round-trips to a canonical form.
+// overrides) so serialize() round-trips to a canonical form. Tables drive
+// it all: manifest.cpp's kind table and knob table (which keys each kind
+// accepts, their ranges and canonical order) and metric_table.hpp's
+// per-kind metric tables.
 #pragma once
 
 #include <cstdint>
@@ -171,12 +174,9 @@ struct Manifest {
   std::vector<std::string> experiment_summaries() const;
 };
 
-/// Metric names valid for `kind`, in canonical order (also the default
-/// metric set for sweep-less kinds).
-const std::vector<std::string>& metric_names(ExperimentKind kind);
-
-/// Human label used in table banners ("delivery ratio", "energy goodput
-/// (bit/J)", ...). Throws on unknown names.
-std::string metric_display_name(const std::string& name);
+/// Human label of one of `kind`'s metrics, used in table banners
+/// ("delivery ratio", "energy goodput (bit/J)", ...). Throws on names the
+/// kind does not report.
+std::string metric_display_name(ExperimentKind kind, const std::string& name);
 
 }  // namespace eend::core

@@ -152,7 +152,8 @@ void TableSink::end_experiment(const Experiment& e) {
       }
       t.add_row(std::move(cells));
     }
-    print_table(os_, e.title + " — " + metric_display_name(metric.name), t);
+    print_table(os_,
+                e.title + " — " + metric_display_name(e.kind, metric.name), t);
   }
   rows_.clear();
 }

@@ -955,5 +955,88 @@ TEST(Manifest, ChurnSerializeRoundTripIsAFixedPoint) {
   }
 }
 
+// ------------------------------------------------------ metric labels ---
+
+TEST(Sinks, TableBannerUsesTheExperimentKindsMetricLabel) {
+  // "active_nodes" is a metric of the grid, replay and churn kinds, each
+  // with its own label; the banner must take the experiment's.
+  const auto banner = [](ExperimentKind kind) {
+    Experiment e;
+    e.id = e.title = "one_row";
+    e.kind = kind;
+    e.metrics = {{"active_nodes", 1}};
+    ResultRow r;
+    r.experiment = e.id;
+    r.kind = kind_name(kind);
+    r.series = "n=40";
+    r.x_name = "epoch";
+    r.runs = 1;
+    r.metrics.push_back({"active_nodes", 12.0, 0.0, 1});
+    std::ostringstream os;
+    TableSink sink(os);
+    sink.begin_experiment(e);
+    sink.row(r);
+    sink.end_experiment(e);
+    return os.str();
+  };
+  EXPECT_NE(banner(ExperimentKind::Churn).find(
+                "one_row — active nodes (warm design)"),
+            std::string::npos)
+      << banner(ExperimentKind::Churn);
+  const std::string grid = banner(ExperimentKind::Grid);
+  EXPECT_NE(grid.find("one_row — active nodes"), std::string::npos) << grid;
+  EXPECT_EQ(grid.find("warm design"), std::string::npos) << grid;
+  EXPECT_EQ(metric_display_name(ExperimentKind::Replay, "active_nodes"),
+            "active nodes");
+  // A metric of another kind has no label here.
+  EXPECT_THROW(metric_display_name(ExperimentKind::Sweep, "active_nodes"),
+               CheckError);
+}
+
+// ------------------------------------------------- scenario resolution ---
+
+TEST(Manifest, RejectsUnresolvableScenariosAtParseTime) {
+  // A bad override fails while parsing, naming the experiment, instead of
+  // after the valid experiments before it have run.
+  expect_rejected(
+      [] {
+        Manifest::parse(R"({"name":"t","experiments":[
+          {"id":"fig7","kind":"mopt",
+           "cards":[{"card":"Cabletron","distance_m":250}],"rb":[0.1]},
+          {"id":"g","kind":"grid","stacks":["dsr_active"],
+           "rates_pps":[2],
+           "scenario":{"preset":"hypothetical_grid","node_count":7}}]})");
+      },
+      "grid dims must multiply to node_count");
+  expect_rejected(
+      [] {
+        Manifest::parse(R"({"name":"t","experiments":[{"id":"g",
+          "kind":"grid","stacks":["dsr_active"],"rates_pps":[2],
+          "scenario":{"preset":"hypothetical_grid","node_count":7}}]})");
+      },
+      "experiment \"g\" scenario is invalid");
+  expect_rejected(
+      [] {
+        Manifest::parse(R"({"name":"t","experiments":[{"id":"a",
+          "kind":"sweep","stacks":["titan_pc"],"rates_pps":[2],
+          "scenario":{"preset":"small_network","node_count":0}}]})");
+      },
+      "node_count must be positive");
+  // Density resolves once per node count, the quick override's included.
+  expect_rejected(
+      [] {
+        Manifest::parse(R"({"name":"t","experiments":[{"id":"t2",
+          "kind":"density","stacks":["titan_pc"],"node_counts":[300],
+          "scenario":{"preset":"density_network","flow_count":50},
+          "quick":{"node_counts":[6]}}]})");
+      },
+      "scenario at node count 6 is invalid");
+  // ...and accepts the same scenario when every count can host it.
+  EXPECT_NO_THROW(Manifest::parse(R"({"name":"t","experiments":[{"id":"t2",
+      "kind":"density","stacks":["titan_pc"],"node_counts":[300],
+      "scenario":{"preset":"density_network","flow_count":50},
+      "quick":{"node_counts":[100]}}]})"));
+}
+
 }  // namespace
 }  // namespace eend::core
