@@ -148,9 +148,9 @@ cmp /tmp/eend_dc_j1.jsonl /tmp/eend_dc_j8.jsonl
 cmp /tmp/eend_dc_j1.counters.jsonl /tmp/eend_dc_j8.counters.jsonl
 echo "OK: churn kind byte-identical for jobs=1 and jobs=8 (incl. --counters)"
 # The counter catalog must cover all four layers: sim core, design
-# search cache, the graph kernels (Klein-Ravi's spider search and its
-# bound) and the churn engine.
-for name in sim.events_fired opt.cache.route_hits \
+# search (route cache and the move evaluator's kept paths), the graph
+# kernels (Klein-Ravi's spider search and its bound) and the churn engine.
+for name in sim.events_fired opt.cache.route_hits opt.move.reused_routes \
     graph.klein_ravi.spider_searches graph.klein_ravi.pruned_searches \
     churn.events_applied; do
   grep -q "\"counter\":\"$name\"" /tmp/eend_dc_j1.counters.jsonl

@@ -9,6 +9,7 @@
 // paper's 3k/(2k+1) observation about SF1 vs SF2.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -39,12 +40,33 @@ struct Eq5Breakdown {
   std::size_t relay_nodes = 0;   ///< active nodes that are not endpoints
 };
 
+/// Reusable buffers for evaluate_eq5, for callers that score many designs
+/// (the opt/ move evaluator keeps one and skips per-call allocations).
+/// After a call, `active` holds F — every node on some route — ascending.
+struct Eq5Scratch {
+  struct Hop {
+    graph::NodeId lo, hi;  ///< edge key (min, max) of one route hop
+    std::uint32_t seq;     ///< hop index in route order
+    double packets;
+  };
+  std::vector<graph::NodeId> active;
+  std::vector<graph::NodeId> endpoints;
+  std::vector<Hop> hops;
+};
+
 /// Evaluate Eq. 5 for the subgraph induced by the routed demands.
 /// Node weights come from Graph::node_weight (c(u)); edge traversal cost
 /// per packet comes from the edge weight (w(e)).
 /// Every path must be a valid walk in g (consecutive nodes adjacent).
+/// Idle costs sum in ascending node order, each edge's packets in route
+/// order and the edges' data costs in ascending (min, max) order.
 Eq5Breakdown evaluate_eq5(const graph::Graph& g,
                           std::span<const RoutedDemand> routes,
                           const Eq5Params& params);
+
+/// The same evaluation on caller-owned buffers.
+Eq5Breakdown evaluate_eq5(const graph::Graph& g,
+                          std::span<const RoutedDemand> routes,
+                          const Eq5Params& params, Eq5Scratch& scratch);
 
 }  // namespace eend::analytical

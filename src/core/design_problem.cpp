@@ -78,11 +78,28 @@ graph::SteinerTree NetworkDesignProblem::solve_edge_weighted() const {
   return graph::kmb_steiner_tree(graph_, terminals());
 }
 
+namespace {
+
+std::vector<char> allowed_mask(std::size_t n,
+                               const std::vector<graph::NodeId>& nodes) {
+  std::vector<char> allowed(n, nodes.empty());
+  for (graph::NodeId v : nodes) allowed[v] = 1;
+  return allowed;
+}
+
+}  // namespace
+
 std::optional<std::vector<analytical::RoutedDemand>>
 NetworkDesignProblem::try_route_in_subgraph(
     const std::vector<graph::NodeId>& allowed_nodes,
     std::size_t* failed_demand) const {
-  return route_demands(allowed_nodes, nullptr, failed_demand);
+  // Scratch belongs to the call: portfolio starts route concurrently.
+  graph::SpWorkspace ws(graph_.node_count());
+  std::vector<analytical::RoutedDemand> routes;
+  if (!route_demands(allowed_mask(graph_.node_count(), allowed_nodes), {},
+                     ws, routes, failed_demand))
+    return std::nullopt;
+  return routes;
 }
 
 std::optional<std::vector<analytical::RoutedDemand>>
@@ -91,6 +108,8 @@ NetworkDesignProblem::try_route_in_subgraph_cached(
     const std::vector<graph::NodeId>& cached_allowed,
     const std::vector<analytical::RoutedDemand>& cached_routes,
     std::size_t* failed_demand) const {
+  const std::vector<char> allowed =
+      allowed_mask(graph_.node_count(), allowed_nodes);
   // Subset precondition: every node allowed now must have been allowed when
   // the cache was built (an empty list means "all nodes"). Otherwise the
   // cache could hide a newly-created shorter path — route uncached rather
@@ -99,78 +118,90 @@ NetworkDesignProblem::try_route_in_subgraph_cached(
     if (cached_routes.size() != demands_.size()) return false;
     if (cached_allowed.empty()) return true;
     if (allowed_nodes.empty()) return false;
-    std::vector<char> in_cache(graph_.node_count(), 0);
-    for (graph::NodeId v : cached_allowed) in_cache[v] = 1;
+    const std::vector<char> in_cache =
+        allowed_mask(graph_.node_count(), cached_allowed);
     return std::all_of(allowed_nodes.begin(), allowed_nodes.end(),
                        [&](graph::NodeId v) { return in_cache[v] != 0; });
   }();
-  return route_demands(allowed_nodes, usable ? &cached_routes : nullptr,
-                       failed_demand);
+  // A cached path whose nodes are all still allowed stays shortest: the
+  // allowed set only shrank, which can only lengthen the other paths.
+  std::vector<const std::vector<graph::NodeId>*> keep;
+  if (usable) {
+    keep.resize(demands_.size(), nullptr);
+    for (std::size_t i = 0; i < demands_.size(); ++i) {
+      const analytical::RoutedDemand& c = cached_routes[i];
+      if (c.demand.source == demands_[i].source &&
+          c.demand.destination == demands_[i].destination &&
+          !c.path.empty() &&
+          std::all_of(c.path.begin(), c.path.end(),
+                      [&](graph::NodeId v) { return allowed[v] != 0; }))
+        keep[i] = &c.path;
+    }
+  }
+  graph::SpWorkspace ws(graph_.node_count());
+  std::vector<analytical::RoutedDemand> routes;
+  std::size_t failed = demands_.size();
+  const bool ok = route_demands(allowed, keep, ws, routes, &failed);
+  if (usable) {
+    // Count the demands the loop reached, the failing one included.
+    const std::size_t reached = ok ? demands_.size() : failed + 1;
+    const auto hits = static_cast<std::uint64_t>(std::count_if(
+        keep.begin(), keep.begin() + static_cast<std::ptrdiff_t>(reached),
+        [](const auto* p) { return p != nullptr; }));
+    if (hits) obs::count("opt.cache.route_hits", hits);
+    if (reached > hits) obs::count("opt.cache.route_misses", reached - hits);
+  }
+  if (ok) return routes;
+  if (failed_demand) *failed_demand = failed;
+  return std::nullopt;
 }
 
-std::optional<std::vector<analytical::RoutedDemand>>
-NetworkDesignProblem::route_demands(
-    const std::vector<graph::NodeId>& allowed_nodes,
-    const std::vector<analytical::RoutedDemand>* cached_routes,
+bool NetworkDesignProblem::route_demands(
+    std::span<const char> allowed,
+    std::span<const std::vector<graph::NodeId>* const> keep,
+    graph::SpWorkspace& ws, std::vector<analytical::RoutedDemand>& routes,
     std::size_t* failed_demand) const {
-  const std::size_t n = graph_.node_count();
-  std::vector<char> allowed(n, allowed_nodes.empty());
-  for (graph::NodeId v : allowed_nodes) allowed[v] = 1;
-
-  // Masked Dijkstra on one workspace, reused across this call's demands
-  // and never shared (portfolio starts route concurrently). Relaxation and
-  // heap order are graph::dijkstra's with a +inf entry cost on forbidden
-  // nodes, so paths match it bit for bit; a search stops once t settles.
-  graph::SpWorkspace ws(n);
+  EEND_REQUIRE(allowed.size() == graph_.node_count());
+  EEND_REQUIRE(keep.empty() || keep.size() == demands_.size());
+  const std::uint64_t settled_before = ws.settled;
   std::uint64_t searches = 0;
-  const auto shortest_path = [&](graph::NodeId s, graph::NodeId t) {
-    ++searches;
-    ws.run(
-        graph_, s,
-        [&](double d, const graph::Adjacency& a) {
-          return allowed[a.neighbor] ? d + graph_.edge(a.edge).weight
-                                     : graph::kInfCost;
-        },
-        [t](double, graph::NodeId u) { return u != t; });
-    return ws.tree.path_to(t);  // t's parent chain was all set by this run
-  };
-
-  std::uint64_t hits = 0, misses = 0;
   std::optional<std::size_t> failed;
-  std::vector<analytical::RoutedDemand> routes;
-  routes.reserve(demands_.size());
+  routes.resize(demands_.size());
   for (std::size_t i = 0; i < demands_.size(); ++i) {
     const graph::Demand& d = demands_[i];
+    analytical::RoutedDemand& r = routes[i];
+    r.demand = d;
+    r.packets = d.rate;
     if (!allowed[d.source] || !allowed[d.destination]) {
       failed = i;
       break;
     }
-    // A cached path whose nodes are all still allowed stays shortest: the
-    // allowed set only shrank, which can only lengthen the other paths.
-    const analytical::RoutedDemand* c =
-        cached_routes ? &(*cached_routes)[i] : nullptr;
-    const bool reuse =
-        c && c->demand.source == d.source &&
-        c->demand.destination == d.destination && !c->path.empty() &&
-        std::all_of(c->path.begin(), c->path.end(),
-                    [&](graph::NodeId v) { return allowed[v] != 0; });
-    if (c) ++(reuse ? hits : misses);
-    auto path = reuse ? c->path : shortest_path(d.source, d.destination);
-    if (path.empty()) {
+    if (!keep.empty() && keep[i]) {
+      r.path = *keep[i];
+      continue;
+    }
+    ++searches;
+    const graph::NodeId t = d.destination;
+    ws.run(
+        graph_, d.source,
+        [&](double dist, const graph::Adjacency& a) {
+          return allowed[a.neighbor] ? dist + graph_.edge(a.edge).weight
+                                     : graph::kInfCost;
+        },
+        [t](double, graph::NodeId u) { return u != t; });
+    ws.tree.path_to(t, r.path);  // t's parent chain was all set by this run
+    if (r.path.empty()) {
       failed = i;
       break;
     }
-    routes.push_back({d, std::move(path), d.rate});
   }
-  if (hits) obs::count("opt.cache.route_hits", hits);
-  if (misses) obs::count("opt.cache.route_misses", misses);
   if (searches) {
     obs::count("opt.route.searches", searches);
-    obs::count("opt.route.settled_nodes", ws.settled);
+    obs::count("opt.route.settled_nodes", ws.settled - settled_before);
   }
-  if (!failed) return routes;
+  if (!failed) return true;
   if (failed_demand) *failed_demand = *failed;
-  return std::nullopt;
+  return false;
 }
 
 std::vector<analytical::RoutedDemand>

@@ -15,6 +15,7 @@
 
 #include "analytical/design_eval.hpp"
 #include "energy/radio_card.hpp"
+#include "graph/shortest_path.hpp"
 #include "graph/steiner.hpp"
 #include "phy/position.hpp"
 
@@ -105,13 +106,23 @@ class NetworkDesignProblem {
       const std::vector<analytical::RoutedDemand>& cached_routes,
       std::size_t* failed_demand = nullptr) const;
 
- private:
-  /// The routing loop behind both twins above; `cached_routes` may be null.
-  std::optional<std::vector<analytical::RoutedDemand>> route_demands(
-      const std::vector<graph::NodeId>& allowed_nodes,
-      const std::vector<analytical::RoutedDemand>* cached_routes,
-      std::size_t* failed_demand) const;
+  /// The one demand-routing loop behind both twins above and the opt/
+  /// move evaluator. `allowed` is a membership mask over node ids. Demand
+  /// i takes `*keep[i]` verbatim when `keep` is non-empty and that entry
+  /// is non-null — the caller vouches that it is still the shortest path
+  /// inside `allowed` — and otherwise runs one masked Dijkstra on `ws`
+  /// that stops when the destination settles. Relaxation and heap order
+  /// are graph::dijkstra's with a +inf entry cost on forbidden nodes, so
+  /// paths match it bit for bit. `routes` is overwritten, reusing its path
+  /// buffers. Returns false at the first unroutable demand, whose index
+  /// goes to `failed_demand` when non-null (`routes` is then partial).
+  bool route_demands(std::span<const char> allowed,
+                     std::span<const std::vector<graph::NodeId>* const> keep,
+                     graph::SpWorkspace& ws,
+                     std::vector<analytical::RoutedDemand>& routes,
+                     std::size_t* failed_demand = nullptr) const;
 
+ private:
   std::vector<analytical::RoutedDemand> route_in_subgraph(
       const std::vector<graph::NodeId>& allowed_nodes) const;
 

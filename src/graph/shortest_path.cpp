@@ -5,15 +5,20 @@
 namespace eend::graph {
 
 std::vector<NodeId> ShortestPathTree::path_to(NodeId v) const {
-  if (!reachable(v)) return {};
-  std::vector<NodeId> rev;
+  std::vector<NodeId> out;
+  path_to(v, out);
+  return out;
+}
+
+void ShortestPathTree::path_to(NodeId v, std::vector<NodeId>& out) const {
+  out.clear();
+  if (!reachable(v)) return;
   for (NodeId cur = v; cur != kInvalidNode; cur = parent[cur]) {
-    rev.push_back(cur);
+    out.push_back(cur);
     if (cur == source) break;
   }
-  std::reverse(rev.begin(), rev.end());
-  EEND_CHECK(!rev.empty() && rev.front() == source);
-  return rev;
+  std::reverse(out.begin(), out.end());
+  EEND_CHECK(!out.empty() && out.front() == source);
 }
 
 namespace {

@@ -25,6 +25,8 @@ struct ShortestPathTree {
 
   /// Reconstruct source -> v as a node sequence (empty if unreachable).
   std::vector<NodeId> path_to(NodeId v) const;
+  /// The same into `out`, reusing its capacity.
+  void path_to(NodeId v, std::vector<NodeId>& out) const;
 };
 
 /// The one Dijkstra loop: graph::dijkstra, the design search's masked

@@ -1,11 +1,10 @@
 #include "opt/annealing.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
 
 #include "obs/counters.hpp"
+#include "opt/move_evaluator.hpp"
 #include "util/rng.hpp"
 
 namespace eend::opt {
@@ -16,14 +15,9 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
                                     const AnnealingSchedule& schedule,
                                     std::uint64_t seed) {
   EEND_REQUIRE_MSG(start.feasible, "annealing needs a feasible seed");
-  const graph::Graph& g = problem.graph();
-  const auto terminals = problem.terminals();  // sorted
-  const auto is_terminal = [&](graph::NodeId v) {
-    return std::binary_search(terminals.begin(), terminals.end(), v);
-  };
-
   Rng rng = Rng(seed).fork(0xA44E);
-  CandidateDesign cur = start;
+  MoveEvaluator ev(problem, objective, start);
+  MoveEvaluator::Scored cand;
   CandidateDesign best = start;
   const double t0 = schedule.initial_temp_frac * start.cost();
   double temp = t0;
@@ -31,48 +25,31 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
 
   for (std::size_t it = 0; it < schedule.iterations;
        ++it, temp *= schedule.cooling) {
-    // Current move surface: relays (closable), frontier (openable),
-    // per-relay inactive neighbors (exchangeable).
-    std::vector<graph::NodeId> relays;
-    for (graph::NodeId v : cur.nodes)
-      if (!is_terminal(v)) relays.push_back(v);
-    std::vector<char> in_cur(g.node_count(), 0);
-    for (graph::NodeId v : cur.nodes) in_cur[v] = 1;
-
-    std::vector<graph::NodeId> proposal = cur.nodes;
+    // Draw a family, then a move from the incumbent's surface: relays
+    // (closable), frontier (openable), per-relay inactive neighbours
+    // (exchangeable).
+    const MoveSurface& s = ev.surface();
+    Move m;
     const std::uint64_t family = rng.next_below(3);
     if (family == 0) {  // relay removal
-      if (relays.empty()) continue;
-      const graph::NodeId v = relays[rng.next_below(relays.size())];
-      proposal.erase(std::find(proposal.begin(), proposal.end(), v));
+      if (s.relays.empty()) continue;
+      m.close = s.relays[rng.next_below(s.relays.size())];
     } else if (family == 1) {  // Steiner insertion
-      std::set<graph::NodeId> frontier;
-      for (graph::NodeId v : cur.nodes)
-        for (const auto& [u, e] : g.neighbors(v)) {
-          (void)e;
-          if (!in_cur[u]) frontier.insert(u);
-        }
-      if (frontier.empty()) continue;
-      std::vector<graph::NodeId> cands(frontier.begin(), frontier.end());
-      proposal.push_back(cands[rng.next_below(cands.size())]);
+      if (s.frontier.empty()) continue;
+      m.open = s.frontier[rng.next_below(s.frontier.size())];
     } else {  // relay exchange
-      if (relays.empty()) continue;
-      const graph::NodeId v = relays[rng.next_below(relays.size())];
-      std::set<graph::NodeId> swaps;
-      for (const auto& [u, e] : g.neighbors(v)) {
-        (void)e;
-        if (!in_cur[u]) swaps.insert(u);
-      }
+      if (s.relays.empty()) continue;
+      const std::size_t k = rng.next_below(s.relays.size());
+      const auto swaps = s.swaps_of(k);
       if (swaps.empty()) continue;
-      std::vector<graph::NodeId> cands(swaps.begin(), swaps.end());
-      proposal.erase(std::find(proposal.begin(), proposal.end(), v));
-      proposal.push_back(cands[rng.next_below(cands.size())]);
+      m.close = s.relays[k];
+      m.open = swaps[rng.next_below(swaps.size())];
     }
 
-    CandidateDesign cand = evaluate_design(problem, proposal, objective);
-    if (!cand.feasible) continue;
+    ev.score(m, cand);
+    if (!cand.design.feasible) continue;
     ++proposals;
-    const double delta = cand.cost() - cur.cost();
+    const double delta = cand.design.cost() - ev.incumbent().cost();
     const bool accept =
         delta <= 0.0 ||
         (temp > 0.0 && rng.uniform() < std::exp(-delta / temp));
@@ -82,9 +59,9 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
     // histogram shape shows whether cooling freezes the walk too early).
     obs::observe("opt.sa.accept_decile",
                  schedule.iterations == 0 ? 0 : it * 10 / schedule.iterations);
-    cur = std::move(cand);
-    if (cur.cost() < best.cost()) {
-      best = cur;
+    ev.adopt(cand);  // the candidate's routes become the incumbent's
+    if (ev.incumbent().cost() < best.cost()) {
+      best = ev.incumbent();
       ++improved;
     }
   }

@@ -11,6 +11,11 @@
 // and returned, so the result is never worse than the seed for any
 // schedule or seed value — the determinism/monotonicity contract
 // tests/opt_search_test.cpp pins.
+//
+// Proposals are drawn from the MoveSurface and scored by the MoveEvaluator
+// of opt/move_evaluator.hpp, so a proposal costs Eq. 5 plus a Dijkstra per
+// demand the move can change; an accepted proposal's routes become the
+// incumbent's without rerouting, and the surface is rebuilt only then.
 #pragma once
 
 #include "opt/design_heuristic.hpp"

@@ -1,7 +1,6 @@
 #include "opt/design_heuristic.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "opt/annealing.hpp"
 #include "opt/local_search.hpp"
@@ -37,6 +36,34 @@ std::vector<double> node_energy_loads(
   return load;
 }
 
+void score_routes(const graph::Graph& g,
+                  std::span<const analytical::RoutedDemand> routes,
+                  const DesignObjective& objective,
+                  analytical::Eq5Scratch& scratch, CandidateDesign& out) {
+  out.score = analytical::evaluate_eq5(g, routes, objective.eval, scratch);
+  out.max_node_load = 0.0;
+  out.lifetime_penalty = 0.0;
+  // The load scan is O(N + route length) per evaluation and only the
+  // lifetime objective consumes it; the plain mode — the innermost loop of
+  // every design-kind search — must not pay for it.
+  if (objective.battery_budget_j > 0.0) {
+    const std::vector<double> loads =
+        node_energy_loads(g, routes, objective.eval);
+    double overload = 0.0;
+    for (const double l : loads) {
+      out.max_node_load = std::max(out.max_node_load, l);
+      overload += std::max(0.0, l - objective.battery_budget_j);
+    }
+    out.lifetime_penalty = objective.overload_penalty * overload;
+  }
+  // Normalize the state to the nodes the routing actually uses (Eq. 5's F,
+  // which the scratch holds sorted and deduplicated): allowed-but-unused
+  // nodes contribute nothing to Eq. 5 and would make equal-cost designs
+  // compare unequal.
+  out.nodes.assign(scratch.active.begin(), scratch.active.end());
+  out.feasible = true;
+}
+
 CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective) {
@@ -46,42 +73,23 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
 CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective,
-                                const RouteCache* reuse, RouteCache* fill) {
+                                const RouteCache* reuse, RouteCache* fill,
+                                std::size_t* failed_demand) {
   EEND_REQUIRE_MSG(!nodes.empty(), "a design needs at least one node");
   CandidateDesign out;
   const auto routes =
       reuse && !reuse->empty()
           ? problem.try_route_in_subgraph_cached(nodes, reuse->nodes,
-                                                 reuse->routes)
-          : problem.try_route_in_subgraph(nodes);
+                                                 reuse->routes, failed_demand)
+          : problem.try_route_in_subgraph(nodes, failed_demand);
   if (!routes) {
     out.nodes = nodes;
     std::sort(out.nodes.begin(), out.nodes.end());
     out.feasible = false;
     return out;
   }
-  out.score = analytical::evaluate_eq5(problem.graph(), *routes,
-                                       objective.eval);
-  // The load scan is O(N + route length) per evaluation and only the
-  // lifetime objective consumes it; the plain mode — the innermost loop of
-  // every design-kind search — must not pay for it.
-  if (objective.battery_budget_j > 0.0) {
-    const std::vector<double> loads =
-        node_energy_loads(problem.graph(), *routes, objective.eval);
-    double overload = 0.0;
-    for (const double l : loads) {
-      out.max_node_load = std::max(out.max_node_load, l);
-      overload += std::max(0.0, l - objective.battery_budget_j);
-    }
-    out.lifetime_penalty = objective.overload_penalty * overload;
-  }
-  // Normalize the state to the nodes the routing actually uses: allowed-
-  // but-idle-free nodes contribute nothing to Eq. 5 and would make equal-
-  // cost designs compare unequal.
-  std::set<graph::NodeId> used;
-  for (const auto& r : *routes) used.insert(r.path.begin(), r.path.end());
-  out.nodes.assign(used.begin(), used.end());
-  out.feasible = true;
+  analytical::Eq5Scratch scratch;
+  score_routes(problem.graph(), *routes, objective, scratch, out);
   if (fill) {
     // Memoize against the *allowed* set (pre-normalization): the subset
     // test in the cached routing twin compares allowed sets, not the

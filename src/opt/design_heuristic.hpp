@@ -84,6 +84,15 @@ std::vector<double> node_energy_loads(
     std::span<const analytical::RoutedDemand> routes,
     const analytical::Eq5Params& eval);
 
+/// The scoring tail every design evaluation shares: Eq. 5 over `routes`
+/// (on `scratch`'s buffers), the overload penalty when the objective
+/// carries a battery budget, and `out.nodes` normalized to the nodes the
+/// routes use. Overwrites every field of `out` and marks it feasible.
+void score_routes(const graph::Graph& g,
+                  std::span<const analytical::RoutedDemand> routes,
+                  const DesignObjective& objective,
+                  analytical::Eq5Scratch& scratch, CandidateDesign& out);
+
 /// Score the design implied by `nodes`: route every demand along its
 /// shortest path within the set, drop nodes no route uses, evaluate Eq. 5
 /// and (when the objective carries a battery budget) the overload penalty.
@@ -117,11 +126,14 @@ struct RouteCache {
 /// to the uncached evaluation, exact ties included). When
 /// `fill` is non-null it receives this evaluation's allowed set and routes
 /// (only on feasible results) for the next round. Either pointer may be
-/// null; (nullptr, nullptr) is exactly the plain overload.
+/// null; (nullptr, nullptr) is exactly the plain overload. On an
+/// infeasible result `failed_demand`, when non-null, receives the index of
+/// the first unroutable demand.
 CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective,
-                                const RouteCache* reuse, RouteCache* fill);
+                                const RouteCache* reuse, RouteCache* fill,
+                                std::size_t* failed_demand = nullptr);
 
 /// Evaluate a constructive solver's tree as a design seed.
 CandidateDesign design_from_tree(const core::NetworkDesignProblem& problem,

@@ -1,32 +1,9 @@
 #include "opt/local_search.hpp"
 
-#include <algorithm>
-#include <set>
-
 #include "obs/counters.hpp"
+#include "opt/move_evaluator.hpp"
 
 namespace eend::opt {
-
-namespace {
-
-/// Dense membership mask over the graph's node ids.
-std::vector<char> membership(const graph::Graph& g,
-                             const std::vector<graph::NodeId>& nodes) {
-  std::vector<char> in(g.node_count(), 0);
-  for (graph::NodeId v : nodes) in[v] = 1;
-  return in;
-}
-
-std::vector<graph::NodeId> without(const std::vector<graph::NodeId>& nodes,
-                                   graph::NodeId drop) {
-  std::vector<graph::NodeId> out;
-  out.reserve(nodes.size() - 1);
-  for (graph::NodeId v : nodes)
-    if (v != drop) out.push_back(v);
-  return out;
-}
-
-}  // namespace
 
 CandidateDesign local_search(const core::NetworkDesignProblem& problem,
                              const CandidateDesign& start,
@@ -34,68 +11,21 @@ CandidateDesign local_search(const core::NetworkDesignProblem& problem,
                              std::size_t max_passes,
                              LocalSearchStats* stats) {
   EEND_REQUIRE_MSG(start.feasible, "local search needs a feasible seed");
-  const graph::Graph& g = problem.graph();
-  const auto terminals = problem.terminals();  // sorted
-  const auto is_terminal = [&](graph::NodeId v) {
-    return std::binary_search(terminals.begin(), terminals.end(), v);
-  };
-
-  CandidateDesign cur = start;
+  MoveEvaluator ev(problem, objective, start);
+  MoveEvaluator::Scored best;
   LocalSearchStats local;
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    const std::vector<char> in_cur = membership(g, cur.nodes);
-
-    CandidateDesign best;  // infeasible until a candidate beats nothing
-    const auto consider = [&](CandidateDesign cand) {
-      ++local.evaluations;
-      if (!cand.feasible) return;
-      if (!best.feasible || cand.cost() < best.cost()) best = std::move(cand);
-    };
-
-    // Relay removal: drop each non-endpoint active node.
-    for (graph::NodeId v : cur.nodes) {
-      if (is_terminal(v)) continue;
-      consider(evaluate_design(problem, without(cur.nodes, v), objective));
-    }
-
-    // Steiner insertion: open each inactive node adjacent to the design.
-    std::set<graph::NodeId> frontier;
-    for (graph::NodeId v : cur.nodes)
-      for (const auto& [u, e] : g.neighbors(v)) {
-        (void)e;
-        if (!in_cur[u]) frontier.insert(u);
-      }
-    for (graph::NodeId u : frontier) {
-      std::vector<graph::NodeId> cand = cur.nodes;
-      cand.push_back(u);
-      consider(evaluate_design(problem, cand, objective));
-    }
-
-    // Relay exchange (reroute): close relay v, open an inactive neighbor u
-    // in the same move.
-    for (graph::NodeId v : cur.nodes) {
-      if (is_terminal(v)) continue;
-      std::set<graph::NodeId> swaps;
-      for (const auto& [u, e] : g.neighbors(v)) {
-        (void)e;
-        if (!in_cur[u]) swaps.insert(u);
-      }
-      for (graph::NodeId u : swaps) {
-        std::vector<graph::NodeId> cand = without(cur.nodes, v);
-        cand.push_back(u);
-        consider(evaluate_design(problem, cand, objective));
-      }
-    }
-
-    if (!best.feasible || !(best.cost() < cur.cost())) break;
-    cur = std::move(best);
+    if (!ev.best_move(nullptr, best, local.evaluations) ||
+        !(best.design.cost() < ev.incumbent().cost()))
+      break;
+    ev.adopt(best);
     ++local.passes;
   }
   if (stats) *stats = local;
   obs::count("opt.ls.calls");
   obs::count("opt.ls.evaluations", local.evaluations);
   obs::count("opt.ls.moves_accepted", local.passes);  // one move per pass
-  return cur;
+  return ev.incumbent();
 }
 
 }  // namespace eend::opt

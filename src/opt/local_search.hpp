@@ -1,6 +1,6 @@
 // Tree-local improvement over a candidate design: steepest-descent search
 // with three operator families, all evaluated under the true Eq. 5
-// objective (routing re-runs inside the candidate set, so every move is a
+// objective (demands route inside the candidate set, so every move is a
 // "path reroute within the connectivity graph" as a side effect):
 //
 //   * relay removal     — drop one non-endpoint active node; surviving
@@ -17,6 +17,10 @@
 // strict improvement; enumeration order is sorted-node-id, so the descent
 // is deterministic. The result is never worse than the seed: when no move
 // improves, the seed is returned unchanged (bit-identical cost).
+//
+// The search is a policy over opt/move_evaluator.hpp: the MoveSurface
+// lists the moves and the MoveEvaluator scores each one exactly as
+// evaluate_design would, rerouting only the demands the move can change.
 #pragma once
 
 #include "opt/design_heuristic.hpp"
@@ -29,7 +33,10 @@ struct LocalSearchStats {
 };
 
 /// Steepest descent from `start` (which must be feasible). `max_passes`
-/// bounds the improvement rounds; each pass is O(moves · Eq5 evaluation).
+/// bounds the improvement rounds. A pass scores every move: Eq. 5 over the
+/// candidate's routes plus one masked Dijkstra per demand the move can
+/// change (those crossing a closed relay, or that an opened node could
+/// shorten) — most insertion candidates reroute none.
 /// The objective implicitly converts from bare Eq5Params (plain scoring).
 CandidateDesign local_search(const core::NetworkDesignProblem& problem,
                              const CandidateDesign& start,

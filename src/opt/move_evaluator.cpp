@@ -1,0 +1,226 @@
+#include "opt/move_evaluator.hpp"
+
+#include <algorithm>
+
+#include "obs/counters.hpp"
+
+namespace eend::opt {
+
+void MoveSurface::rebuild(const graph::Graph& g,
+                          std::span<const graph::NodeId> nodes,
+                          std::span<const graph::NodeId> terminals) {
+  in_design.assign(g.node_count(), 0);
+  for (graph::NodeId v : nodes) in_design[v] = 1;
+  relays.clear();
+  frontier.clear();
+  swaps.clear();
+  swap_begin.assign(1, 0);
+  for (graph::NodeId v : nodes) {
+    if (std::binary_search(terminals.begin(), terminals.end(), v)) continue;
+    relays.push_back(v);
+  }
+  std::sort(relays.begin(), relays.end());
+  // Mark frontier nodes as they are found (2 = listed), so the sort sees
+  // each once; the marks are cleared again below.
+  for (graph::NodeId v : nodes)
+    for (const graph::Adjacency& a : g.neighbors(v))
+      if (!in_design[a.neighbor]) {
+        in_design[a.neighbor] = 2;
+        frontier.push_back(a.neighbor);
+      }
+  for (graph::NodeId u : frontier) in_design[u] = 0;
+  std::sort(frontier.begin(), frontier.end());
+  for (graph::NodeId v : relays) {
+    const auto first = static_cast<std::ptrdiff_t>(swaps.size());
+    for (const graph::Adjacency& a : g.neighbors(v))
+      if (!in_design[a.neighbor]) swaps.push_back(a.neighbor);
+    std::sort(swaps.begin() + first, swaps.end());
+    swaps.erase(std::unique(swaps.begin() + first, swaps.end()), swaps.end());
+    swap_begin.push_back(swaps.size());
+  }
+}
+
+MoveEvaluator::MoveEvaluator(
+    const core::NetworkDesignProblem& problem,
+    const DesignObjective& objective, const CandidateDesign& incumbent,
+    const std::vector<analytical::RoutedDemand>* routes)
+    : problem_(problem),
+      g_(problem.graph()),
+      objective_(objective),
+      terminals_(problem.terminals()),
+      incumbent_(incumbent),
+      ws_(problem.graph().node_count()),
+      from_u_(problem.graph().node_count(), graph::kInfCost),
+      needed_(problem.graph().node_count(), 0) {
+  EEND_REQUIRE_MSG(incumbent.feasible,
+                   "the move evaluator needs a feasible incumbent");
+  const std::size_t n = g_.node_count();
+  const auto& demands = problem_.demands();
+  surface_.rebuild(g_, incumbent_.nodes, terminals_);
+  keep_.assign(demands.size(), nullptr);
+
+  if (routes && routes->size() == demands.size())
+    routes_ = *routes;
+  else if (!problem_.route_demands(surface_.in_design, {}, ws_, routes_))
+    routes_.clear();  // a hand-built incumbent: nothing to reuse
+  reuse_ = !routes_.empty() &&
+           std::none_of(g_.edges().begin(), g_.edges().end(),
+                        [](const graph::Edge& e) { return e.weight == 0.0; });
+  if (!reuse_) return;
+  set_bounds();
+
+  // Full-graph distance rows from every terminal: the screen's lower bound
+  // on any walk through an opened node.
+  rows_.resize(terminals_.size() * n);
+  for (std::size_t k = 0; k < terminals_.size(); ++k) {
+    const std::uint64_t before = ws_.settled;
+    ws_.run(
+        g_, terminals_[k],
+        [&](double d, const graph::Adjacency& a) {
+          return d + g_.edge(a.edge).weight;
+        },
+        [](double, graph::NodeId) { return true; });
+    ++searches_;
+    settled_ += ws_.settled - before;
+    std::copy(ws_.tree.distance.begin(), ws_.tree.distance.end(),
+              rows_.begin() + static_cast<std::ptrdiff_t>(k * n));
+  }
+  const auto row_of = [&](graph::NodeId v) {
+    return static_cast<std::size_t>(
+        std::lower_bound(terminals_.begin(), terminals_.end(), v) -
+        terminals_.begin());
+  };
+  for (const graph::Demand& d : demands) {
+    src_row_.push_back(row_of(d.source) * n);
+    dst_row_.push_back(row_of(d.destination) * n);
+  }
+}
+
+MoveEvaluator::~MoveEvaluator() {
+  if (reused_routes_) obs::count("opt.move.reused_routes", reused_routes_);
+  if (searches_) {
+    obs::count("opt.route.searches", searches_);
+    obs::count("opt.route.settled_nodes", settled_);
+  }
+}
+
+void MoveEvaluator::set_bounds() {
+  bound_.clear();
+  for (const analytical::RoutedDemand& r : routes_)
+    bound_.push_back(graph::path_cost(g_, r.path) * (1.0 + kScreenMargin));
+}
+
+void MoveEvaluator::screen_from(graph::NodeId u) {
+  // The search stops past the largest pending bound, or once every pending
+  // demand's endpoints have settled.
+  const auto& demands = problem_.demands();
+  double limit = 0.0;
+  std::size_t unsettled = 0;
+  for (std::size_t i : pending_) {
+    limit = std::max(limit, bound_[i]);
+    for (graph::NodeId x : {demands[i].source, demands[i].destination})
+      if (!needed_[x]) {
+        needed_[x] = 1;
+        ++unsettled;
+      }
+  }
+  const std::vector<char>& allowed = surface_.in_design;
+  const std::uint64_t before = ws_.settled;
+  ws_.run(
+      g_, u,
+      [&](double d, const graph::Adjacency& a) {
+        return allowed[a.neighbor] ? d + g_.edge(a.edge).weight
+                                   : graph::kInfCost;
+      },
+      [&](double d, graph::NodeId x) {
+        if (d > limit) return false;
+        from_u_[x] = d;
+        from_u_settled_.push_back(x);
+        return !(needed_[x] && --unsettled == 0);
+      });
+  ++searches_;
+  settled_ += ws_.settled - before;
+  for (std::size_t i : pending_) {
+    const graph::Demand& d = demands[i];
+    needed_[d.source] = needed_[d.destination] = 0;
+    if (from_u_[d.source] + from_u_[d.destination] > bound_[i])
+      keep_[i] = &routes_[i].path;
+  }
+  for (graph::NodeId x : from_u_settled_) from_u_[x] = graph::kInfCost;
+  from_u_settled_.clear();
+}
+
+void MoveEvaluator::score(Move move, Scored& out) {
+  const graph::NodeId v = move.close, u = move.open;
+  const bool closing = v != graph::kInvalidNode;
+  const bool opening = u != graph::kInvalidNode;
+  EEND_REQUIRE(!closing || surface_.in_design[v]);
+  EEND_REQUIRE(!opening || !surface_.in_design[u]);
+  std::vector<char>& allowed = surface_.in_design;
+  if (closing) allowed[v] = 0;
+  if (opening) allowed[u] = 1;
+
+  std::fill(keep_.begin(), keep_.end(), nullptr);
+  if (reuse_) {
+    pending_.clear();
+    for (std::size_t i = 0; i < routes_.size(); ++i) {
+      const std::vector<graph::NodeId>& path = routes_[i].path;
+      if (closing && std::find(path.begin(), path.end(), v) != path.end())
+        continue;  // crosses the closed relay: reroute
+      if (opening && !(rows_[src_row_[i] + u] + rows_[dst_row_[i] + u] >
+                       bound_[i])) {
+        pending_.push_back(i);  // the global rows cannot clear it
+        continue;
+      }
+      keep_[i] = &path;
+    }
+    if (!pending_.empty()) screen_from(u);
+    reused_routes_ += static_cast<std::uint64_t>(
+        std::count_if(keep_.begin(), keep_.end(),
+                      [](const auto* p) { return p != nullptr; }));
+  }
+
+  const bool ok = problem_.route_demands(allowed, keep_, ws_, out.routes);
+  if (closing) allowed[v] = 1;
+  if (opening) allowed[u] = 0;
+  if (ok) {
+    score_routes(g_, out.routes, objective_, eq5_, out.design);
+    return;
+  }
+  // Infeasible: the candidate's node set, sorted, and an empty score —
+  // what evaluate_design returns.
+  CandidateDesign& d = out.design;
+  d.nodes = incumbent_.nodes;
+  if (closing) d.nodes.erase(std::find(d.nodes.begin(), d.nodes.end(), v));
+  if (opening) d.nodes.push_back(u);
+  std::sort(d.nodes.begin(), d.nodes.end());
+  d.score = {};
+  d.feasible = false;
+  d.max_node_load = 0.0;
+  d.lifetime_penalty = 0.0;
+}
+
+bool MoveEvaluator::best_move(const std::vector<char>* region, Scored& best,
+                              std::size_t& evaluations) {
+  bool found = false;
+  for_each_move(surface_, region, [&](Move m) {
+    ++evaluations;
+    score(m, cand_);
+    if (!cand_.design.feasible) return;
+    if (!found || cand_.design.cost() < best.design.cost()) {
+      std::swap(best, cand_);
+      found = true;
+    }
+  });
+  return found;
+}
+
+void MoveEvaluator::adopt(Scored& s) {
+  EEND_REQUIRE_MSG(s.design.feasible, "cannot adopt an infeasible design");
+  std::swap(incumbent_, s.design);
+  std::swap(routes_, s.routes);
+  surface_.rebuild(g_, incumbent_.nodes, terminals_);
+  if (reuse_) set_bounds();
+}
+
+}  // namespace eend::opt

@@ -1,0 +1,183 @@
+// The one move-evaluation kernel of the design search: local search,
+// annealing and warm-start repair all score their removal / insertion /
+// exchange moves here.
+//
+// A MoveEvaluator owns the incumbent design, its routes, each route's
+// length D_i and the move surface around it. Scoring a move returns
+// exactly the CandidateDesign evaluate_design(problem, candidate,
+// objective) would return, but reroutes only the demands the move can
+// change:
+//
+//   * removal of v   — every incumbent path that avoids v is kept (the
+//                      RouteCache subset rule);
+//   * insertion of u — demand i keeps its path when every s_i–t_i walk
+//                      through u is longer than D_i·(1 + kScreenMargin).
+//                      The first test uses full-graph distances
+//                      dG(s_i,u) + dG(u,t_i), from rows computed once per
+//                      evaluator (O(terminals · N) memory). Demands it
+//                      cannot clear share one masked search from u inside
+//                      the candidate set, stopped once it settles past the
+//                      largest bound; a node it did not settle counts as
+//                      too far;
+//   * exchange v → u — demands whose path crosses v are rerouted; every
+//                      other demand gets the insertion screen against the
+//                      set without v.
+//
+// Every demand not kept runs the masked early-exit routing loop of
+// core::NetworkDesignProblem::route_demands.
+//
+// Why the screen is exact: with strictly positive weights Dijkstra settles
+// nodes in (distance, id) order and replaces a parent only on a strictly
+// shorter offer. An offer that reaches a node x of P_i (the incumbent
+// path) through u extends, along P_i's suffix, to an s_i–t_i walk through
+// u, which the screen proved longer than D_i; so the offer is strictly
+// longer than x's distance and never becomes x's parent. The neighbours
+// whose offers tie x's distance cannot be shortened through u for the
+// same reason, so they keep their distances and their settle order, and
+// t_i's parent chain — the path — stays. The relative margin covers float
+// rounding in the prefix sums. Zero-weight edges break the settle order;
+// on a graph with any, the evaluator reroutes every demand (the caveat in
+// core/design_problem.hpp).
+#pragma once
+
+#include <span>
+#include <vector>
+
+#include "opt/design_heuristic.hpp"
+
+namespace eend::opt {
+
+/// Relative slack of the insertion screen: a path through the opened node
+/// must be longer than D_i·(1 + kScreenMargin) for demand i to keep its
+/// incumbent path. Covers the rounding of a few dozen float additions.
+inline constexpr double kScreenMargin = 1e-9;
+
+/// One design move. Removal sets `close` only, insertion `open` only,
+/// exchange both; an unused side is graph::kInvalidNode.
+struct Move {
+  graph::NodeId close = graph::kInvalidNode;
+  graph::NodeId open = graph::kInvalidNode;
+};
+
+/// The move set around one design, as sorted vectors: rebuilt when the
+/// incumbent changes, read by every search policy.
+struct MoveSurface {
+  std::vector<graph::NodeId> relays;    ///< active non-terminals, ascending
+  std::vector<graph::NodeId> frontier;  ///< inactive neighbours of the
+                                        ///< design, ascending
+  /// Relay k's inactive neighbours, ascending, are
+  /// swaps[swap_begin[k] .. swap_begin[k + 1]).
+  std::vector<std::size_t> swap_begin;
+  std::vector<graph::NodeId> swaps;
+  std::vector<char> in_design;  ///< membership mask over node ids
+
+  void rebuild(const graph::Graph& g, std::span<const graph::NodeId> nodes,
+               std::span<const graph::NodeId> terminals);
+
+  std::span<const graph::NodeId> swaps_of(std::size_t k) const {
+    return std::span<const graph::NodeId>(swaps).subspan(
+        swap_begin[k], swap_begin[k + 1] - swap_begin[k]);
+  }
+};
+
+/// Calls fn(Move) for every move of `s` in the canonical order: removals
+/// by relay id, insertions by frontier id, then exchanges by (relay,
+/// neighbour) id. With `region` non-null, only moves whose removed relay,
+/// inserted node or exchanged relay lies in the region are enumerated (an
+/// exchange may open a node outside it).
+template <class Fn>
+void for_each_move(const MoveSurface& s, const std::vector<char>* region,
+                   Fn&& fn) {
+  const auto in_region = [&](graph::NodeId v) {
+    return !region || (*region)[v] != 0;
+  };
+  for (graph::NodeId v : s.relays)
+    if (in_region(v)) fn(Move{v, graph::kInvalidNode});
+  for (graph::NodeId u : s.frontier)
+    if (in_region(u)) fn(Move{graph::kInvalidNode, u});
+  for (std::size_t k = 0; k < s.relays.size(); ++k) {
+    if (!in_region(s.relays[k])) continue;
+    for (graph::NodeId u : s.swaps_of(k)) fn(Move{s.relays[k], u});
+  }
+}
+
+class MoveEvaluator {
+ public:
+  /// A scored candidate and the routes behind it. Reusing one across
+  /// score() calls keeps its buffers' capacity.
+  struct Scored {
+    CandidateDesign design;
+    std::vector<analytical::RoutedDemand> routes;
+  };
+
+  /// `incumbent` must be feasible. `routes`, when non-null, must be what
+  /// routing incumbent.nodes produces — e.g. the RouteCache of the
+  /// evaluation that returned `incumbent`, which routed a superset —
+  /// otherwise they are routed here.
+  MoveEvaluator(const core::NetworkDesignProblem& problem,
+                const DesignObjective& objective,
+                const CandidateDesign& incumbent,
+                const std::vector<analytical::RoutedDemand>* routes = nullptr);
+  /// Publishes opt.move.reused_routes and the evaluator's own searches.
+  ~MoveEvaluator();
+  MoveEvaluator(const MoveEvaluator&) = delete;
+  MoveEvaluator& operator=(const MoveEvaluator&) = delete;
+
+  const CandidateDesign& incumbent() const { return incumbent_; }
+  const std::vector<analytical::RoutedDemand>& routes() const {
+    return routes_;
+  }
+  const MoveSurface& surface() const { return surface_; }
+
+  /// Score the incumbent changed by `move` into `out`: a move drawn from
+  /// surface(), or any relay to close and inactive node to open.
+  void score(Move move, Scored& out);
+
+  /// One steepest-descent pass: score every move of surface() (only
+  /// those for_each_move admits with `region`), adding one to
+  /// `evaluations` per move, and leave the first cheapest feasible
+  /// candidate in `best`. Returns false when no move is feasible.
+  bool best_move(const std::vector<char>* region, Scored& best,
+                 std::size_t& evaluations);
+
+  /// Make `s` — a feasible candidate this evaluator scored since the last
+  /// adopt — the incumbent, taking its buffers, and rebuild the surface.
+  void adopt(Scored& s);
+
+ private:
+  void set_bounds();  ///< bound_ from routes_
+  void screen_from(graph::NodeId u);
+
+  const core::NetworkDesignProblem& problem_;
+  const graph::Graph& g_;
+  DesignObjective objective_;
+  std::vector<graph::NodeId> terminals_;
+  /// False on graphs with zero-weight edges (or an unroutable incumbent):
+  /// then every demand is rerouted.
+  bool reuse_ = true;
+
+  CandidateDesign incumbent_;
+  std::vector<analytical::RoutedDemand> routes_;
+  std::vector<double> bound_;  ///< D_i · (1 + kScreenMargin)
+  MoveSurface surface_;
+
+  /// Full-graph distance rows, one per terminal: rows_[k · N + x].
+  std::vector<double> rows_;
+  std::vector<std::size_t> src_row_, dst_row_;  ///< per demand
+
+  // Per-move scratch.
+  Scored cand_;  ///< best_move's candidate buffer
+  graph::SpWorkspace ws_;
+  analytical::Eq5Scratch eq5_;
+  std::vector<const std::vector<graph::NodeId>*> keep_;
+  std::vector<std::size_t> pending_;
+  std::vector<double> from_u_;  ///< screen-search distances, +inf = far
+  std::vector<graph::NodeId> from_u_settled_;
+  std::vector<char> needed_;  ///< pending endpoints not yet settled
+
+  std::uint64_t reused_routes_ = 0;
+  std::uint64_t searches_ = 0;
+  std::uint64_t settled_ = 0;
+};
+
+}  // namespace eend::opt

@@ -1,10 +1,10 @@
 #include "opt/warm_start.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "graph/shortest_path.hpp"
 #include "obs/counters.hpp"
+#include "opt/move_evaluator.hpp"
 #include "opt/portfolio.hpp"
 #include "presolve/presolve.hpp"
 #include "util/check.hpp"
@@ -12,22 +12,6 @@
 namespace eend::opt {
 
 namespace {
-
-std::vector<char> membership(std::size_t n,
-                             const std::vector<graph::NodeId>& nodes) {
-  std::vector<char> in(n, 0);
-  for (graph::NodeId v : nodes) in[v] = 1;
-  return in;
-}
-
-std::vector<graph::NodeId> without(const std::vector<graph::NodeId>& nodes,
-                                   graph::NodeId drop) {
-  std::vector<graph::NodeId> out;
-  out.reserve(nodes.size() - 1);
-  for (graph::NodeId v : nodes)
-    if (v != drop) out.push_back(v);
-  return out;
-}
 
 /// Repair-region mask: the touched nodes plus two rings of graph
 /// neighbors — wide enough that an insertion can bridge around a failed or
@@ -67,31 +51,29 @@ WarmStartResult warm_start_search(
   WarmStartResult out;
   const graph::Graph& g = problem.graph();
   const auto terminals = problem.terminals();  // sorted
-  const auto is_terminal = [&](graph::NodeId v) {
-    return std::binary_search(terminals.begin(), terminals.end(), v);
-  };
 
   RouteCache cur_cache;
   const auto eval = [&](const std::vector<graph::NodeId>& cand,
-                        const RouteCache* reuse, RouteCache* fill) {
+                        const RouteCache* reuse, RouteCache* fill,
+                        std::size_t* failed = nullptr) {
     ++out.evaluations;
-    return evaluate_design(problem, cand, options.objective, reuse, fill);
+    return evaluate_design(problem, cand, options.objective, reuse, fill,
+                           failed);
   };
 
   // ---- stage 1: feasibility. Previous active set + current terminals;
   // every unroutable demand absorbs its full-graph shortest path (adding
   // nodes never hurts another demand, so one round per failing demand
   // suffices and the loop is bounded by the demand count).
-  std::set<graph::NodeId> seed_set(previous.nodes.begin(),
-                                   previous.nodes.end());
-  seed_set.insert(terminals.begin(), terminals.end());
-  std::vector<graph::NodeId> nodes(seed_set.begin(), seed_set.end());
+  std::vector<graph::NodeId> nodes = previous.nodes;
+  nodes.insert(nodes.end(), terminals.begin(), terminals.end());
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
 
-  CandidateDesign cur = eval(nodes, previous_routes, &cur_cache);
+  std::size_t failed = 0;
+  CandidateDesign cur = eval(nodes, previous_routes, &cur_cache, &failed);
   for (std::size_t round = 0;
        !cur.feasible && round < problem.demands().size() + 1; ++round) {
-    std::size_t failed = 0;
-    if (problem.try_route_in_subgraph(nodes, &failed)) break;
     const graph::Demand& d = problem.demands()[failed];
     const auto spt = graph::dijkstra(g, d.source);
     const auto path = spt.path_to(d.destination);
@@ -99,73 +81,34 @@ WarmStartResult warm_start_search(
                      "warm start on an unroutable instance: demand "
                          << d.source << "->" << d.destination
                          << " has no path even on the full graph");
-    std::set<graph::NodeId> widened(nodes.begin(), nodes.end());
-    widened.insert(path.begin(), path.end());
-    nodes.assign(widened.begin(), widened.end());
-    cur = eval(nodes, nullptr, &cur_cache);
+    nodes.insert(nodes.end(), path.begin(), path.end());
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    cur = eval(nodes, nullptr, &cur_cache, &failed);
   }
 
   // ---- stage 2: localized steepest descent around the perturbation.
-  // Same move set as opt/local_search.hpp, but removal / insertion probes
-  // only fire inside the repair region, and every candidate evaluation
-  // goes through the RouteCache fast path against the incumbent's routes.
+  // Same move set and order as opt/local_search.hpp, but removals,
+  // insertions and exchanged relays must lie inside the repair region.
+  // The move evaluator starts from stage 1's routes and keeps each
+  // winner's routes, so the final evaluation below reuses every path.
   if (cur.feasible && !touched_nodes.empty()) {
     const std::vector<char> region = repair_region(g, touched_nodes);
     obs::observe("opt.warm.repair_region_size",
                  static_cast<std::uint64_t>(
                      std::count(region.begin(), region.end(), char{1})));
+    MoveEvaluator ev(problem, options.objective, cur, &cur_cache.routes);
+    MoveEvaluator::Scored best;
     for (std::size_t pass = 0; pass < options.max_repair_passes; ++pass) {
-      const std::vector<char> in_cur = membership(g.node_count(), cur.nodes);
-      CandidateDesign best;
-      std::vector<graph::NodeId> best_allowed;
-      const auto consider = [&](std::vector<graph::NodeId> cand) {
-        CandidateDesign c = eval(cand, &cur_cache, nullptr);
-        if (!c.feasible) return;
-        if (!best.feasible || c.cost() < best.cost()) {
-          best = std::move(c);
-          best_allowed = std::move(cand);
-        }
-      };
-
-      for (graph::NodeId v : cur.nodes) {
-        if (!region[v] || is_terminal(v)) continue;
-        consider(without(cur.nodes, v));
-      }
-
-      std::set<graph::NodeId> frontier;
-      for (graph::NodeId v : cur.nodes)
-        for (const auto& [u, e] : g.neighbors(v)) {
-          (void)e;
-          if (!in_cur[u] && region[u]) frontier.insert(u);
-        }
-      for (graph::NodeId u : frontier) {
-        std::vector<graph::NodeId> cand = cur.nodes;
-        cand.push_back(u);
-        consider(std::move(cand));
-      }
-
-      for (graph::NodeId v : cur.nodes) {
-        if (!region[v] || is_terminal(v)) continue;
-        std::set<graph::NodeId> swaps;
-        for (const auto& [u, e] : g.neighbors(v)) {
-          (void)e;
-          if (!in_cur[u]) swaps.insert(u);
-        }
-        for (graph::NodeId u : swaps) {
-          std::vector<graph::NodeId> cand = without(cur.nodes, v);
-          cand.push_back(u);
-          consider(std::move(cand));
-        }
-      }
-
-      if (!best.feasible || !(best.cost() < cur.cost())) break;
-      // Re-evaluate the winner with a cache fill so the next pass (and the
-      // final route diff) reuse its routes — one extra evaluation per
-      // accepted move, all of it cache-accelerated.
-      RouteCache next_cache;
-      cur = eval(best_allowed, &cur_cache, &next_cache);
-      cur_cache = std::move(next_cache);
+      if (!ev.best_move(&region, best, out.evaluations) ||
+          !(best.design.cost() < ev.incumbent().cost()))
+        break;
+      ++out.evaluations;  // adopting the winner counts as one evaluation
+      ev.adopt(best);
     }
+    cur = ev.incumbent();
+    cur_cache.nodes = cur.nodes;
+    cur_cache.routes = ev.routes();
   }
 
   // ---- stage 3: quality gate. Reference = Klein-Ravi on the perturbed

@@ -10,9 +10,10 @@
 //   2. *Localized descent*: the removal / insertion / exchange moves of
 //      opt/local_search.hpp, but restricted to a repair region grown from
 //      the perturbation's touched nodes (two neighbor rings) — the move
-//      budget scales with the perturbation, not the instance. Removal
-//      candidates re-evaluate through the RouteCache fast path, so demands
-//      whose route avoids the probed node skip Dijkstra entirely.
+//      budget scales with the perturbation, not the instance. Moves are
+//      scored by the MoveEvaluator (opt/move_evaluator.hpp), seeded with
+//      stage 1's routes: a demand whose route avoids a closed relay, and
+//      that an opened node cannot shorten, keeps its path without Dijkstra.
 //   3. *Fallback*: the repaired design is referenced against a fresh
 //      Klein-Ravi construction (the always-available one-shot baseline).
 //      If its cost exceeds (1 + fallback_pct/100) x the reference — repair
@@ -50,7 +51,9 @@ struct WarmStartResult {
   CandidateDesign design;
   bool fell_back = false;          ///< the full portfolio ran
   std::size_t rerouted_demands = 0;///< routes differing from previous_routes
-  std::size_t evaluations = 0;     ///< evaluate_design calls spent
+  /// Designs scored: stage-1 and final evaluations, every stage-2 move,
+  /// and one per adopted stage-2 winner.
+  std::size_t evaluations = 0;
 };
 
 /// Repair `previous` (the prior epoch's design; callers must already have

@@ -2,9 +2,15 @@
 // (Eqs. 13-15, characteristic hop count / Fig. 7 claims).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <set>
+
 #include "analytical/design_eval.hpp"
 #include "analytical/route_energy.hpp"
 #include "analytical/steiner_cases.hpp"
+#include "graph/shortest_path.hpp"
+#include "util/rng.hpp"
 
 namespace eend::analytical {
 namespace {
@@ -173,6 +179,104 @@ TEST(DesignEval, SharedEdgeAccumulatesPackets) {
   // Both edges carry 5 packets at weight 2.
   EXPECT_NEAR(ev.data, 2.0 * 5.0 * 2.0, 1e-12);
   EXPECT_NEAR(ev.idle, 1.0, 1e-12);
+}
+
+/// The ordered-container Eq. 5 evaluator evaluate_eq5 replaced, kept as
+/// the oracle: std::set for F and the endpoints, std::map for per-edge
+/// packet totals.
+Eq5Breakdown ordered_reference_eq5(const graph::Graph& g,
+                                   const std::vector<RoutedDemand>& routes,
+                                   const Eq5Params& params) {
+  Eq5Breakdown out;
+  std::set<graph::NodeId> active;
+  std::set<graph::NodeId> endpoints;
+  std::map<std::pair<graph::NodeId, graph::NodeId>, double> edge_packets;
+  for (const RoutedDemand& r : routes) {
+    endpoints.insert(r.demand.source);
+    endpoints.insert(r.demand.destination);
+    for (std::size_t i = 0; i < r.path.size(); ++i) {
+      active.insert(r.path[i]);
+      if (i + 1 < r.path.size()) {
+        const auto key = std::minmax(r.path[i], r.path[i + 1]);
+        edge_packets[std::pair{key.first, key.second}] += r.packets;
+      }
+    }
+  }
+  out.active_nodes = active.size();
+  for (graph::NodeId v : active) {
+    const bool endpoint = endpoints.count(v) > 0;
+    if (!endpoint) ++out.relay_nodes;
+    if (endpoint && !params.include_endpoint_idle) continue;
+    out.idle += params.t_idle * g.node_weight(v);
+  }
+  for (const auto& [uv, pkts] : edge_packets)
+    out.data += params.t_data_per_packet * pkts *
+                g.edge_weight_between(uv.first, uv.second);
+  return out;
+}
+
+TEST(EvaluateEq5, FlatAccumulationMatchesOrderedReferenceBitwise) {
+  Rng rng(90210);
+  Eq5Scratch scratch;  // reused across trials: no state may leak
+  std::size_t shared_edges = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // A connected random graph: a random spanning chain plus chords, with
+    // non-round weights so summation order shows in the low bits.
+    const std::size_t n = 3 + rng.next_below(40);
+    graph::Graph g(n);
+    for (graph::NodeId v = 0; v < n; ++v)
+      g.set_node_weight(v, rng.uniform(0.1, 3.0));
+    for (graph::NodeId v = 1; v < n; ++v)
+      g.add_edge(static_cast<graph::NodeId>(rng.next_below(v)), v,
+                 rng.uniform(0.1, 4.0));
+    for (std::size_t c = rng.next_below(2 * n); c > 0; --c) {
+      const auto a = static_cast<graph::NodeId>(rng.next_below(n));
+      const auto b = static_cast<graph::NodeId>(rng.next_below(n));
+      if (a != b) g.add_edge(a, b, rng.uniform(0.1, 4.0));
+    }
+    // Shortest-path routes from a few hubs, so demands share edges, with
+    // unequal packet counts; some demands start and end at one node.
+    std::vector<RoutedDemand> routes;
+    const std::size_t k = 1 + rng.next_below(12);
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto s = static_cast<graph::NodeId>(rng.next_below(3));
+      const auto t = rng.bernoulli(0.1)
+                         ? s
+                         : static_cast<graph::NodeId>(rng.next_below(n));
+      RoutedDemand r;
+      r.demand = {s, t, 1.0};
+      r.path = graph::dijkstra(g, s).path_to(t);
+      r.packets = rng.uniform(0.1, 7.0);
+      if (rng.bernoulli(0.5)) {  // either direction of the same edges
+        std::swap(r.demand.source, r.demand.destination);
+        std::reverse(r.path.begin(), r.path.end());
+      }
+      routes.push_back(std::move(r));
+    }
+    std::set<std::pair<graph::NodeId, graph::NodeId>> seen;
+    for (const RoutedDemand& r : routes)
+      for (std::size_t i = 0; i + 1 < r.path.size(); ++i)
+        if (!seen.insert(std::minmax(r.path[i], r.path[i + 1])).second)
+          ++shared_edges;
+
+    Eq5Params p;
+    p.t_idle = rng.uniform(0.5, 2.0);
+    p.t_data_per_packet = rng.uniform(0.5, 2.0);
+    p.include_endpoint_idle = rng.bernoulli(0.5);
+    const Eq5Breakdown want = ordered_reference_eq5(g, routes, p);
+    for (const Eq5Breakdown& got :
+         {evaluate_eq5(g, routes, p), evaluate_eq5(g, routes, p, scratch)}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.idle),
+                std::bit_cast<std::uint64_t>(want.idle))
+          << "trial " << trial;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.data),
+                std::bit_cast<std::uint64_t>(want.data))
+          << "trial " << trial;
+      EXPECT_EQ(got.active_nodes, want.active_nodes) << "trial " << trial;
+      EXPECT_EQ(got.relay_nodes, want.relay_nodes) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(shared_edges, 1000u);  // the order-sensitive case is common
 }
 
 }  // namespace
