@@ -4,8 +4,9 @@
 #   ./scripts/ci.sh           # release: build (-Werror), ctest (incl. the
 #                             # eend_lint tree gate), lint JSON report,
 #                             # bench smokes, jobs determinism checks
-#   ./scripts/ci.sh asan      # ASan+UBSan Debug: build, full ctest,
-#                             # --jobs=8 eend_run smoke under the sanitizer
+#   ./scripts/ci.sh asan      # ASan+UBSan Debug with libstdc++ assertions:
+#                             # build, full ctest, --jobs=8 eend_run smoke
+#                             # under the sanitizer
 #   ./scripts/ci.sh tsan      # TSan Debug: same, exercising ParallelRunner
 #   ./scripts/ci.sh all       # all three in sequence
 set -euo pipefail
@@ -149,10 +150,11 @@ cmp /tmp/eend_dc_j1.counters.jsonl /tmp/eend_dc_j8.counters.jsonl
 echo "OK: churn kind byte-identical for jobs=1 and jobs=8 (incl. --counters)"
 # The counter catalog must cover all four layers: sim core, design
 # search (route cache and the move evaluator's kept paths), the graph
-# kernels (Klein-Ravi's spider search and its bound) and the churn engine.
+# kernels (Klein-Ravi's spider search, its bound and its centre screen)
+# and the churn engine.
 for name in sim.events_fired opt.cache.route_hits opt.move.reused_routes \
     graph.klein_ravi.spider_searches graph.klein_ravi.pruned_searches \
-    churn.events_applied; do
+    graph.klein_ravi.screen_settled churn.events_applied; do
   grep -q "\"counter\":\"$name\"" /tmp/eend_dc_j1.counters.jsonl
 done
 test -s /tmp/eend_dc_j1.trace.json

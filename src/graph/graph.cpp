@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace eend::graph {
 
@@ -33,6 +34,8 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
 
 double Graph::edge_weight_between(NodeId u, NodeId v) const {
   EEND_REQUIRE(valid_node(u) && valid_node(v));
+  // Every parallel u-v edge is in both lists: scan the shorter one.
+  if (adjacency_[v].size() < adjacency_[u].size()) std::swap(u, v);
   double best = kInfCost;
   for (const auto& a : adjacency_[u])
     if (a.neighbor == v) best = std::min(best, edges_[a.edge].weight);

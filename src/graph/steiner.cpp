@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <queue>
 #include <set>
@@ -15,6 +16,27 @@
 namespace eend::graph {
 
 namespace {
+
+using Item = std::pair<double, NodeId>;
+
+/// Relative slack of Klein-Ravi's centre screen. For k components on n
+/// nodes, a centre's screened ratio r(v) and the ratio its spider search
+/// computes are both within (k + 1)(n + 2)·u of the real ratio (u = 2^-53):
+/// a leg sums at most n entry costs; the screened leg also subtracts
+/// step[v] from a row entry that includes it, an absolute error of at most
+/// n·u·(leg + step[v]) that a numerator holding step[v] once absorbs as
+/// n·u of itself per leg; and the numerator and quotient add k + 2 more
+/// roundings. So the winner's r(v) is within ~4(k + 1)(n + 2)·u of the
+/// round's smallest r(v), and the screen runs only where that is at most
+/// half the slack.
+constexpr double kCentreScreenSlack = 1e-9;
+
+bool centre_screen_exact(std::size_t components, std::size_t n) {
+  const double u = std::numeric_limits<double>::epsilon() / 2.0;
+  return 8.0 * (static_cast<double>(components) + 1.0) *
+             (static_cast<double>(n) + 2.0) * u <=
+         kCentreScreenSlack;
+}
 
 bool is_terminal(std::span<const NodeId> terminals, NodeId v) {
   return std::find(terminals.begin(), terminals.end(), v) != terminals.end();
@@ -250,14 +272,80 @@ SteinerTree klein_ravi_steiner(const Graph& g,
     return d + step[a.neighbor];
   };
 
-  using Item = std::pair<double, NodeId>;
+  // The centre screen. Row j holds L_j[v], the distance from component j
+  // to v under `relax` (all of j sits at 0: its nodes cost 0 and are
+  // connected). Reversing a path moves the charge from its far end onto
+  // v, so v's leg to j is L_j[v] - step[v], and sorting v's legs gives
+  // its spider ratio r(v) up to rounding. Each round searches only the
+  // centres within kCentreScreenSlack of the smallest r(v); the winner is
+  // among them, and they run in id order with the same float values, so
+  // the lexicographic minimum of (ratio, centre, degree) is unchanged.
+  // After a merge only entry costs drop: the merged component's row starts
+  // as the minimum of its parts' rows, and every row takes just the
+  // decreases from the newly selected nodes. Float addition is monotone,
+  // so that is exactly the row a full search would give (the least float
+  // path sum).
+  const bool screened = prunable && centre_screen_exact(next_comp, n);
+  std::vector<double> rows(screened ? next_comp * n : 0, kInfCost);
+  std::vector<char> alive(next_comp, 1);
+  std::vector<NodeId> fresh;           // nodes the last merge selected
+  std::vector<double> ratio(n), legs_of;
+  std::vector<Item> row_heap;
+  std::uint64_t screen_settled = 0;
+  // Decrease-only Dijkstra on `row` from the entries already in row_heap.
+  const auto settle_row = [&](double* row) {
+    while (!row_heap.empty()) {
+      std::pop_heap(row_heap.begin(), row_heap.end(), std::greater<>{});
+      const auto [d, u] = row_heap.back();
+      row_heap.pop_back();
+      if (d > row[u]) continue;
+      ++screen_settled;
+      for (const Adjacency& a : g.neighbors(u)) {
+        const double nd = relax(d, a);
+        if (!(nd < row[a.neighbor])) continue;
+        row[a.neighbor] = nd;
+        row_heap.emplace_back(nd, a.neighbor);
+        std::push_heap(row_heap.begin(), row_heap.end(), std::greater<>{});
+      }
+    }
+  };
+  if (screened && active_components > 1)
+    for (NodeId t : terminals) {
+      double* row = rows.data() + comp[t] * n;
+      if (row[t] == 0.0) continue;  // a repeated terminal
+      row[t] = 0.0;
+      row_heap.assign(1, {0.0, t});
+      settle_row(row);
+    }
+
   while (active_components > 1) {
     double best_ratio = kInfCost;
     NodeId best_center = kInvalidNode;
     std::size_t best_deg = 0;
 
+    double rmin = kInfCost;
+    if (screened) {
+      for (NodeId v = 0; v < n; ++v) {
+        legs_of.clear();
+        for (NodeId j = 0; j < next_comp; ++j)
+          if (alive[j]) legs_of.push_back(rows[j * n + v] - step[v]);
+        std::sort(legs_of.begin(), legs_of.end());
+        double acc = step[v], r = kInfCost;
+        for (std::size_t m = 1; m <= legs_of.size(); ++m) {
+          acc += legs_of[m - 1];
+          if (m >= 2) r = std::min(r, acc / static_cast<double>(m));
+        }
+        ratio[v] = r;
+        rmin = std::min(rmin, r);
+      }
+    }
+
     for (NodeId center = 0; center < n; ++center) {
       ++searches;
+      if (screened && ratio[center] > rmin * (1.0 + kCentreScreenSlack)) {
+        ++pruned;  // screened out: cannot be the round's winner
+        continue;
+      }
       std::fill(reached.begin(), reached.end(), 0);
       std::size_t unsettled = labelled, m = 0;
       double acc = step[center];
@@ -307,7 +395,9 @@ SteinerTree klein_ravi_steiner(const Graph& g,
 
     // Apply the spider: select center and all path nodes; merge components.
     const NodeId merged = comp[best_targets[0]];
+    fresh.clear();
     auto select_node = [&](NodeId v) {
+      if (!selected[v]) fresh.push_back(v);
       selected[v] = true;
       step[v] = 0.0;
       if (comp[v] == kInvalidNode) {
@@ -328,10 +418,39 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       if (comp[v] != kInvalidNode && merged_comps.count(comp[v]))
         comp[v] = merged;
     active_components -= merged_comps.size() - 1;
+
+    // Rows: merge the merged components' rows into one, then lower every
+    // row through the nodes that now cost 0.
+    if (!screened || active_components <= 1) continue;
+    double* merged_row = rows.data() + merged * n;
+    for (NodeId j : merged_comps) {
+      if (j == merged) continue;
+      alive[j] = 0;
+      const double* part = rows.data() + j * n;
+      for (NodeId v = 0; v < n; ++v)
+        merged_row[v] = std::min(merged_row[v], part[v]);
+    }
+    for (NodeId j = 0; j < next_comp; ++j) {
+      if (!alive[j]) continue;
+      double* row = rows.data() + j * n;
+      row_heap.clear();
+      for (NodeId w : fresh) {
+        double best = row[w];
+        for (const Adjacency& a : g.neighbors(w))
+          best = std::min(best, row[a.neighbor] + step[w]);
+        if (best < row[w]) {
+          row[w] = best;
+          row_heap.emplace_back(best, w);
+        }
+      }
+      std::make_heap(row_heap.begin(), row_heap.end(), std::greater<>{});
+      settle_row(row);
+    }
   }
   obs::count("graph.klein_ravi.spider_searches", searches);
   obs::count("graph.klein_ravi.pruned_searches", pruned);
   obs::count("graph.klein_ravi.settled_nodes", ws.settled);
+  obs::count("graph.klein_ravi.screen_settled", screen_settled);
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
   // spanning structure works; MST keeps edge cost tidy) from the lowest

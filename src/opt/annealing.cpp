@@ -13,10 +13,11 @@ CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
                                     const CandidateDesign& start,
                                     const DesignObjective& objective,
                                     const AnnealingSchedule& schedule,
-                                    std::uint64_t seed) {
+                                    std::uint64_t seed,
+                                    const TerminalRows* rows) {
   EEND_REQUIRE_MSG(start.feasible, "annealing needs a feasible seed");
   Rng rng = Rng(seed).fork(0xA44E);
-  MoveEvaluator ev(problem, objective, start);
+  MoveEvaluator ev(problem, objective, start, nullptr, rows);
   MoveEvaluator::Scored cand;
   CandidateDesign best = start;
   const double t0 = schedule.initial_temp_frac * start.cost();

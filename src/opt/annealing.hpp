@@ -22,6 +22,8 @@
 
 namespace eend::opt {
 
+struct TerminalRows;
+
 struct AnnealingSchedule {
   std::size_t iterations = 300;
   double initial_temp_frac = 0.02;  ///< T0 = frac · cost(seed design)
@@ -29,10 +31,12 @@ struct AnnealingSchedule {
 };
 
 /// The objective implicitly converts from bare Eq5Params (plain scoring).
+/// `rows` as for local_search.
 CandidateDesign simulated_annealing(const core::NetworkDesignProblem& problem,
                                     const CandidateDesign& start,
                                     const DesignObjective& objective,
                                     const AnnealingSchedule& schedule,
-                                    std::uint64_t seed);
+                                    std::uint64_t seed,
+                                    const TerminalRows* rows = nullptr);
 
 }  // namespace eend::opt

@@ -9,9 +9,10 @@ CandidateDesign local_search(const core::NetworkDesignProblem& problem,
                              const CandidateDesign& start,
                              const DesignObjective& objective,
                              std::size_t max_passes,
-                             LocalSearchStats* stats) {
+                             LocalSearchStats* stats,
+                             const TerminalRows* rows) {
   EEND_REQUIRE_MSG(start.feasible, "local search needs a feasible seed");
-  MoveEvaluator ev(problem, objective, start);
+  MoveEvaluator ev(problem, objective, start, nullptr, rows);
   MoveEvaluator::Scored best;
   LocalSearchStats local;
   for (std::size_t pass = 0; pass < max_passes; ++pass) {

@@ -27,6 +27,8 @@
 
 namespace eend::opt {
 
+struct TerminalRows;
+
 struct LocalSearchStats {
   std::size_t passes = 0;       ///< improvement rounds applied
   std::size_t evaluations = 0;  ///< candidate designs scored
@@ -38,10 +40,13 @@ struct LocalSearchStats {
 /// change (those crossing a closed relay, or that an opened node could
 /// shorten) — most insertion candidates reroute none.
 /// The objective implicitly converts from bare Eq5Params (plain scoring).
+/// `rows`, when non-null, are `problem`'s TerminalRows (a portfolio's
+/// shared ones); otherwise the evaluator computes its own.
 CandidateDesign local_search(const core::NetworkDesignProblem& problem,
                              const CandidateDesign& start,
                              const DesignObjective& objective,
                              std::size_t max_passes = 64,
-                             LocalSearchStats* stats = nullptr);
+                             LocalSearchStats* stats = nullptr,
+                             const TerminalRows* rows = nullptr);
 
 }  // namespace eend::opt

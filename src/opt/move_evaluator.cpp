@@ -40,10 +40,43 @@ void MoveSurface::rebuild(const graph::Graph& g,
   }
 }
 
+TerminalRows::TerminalRows(const core::NetworkDesignProblem& problem) {
+  const graph::Graph& g = problem.graph();
+  const std::vector<graph::NodeId> terminals = problem.terminals();
+  if (std::any_of(g.edges().begin(), g.edges().end(),
+                  [](const graph::Edge& e) { return e.weight == 0.0; }))
+    return;
+  const std::size_t n = g.node_count();
+  graph::SpWorkspace ws(n);
+  dist.resize(terminals.size() * n);
+  for (std::size_t k = 0; k < terminals.size(); ++k) {
+    ws.run(
+        g, terminals[k],
+        [&](double d, const graph::Adjacency& a) {
+          return d + g.edge(a.edge).weight;
+        },
+        [](double, graph::NodeId) { return true; });
+    std::copy(ws.tree.distance.begin(), ws.tree.distance.end(),
+              dist.begin() + static_cast<std::ptrdiff_t>(k * n));
+  }
+  const auto row_of = [&](graph::NodeId v) {
+    return static_cast<std::size_t>(
+        std::lower_bound(terminals.begin(), terminals.end(), v) -
+        terminals.begin());
+  };
+  for (const graph::Demand& d : problem.demands()) {
+    src_row.push_back(row_of(d.source) * n);
+    dst_row.push_back(row_of(d.destination) * n);
+  }
+  obs::count("opt.route.searches", terminals.size());
+  obs::count("opt.route.settled_nodes", ws.settled);
+}
+
 MoveEvaluator::MoveEvaluator(
     const core::NetworkDesignProblem& problem,
     const DesignObjective& objective, const CandidateDesign& incumbent,
-    const std::vector<analytical::RoutedDemand>* routes)
+    const std::vector<analytical::RoutedDemand>* routes,
+    const TerminalRows* rows)
     : problem_(problem),
       g_(problem.graph()),
       objective_(objective),
@@ -54,7 +87,6 @@ MoveEvaluator::MoveEvaluator(
       needed_(problem.graph().node_count(), 0) {
   EEND_REQUIRE_MSG(incumbent.feasible,
                    "the move evaluator needs a feasible incumbent");
-  const std::size_t n = g_.node_count();
   const auto& demands = problem_.demands();
   surface_.rebuild(g_, incumbent_.nodes, terminals_);
   keep_.assign(demands.size(), nullptr);
@@ -63,37 +95,10 @@ MoveEvaluator::MoveEvaluator(
     routes_ = *routes;
   else if (!problem_.route_demands(surface_.in_design, {}, ws_, routes_))
     routes_.clear();  // a hand-built incumbent: nothing to reuse
-  reuse_ = !routes_.empty() &&
-           std::none_of(g_.edges().begin(), g_.edges().end(),
-                        [](const graph::Edge& e) { return e.weight == 0.0; });
-  if (!reuse_) return;
-  set_bounds();
-
-  // Full-graph distance rows from every terminal: the screen's lower bound
-  // on any walk through an opened node.
-  rows_.resize(terminals_.size() * n);
-  for (std::size_t k = 0; k < terminals_.size(); ++k) {
-    const std::uint64_t before = ws_.settled;
-    ws_.run(
-        g_, terminals_[k],
-        [&](double d, const graph::Adjacency& a) {
-          return d + g_.edge(a.edge).weight;
-        },
-        [](double, graph::NodeId) { return true; });
-    ++searches_;
-    settled_ += ws_.settled - before;
-    std::copy(ws_.tree.distance.begin(), ws_.tree.distance.end(),
-              rows_.begin() + static_cast<std::ptrdiff_t>(k * n));
-  }
-  const auto row_of = [&](graph::NodeId v) {
-    return static_cast<std::size_t>(
-        std::lower_bound(terminals_.begin(), terminals_.end(), v) -
-        terminals_.begin());
-  };
-  for (const graph::Demand& d : demands) {
-    src_row_.push_back(row_of(d.source) * n);
-    dst_row_.push_back(row_of(d.destination) * n);
-  }
+  if (routes_.empty()) return;
+  rows_ = rows ? rows : &own_rows_.emplace(problem_);
+  reuse_ = !rows_->dist.empty();
+  if (reuse_) set_bounds();
 }
 
 MoveEvaluator::~MoveEvaluator() {
@@ -167,7 +172,8 @@ void MoveEvaluator::score(Move move, Scored& out) {
       const std::vector<graph::NodeId>& path = routes_[i].path;
       if (closing && std::find(path.begin(), path.end(), v) != path.end())
         continue;  // crosses the closed relay: reroute
-      if (opening && !(rows_[src_row_[i] + u] + rows_[dst_row_[i] + u] >
+      if (opening && !(rows_->dist[rows_->src_row[i] + u] +
+                           rows_->dist[rows_->dst_row[i] + u] >
                        bound_[i])) {
         pending_.push_back(i);  // the global rows cannot clear it
         continue;

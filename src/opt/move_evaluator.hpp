@@ -13,8 +13,10 @@
 //   * insertion of u — demand i keeps its path when every s_i–t_i walk
 //                      through u is longer than D_i·(1 + kScreenMargin).
 //                      The first test uses full-graph distances
-//                      dG(s_i,u) + dG(u,t_i), from rows computed once per
-//                      evaluator (O(terminals · N) memory). Demands it
+//                      dG(s_i,u) + dG(u,t_i), from TerminalRows
+//                      (O(terminals · N) memory) that a portfolio or warm
+//                      start computes once for all its evaluators; a lone
+//                      evaluator computes its own. Demands it
 //                      cannot clear share one masked search from u inside
 //                      the candidate set, stopped once it settles past the
 //                      largest bound; a node it did not settle counts as
@@ -40,6 +42,7 @@
 // core/design_problem.hpp).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -51,6 +54,21 @@ namespace eend::opt {
 /// must be longer than D_i·(1 + kScreenMargin) for demand i to keep its
 /// incumbent path. Covers the rounding of a few dozen float additions.
 inline constexpr double kScreenMargin = 1e-9;
+
+/// Full-graph distance rows from every terminal of one problem: the
+/// insertion screen's lower bound on any walk through an opened node.
+/// They depend only on the instance, so design_portfolio and
+/// warm_start_search compute them once and every evaluator of the call
+/// reads them; an evaluator given none computes its own. Construction
+/// publishes its searches as opt.route.searches / settled_nodes.
+struct TerminalRows {
+  explicit TerminalRows(const core::NetworkDesignProblem& problem);
+
+  /// dist[k · N + x] = dG(terminal k, x). Empty on a graph with a
+  /// zero-weight edge, where evaluators reroute every demand.
+  std::vector<double> dist;
+  std::vector<std::size_t> src_row, dst_row;  ///< per demand: row offset
+};
 
 /// One design move. Removal sets `close` only, insertion `open` only,
 /// exchange both; an unused side is graph::kInvalidNode.
@@ -113,11 +131,14 @@ class MoveEvaluator {
   /// `incumbent` must be feasible. `routes`, when non-null, must be what
   /// routing incumbent.nodes produces — e.g. the RouteCache of the
   /// evaluation that returned `incumbent`, which routed a superset —
-  /// otherwise they are routed here.
+  /// otherwise they are routed here. `rows`, when non-null, must be
+  /// `problem`'s and outlive the evaluator; otherwise they are computed
+  /// here.
   MoveEvaluator(const core::NetworkDesignProblem& problem,
                 const DesignObjective& objective,
                 const CandidateDesign& incumbent,
-                const std::vector<analytical::RoutedDemand>* routes = nullptr);
+                const std::vector<analytical::RoutedDemand>* routes = nullptr,
+                const TerminalRows* rows = nullptr);
   /// Publishes opt.move.reused_routes and the evaluator's own searches.
   ~MoveEvaluator();
   MoveEvaluator(const MoveEvaluator&) = delete;
@@ -154,16 +175,15 @@ class MoveEvaluator {
   std::vector<graph::NodeId> terminals_;
   /// False on graphs with zero-weight edges (or an unroutable incumbent):
   /// then every demand is rerouted.
-  bool reuse_ = true;
+  bool reuse_ = false;
 
   CandidateDesign incumbent_;
   std::vector<analytical::RoutedDemand> routes_;
   std::vector<double> bound_;  ///< D_i · (1 + kScreenMargin)
   MoveSurface surface_;
 
-  /// Full-graph distance rows, one per terminal: rows_[k · N + x].
-  std::vector<double> rows_;
-  std::vector<std::size_t> src_row_, dst_row_;  ///< per demand
+  std::optional<TerminalRows> own_rows_;  ///< when none were passed in
+  const TerminalRows* rows_ = nullptr;
 
   // Per-move scratch.
   Scored cand_;  ///< best_move's candidate buffer

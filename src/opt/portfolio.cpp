@@ -1,9 +1,11 @@
 #include "opt/portfolio.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/parallel_runner.hpp"
 #include "opt/local_search.hpp"
+#include "opt/move_evaluator.hpp"
 #include "presolve/presolve.hpp"
 #include "util/rng.hpp"
 
@@ -65,7 +67,8 @@ graph::SteinerTree construct_seed(const core::NetworkDesignProblem& p,
 }
 
 PortfolioStart run_start(const core::NetworkDesignProblem& p,
-                         const PortfolioOptions& o, std::size_t start) {
+                         const PortfolioOptions& o, const TerminalRows& rows,
+                         std::size_t start) {
   PortfolioStart out;
   out.seed_kind = seed_kind_for(start);
   out.seeded = design_from_tree(p, construct_seed(p, o, start), o.objective);
@@ -76,8 +79,9 @@ PortfolioStart run_start(const core::NetworkDesignProblem& p,
   CandidateDesign cur = out.seeded;
   if (o.anneal.iterations > 0)
     cur = simulated_annealing(p, cur, o.objective, o.anneal,
-                              Rng(o.seed).fork(0x5A17).fork(start).seed());
-  out.improved = local_search(p, cur, o.objective);
+                              Rng(o.seed).fork(0x5A17).fork(start).seed(),
+                              &rows);
+  out.improved = local_search(p, cur, o.objective, 64, nullptr, &rows);
   return out;
 }
 
@@ -87,12 +91,18 @@ PortfolioResult design_portfolio(const core::NetworkDesignProblem& problem,
                                  const PortfolioOptions& options) {
   const std::size_t n = std::max<std::size_t>(1, options.starts);
 
+  // Every start's evaluators read one set of terminal rows.
+  std::optional<TerminalRows> own_rows;
+  const TerminalRows& rows = options.terminal_rows
+                                 ? *options.terminal_rows
+                                 : own_rows.emplace(problem);
+
   PortfolioResult result;
   result.starts.resize(n);
   core::ParallelRunner pool(options.jobs);
   pool.set_span_label("portfolio.start");
   pool.for_each_index(n, [&](std::size_t i) {
-    result.starts[i] = run_start(problem, options, i);
+    result.starts[i] = run_start(problem, options, rows, i);
   });
 
   // Seed-order merge: lowest cost wins, lowest start index breaks ties —

@@ -21,6 +21,8 @@
 
 namespace eend::opt {
 
+struct TerminalRows;
+
 struct PortfolioOptions {
   /// Scoring objective for seeds, anneal walks and descents alike — plain
   /// Eq. 5, or lifetime-penalized when battery_budget_j > 0.
@@ -37,6 +39,9 @@ struct PortfolioOptions {
   /// twins where that is provably bit-identical (see
   /// HeuristicOptions::presolve). Must outlive the call.
   const presolve::PresolveResult* presolve = nullptr;
+  /// Optional TerminalRows of `problem` (opt/move_evaluator.hpp); computed
+  /// once per call when null. Must outlive the call.
+  const TerminalRows* terminal_rows = nullptr;
 };
 
 struct PortfolioStart {

@@ -1,6 +1,7 @@
 #include "opt/warm_start.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "graph/shortest_path.hpp"
 #include "obs/counters.hpp"
@@ -52,6 +53,13 @@ WarmStartResult warm_start_search(
   const graph::Graph& g = problem.graph();
   const auto terminals = problem.terminals();  // sorted
 
+  // The terminal rows every evaluator of this call reads: stage 2's and
+  // the fallback portfolio's. Computed on first use.
+  std::optional<TerminalRows> rows;
+  const auto shared_rows = [&]() -> const TerminalRows& {
+    return rows ? *rows : rows.emplace(problem);
+  };
+
   RouteCache cur_cache;
   const auto eval = [&](const std::vector<graph::NodeId>& cand,
                         const RouteCache* reuse, RouteCache* fill,
@@ -97,7 +105,8 @@ WarmStartResult warm_start_search(
     obs::observe("opt.warm.repair_region_size",
                  static_cast<std::uint64_t>(
                      std::count(region.begin(), region.end(), char{1})));
-    MoveEvaluator ev(problem, options.objective, cur, &cur_cache.routes);
+    MoveEvaluator ev(problem, options.objective, cur, &cur_cache.routes,
+                     &shared_rows());
     MoveEvaluator::Scored best;
     for (std::size_t pass = 0; pass < options.max_repair_passes; ++pass) {
       if (!ev.best_move(&region, best, out.evaluations) ||
@@ -134,6 +143,7 @@ WarmStartResult warm_start_search(
     po.seed = seed;
     po.klein_ravi_tree = &kr_tree;
     po.presolve = options.presolve;
+    po.terminal_rows = &shared_rows();
     const PortfolioResult pr = design_portfolio(problem, po);
     if (!cur.feasible || pr.best.cost() < cur.cost()) cur = pr.best;
     out.fell_back = true;

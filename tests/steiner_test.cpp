@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <queue>
@@ -589,6 +590,81 @@ TEST(KleinRavi, BoundPruningMatchesReferenceOnDesignInstances) {
         << "trial " << trial;
     EXPECT_GT(snap.counters["graph.klein_ravi.pruned_searches"], 0u)
         << "trial " << trial;
+  }
+}
+
+TEST(KleinRavi, ScreenMatchesReferenceBitIdentically) {
+  // The centre screen skips every spider centre whose leg-row ratio is
+  // above the round's smallest; trees and the spider-search count must
+  // still match the unscreened reference. Seven families, 30 trials each:
+  // N = 50-70 design instances with 10-12 demands (many merges, so many
+  // incremental row updates) and uniform weights (dense ties), 1 +- 0.3
+  // jitter, jittered weights rounded to integers (exact ties) or to tenths
+  // (ties whose float sums depend on the order), and a quarter of the
+  // non-terminals at weight 0; an extra isolated node of weight -1 (the
+  // screen is off); and a terminal set split over two unlinked fields.
+  Rng rng(19019);
+  std::size_t screened_trees = 0;
+  for (int trial = 0; trial < 210; ++trial) {
+    const int family = trial % 7;
+    Graph g;
+    std::vector<NodeId> terms;
+    if (family < 6) {
+      opt::DesignInstanceSpec spec;
+      spec.node_count = 50 + 10 * static_cast<std::size_t>(trial / 7 % 3);
+      spec.demand_count = 10 + static_cast<std::size_t>(trial / 21 % 3);
+      spec.seed = 100 + static_cast<std::uint64_t>(trial / 7);
+      const opt::DesignInstance inst = opt::make_design_instance(spec);
+      g = inst.problem.graph();
+      terms = inst.problem.terminals();
+      const double unit = g.node_weight(0);  // every node idles alike
+      for (NodeId v = 0; v < g.node_count() && family > 0; ++v) {
+        double w = g.node_weight(v) * (1.0 + 0.3 * (2.0 * rng.uniform() - 1.0));
+        if (family == 2) w = unit * std::round(4.0 * w / unit);
+        if (family == 3) w = std::round(10.0 * w / unit) / 10.0;
+        if (family == 4 && rng.bernoulli(0.25)) w = 0.0;
+        g.set_node_weight(v, w);
+      }
+      if (family == 5) g.add_node(-1.0);
+    } else {
+      g = random_field(rng, 30 + rng.next_below(40), 0.3);
+      const Graph other = random_field(rng, 10 + rng.next_below(20), 0.45);
+      const auto offset = static_cast<NodeId>(g.node_count());
+      for (NodeId v = 0; v < other.node_count(); ++v)
+        g.add_node(other.node_weight(v));
+      for (const Edge& e : other.edges())
+        g.add_edge(e.u + offset, e.v + offset, e.weight);
+      for (int i = 0; i < 6; ++i)
+        terms.push_back(
+            static_cast<NodeId>(rng.next_below(g.node_count())));
+      terms.push_back(static_cast<NodeId>(g.node_count() - 1));
+    }
+
+    obs::CounterRegistry reg;
+    SteinerTree got;
+    {
+      obs::ScopedRegistry scope(&reg);
+      got = klein_ravi_steiner(g, terms);
+    }
+    std::uint64_t want_searches = 0;
+    const SteinerTree want = klein_ravi_reference(g, terms, &want_searches);
+    expect_same_tree(got, want, trial);
+    EXPECT_EQ(want.feasible, family != 6) << "trial " << trial;
+    if (!obs::kEnabled) continue;
+    auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters["graph.klein_ravi.spider_searches"],
+              want_searches)
+        << "trial " << trial;
+    const std::uint64_t rows = snap.counters["graph.klein_ravi.screen_settled"];
+    if (family == 5) {
+      EXPECT_EQ(rows, 0u) << "trial " << trial;
+    } else if (family < 6) {
+      EXPECT_GT(rows, 0u) << "trial " << trial;
+    }
+    if (rows > 0) ++screened_trees;
+  }
+  if (obs::kEnabled) {
+    EXPECT_GE(screened_trees, 150u);
   }
 }
 
