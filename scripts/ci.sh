@@ -57,9 +57,9 @@ test -s LINT_report.json
 echo "OK: tree is lint-clean, wrote LINT_report.json"
 
 echo "== shipped manifests not golden-run under ctest (--quick) =="
-# fig7_small, small_field, table2_density, huge_field and the design_*
-# families are golden-pinned by ctest; the rest only run here.
-for m in large_field hypo_grid dense500 mixed_rate; do  # Figs 10-16, extras
+# fig7_small, small_field, table2_density, huge_field, hypo_grid and the
+# design_* families are golden-pinned by ctest; the rest only run here.
+for m in large_field dense500 mixed_rate; do  # Figs 11-12, extras
   echo "-- eend_run $m.json"
   ./build/tools/eend_run --manifest "examples/manifests/$m.json" \
     --quick --quiet --jobs=0 --csv=none --jsonl=none > /dev/null
@@ -87,37 +87,11 @@ echo "== design search: portfolio bench (JSON artifact) =="
 test -s BENCH_design_portfolio.json
 echo "OK: wrote BENCH_design_portfolio.json (presolve shrink floor held)"
 
-echo "== design search: quick design_portfolio cell, jobs=1 vs jobs=8 =="
-./build/tools/eend_run --manifest examples/manifests/design_portfolio.json \
-  --list | grep -q "portfolio_scaling  \[design\]"
-for j in 1 8; do
-  ./build/tools/eend_run --manifest examples/manifests/design_portfolio.json \
-    --quick --quiet --csv="/tmp/eend_dp_j$j.csv" \
-    --jsonl="/tmp/eend_dp_j$j.jsonl" --jobs="$j" > "/tmp/eend_dp_j$j.out"
-done
-cmp /tmp/eend_dp_j1.out /tmp/eend_dp_j8.out
-cmp /tmp/eend_dp_j1.csv /tmp/eend_dp_j8.csv
-cmp /tmp/eend_dp_j1.jsonl /tmp/eend_dp_j8.jsonl
-echo "OK: design kind byte-identical for jobs=1 and jobs=8"
-
 echo "== design replay: simulated-vs-analytic bench (JSON artifact) =="
 ./build/bench/bench_design_replay --quick --quiet \
   --json=BENCH_design_replay.json > /dev/null
 test -s BENCH_design_replay.json
 echo "OK: wrote BENCH_design_replay.json"
-
-echo "== design replay: quick design_replay cell, jobs=1 vs jobs=8 =="
-./build/tools/eend_run --manifest examples/manifests/design_replay.json \
-  --list | grep -q "replay_scaling  \[replay\]"
-for j in 1 8; do
-  ./build/tools/eend_run --manifest examples/manifests/design_replay.json \
-    --quick --quiet --csv="/tmp/eend_dr_j$j.csv" \
-    --jsonl="/tmp/eend_dr_j$j.jsonl" --jobs="$j" > "/tmp/eend_dr_j$j.out"
-done
-cmp /tmp/eend_dr_j1.out /tmp/eend_dr_j8.out
-cmp /tmp/eend_dr_j1.csv /tmp/eend_dr_j8.csv
-cmp /tmp/eend_dr_j1.jsonl /tmp/eend_dr_j8.jsonl
-echo "OK: replay kind byte-identical for jobs=1 and jobs=8"
 
 echo "== design churn: warm-start serving-loop bench (JSON artifact) =="
 # Self-asserting floors: the warm repair must beat the from-scratch
@@ -130,24 +104,33 @@ echo "== design churn: warm-start serving-loop bench (JSON artifact) =="
 test -s BENCH_design_churn.json
 echo "OK: wrote BENCH_design_churn.json (warm speedup/gap floors held)"
 
-echo "== design churn: quick design_churn cell, jobs=1 vs jobs=8 =="
-# The churn leg also exercises the telemetry layer: --counters must be
-# byte-identical across --jobs (the obs determinism contract) and --trace
-# must produce a non-empty Chrome trace; both ship as CI artifacts.
+echo "== determinism: eend_run --quick, jobs=1 vs jobs=8 =="
+# One manifest per kind that fans out across the pool (design, replay,
+# churn, sweep, density, grid): stdout tables, CSV, JSONL and --counters
+# must be byte-identical for any --jobs (the engine's and the telemetry
+# layer's determinism contract). The churn run also writes a Chrome trace;
+# its counters and trace ship as CI artifacts.
+./build/tools/eend_run --manifest examples/manifests/design_portfolio.json \
+  --list | grep -q "portfolio_scaling  \[design\]"
+./build/tools/eend_run --manifest examples/manifests/design_replay.json \
+  --list | grep -q "replay_scaling  \[replay\]"
 ./build/tools/eend_run --manifest examples/manifests/design_churn.json \
   --list | grep -q "churn_serving  \[churn\]"
-for j in 1 8; do
-  ./build/tools/eend_run --manifest examples/manifests/design_churn.json \
-    --quick --quiet --csv="/tmp/eend_dc_j$j.csv" \
-    --jsonl="/tmp/eend_dc_j$j.jsonl" --jobs="$j" \
-    --counters="/tmp/eend_dc_j$j.counters.jsonl" \
-    --trace="/tmp/eend_dc_j$j.trace.json" > "/tmp/eend_dc_j$j.out"
+for m in design_portfolio design_replay design_churn small_field \
+    table2_density hypo_grid; do
+  for j in 1 8; do
+    out="/tmp/eend_${m}_j$j"
+    trace=()
+    if [[ "$m" == design_churn ]]; then trace=(--trace="$out.trace.json"); fi
+    ./build/tools/eend_run --manifest "examples/manifests/$m.json" \
+      --quick --quiet --csv="$out.csv" --jsonl="$out.jsonl" --jobs="$j" \
+      --counters="$out.counters.jsonl" "${trace[@]}" > "$out.out"
+  done
+  for ext in out csv jsonl counters.jsonl; do
+    cmp "/tmp/eend_${m}_j1.$ext" "/tmp/eend_${m}_j8.$ext"
+  done
+  echo "OK: $m byte-identical for jobs=1 and jobs=8 (incl. --counters)"
 done
-cmp /tmp/eend_dc_j1.out /tmp/eend_dc_j8.out
-cmp /tmp/eend_dc_j1.csv /tmp/eend_dc_j8.csv
-cmp /tmp/eend_dc_j1.jsonl /tmp/eend_dc_j8.jsonl
-cmp /tmp/eend_dc_j1.counters.jsonl /tmp/eend_dc_j8.counters.jsonl
-echo "OK: churn kind byte-identical for jobs=1 and jobs=8 (incl. --counters)"
 # The counter catalog must cover all four layers: sim core, design
 # search (route cache and the move evaluator's kept paths), the graph
 # kernels (Klein-Ravi's spider search, its bound and its centre screen)
@@ -155,11 +138,11 @@ echo "OK: churn kind byte-identical for jobs=1 and jobs=8 (incl. --counters)"
 for name in sim.events_fired opt.cache.route_hits opt.move.reused_routes \
     graph.klein_ravi.spider_searches graph.klein_ravi.pruned_searches \
     graph.klein_ravi.screen_settled churn.events_applied; do
-  grep -q "\"counter\":\"$name\"" /tmp/eend_dc_j1.counters.jsonl
+  grep -q "\"counter\":\"$name\"" /tmp/eend_design_churn_j1.counters.jsonl
 done
-test -s /tmp/eend_dc_j1.trace.json
-cp /tmp/eend_dc_j1.counters.jsonl COUNTERS_design_churn.jsonl
-cp /tmp/eend_dc_j1.trace.json TRACE_design_churn.json
+test -s /tmp/eend_design_churn_j1.trace.json
+cp /tmp/eend_design_churn_j1.counters.jsonl COUNTERS_design_churn.jsonl
+cp /tmp/eend_design_churn_j1.trace.json TRACE_design_churn.json
 echo "OK: counters cover sim/opt/graph/churn, wrote COUNTERS_design_churn.jsonl + TRACE_design_churn.json"
 
 echo "== event core: ladder-queue vs baseline-heap bench (JSON artifact) =="
@@ -200,21 +183,12 @@ echo "== spatial index: 2k-node huge_field smoke (eend_run --quick) =="
 grep -q "Huge field" /tmp/eend_huge.out
 echo "OK: 2k-node field simulated end-to-end"
 
-echo "== manifest engine: eend_run reproduces Fig 7, CSV/JSONL deterministic =="
+echo "== manifest engine: eend_run reproduces Fig 7 =="
 ./build/tools/eend_run --manifest examples/manifests/fig7_small.json \
   --jobs=0 --quiet --csv=/tmp/eend_fig7.csv --jsonl=/tmp/eend_fig7.jsonl \
   > /tmp/eend_fig7.out
 grep -q "Figure 7" /tmp/eend_fig7.out
-# stdout tables AND machine files must be byte-identical for any --jobs.
-for j in 1 8; do
-  ./build/tools/eend_run --manifest examples/manifests/small_field.json \
-    --quick --quiet --csv="/tmp/eend_sf_j$j.csv" \
-    --jsonl="/tmp/eend_sf_j$j.jsonl" --jobs="$j" > "/tmp/eend_sf_j$j.out"
-done
-cmp /tmp/eend_sf_j1.out /tmp/eend_sf_j8.out
-cmp /tmp/eend_sf_j1.csv /tmp/eend_sf_j8.csv
-cmp /tmp/eend_sf_j1.jsonl /tmp/eend_sf_j8.jsonl
-echo "OK: eend_run output identical for jobs=1 and jobs=8"
+echo "OK: eend_run reproduced Figure 7"
 
 echo "== e2e bit-identity: digests match bench/e2e/baseline.json =="
 # A digest covers every output check of the seed's first groups and

@@ -125,36 +125,4 @@ std::vector<ExperimentResult> sweep_rates(ExperimentConfig cfg,
   return run_cells(cells, cfg.jobs);
 }
 
-std::vector<std::vector<ExperimentResult>> sweep_grid(
-    const ExperimentConfig& cfg, const std::vector<net::StackSpec>& stacks,
-    const std::vector<double>& rates, const StackProgressFn& on_stack_done) {
-  EEND_REQUIRE(cfg.runs >= 1);
-  std::vector<ExperimentConfig> cells;  // stack-major
-  cells.reserve(stacks.size() * rates.size());
-  for (const auto& stack : stacks) {
-    ExperimentConfig c = cfg;
-    c.stack = stack;
-    for (double r : rates) {
-      c.scenario.rate_pps = r;
-      cells.push_back(c);
-    }
-  }
-
-  // A stack's row is done when all of its rate cells are done.
-  std::vector<std::size_t> cells_left(stacks.size(), rates.size());
-  auto on_cell = [&](std::size_t cell) {
-    const std::size_t si = cell / rates.size();
-    if (--cells_left[si] == 0 && on_stack_done) on_stack_done(stacks[si]);
-  };
-
-  auto flat = run_cells(cells, cfg.jobs, on_cell);
-
-  std::vector<std::vector<ExperimentResult>> out(stacks.size());
-  for (std::size_t si = 0; si < stacks.size(); ++si)
-    out[si].assign(std::make_move_iterator(flat.begin() + si * rates.size()),
-                   std::make_move_iterator(flat.begin() +
-                                           (si + 1) * rates.size()));
-  return out;
-}
-
 }  // namespace eend::core

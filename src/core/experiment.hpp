@@ -57,7 +57,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg);
 /// stack) combination with the same `runs` — on one shared pool of `jobs`
 /// workers. Results come back in cell order regardless of scheduling;
 /// `on_cell_done(index)` fires (serialized) as each cell's last replication
-/// completes. The manifest engine's density kind is built on this.
+/// completes. The manifest engine's sweep and density kinds run on this.
 std::vector<ExperimentResult> run_experiment_cells(
     const std::vector<ExperimentConfig>& cells, std::size_t jobs,
     const std::function<void(std::size_t)>& on_cell_done = {});
@@ -66,18 +66,5 @@ std::vector<ExperimentResult> run_experiment_cells(
 /// (rate × replication) cells share one worker pool.
 std::vector<ExperimentResult> sweep_rates(ExperimentConfig cfg,
                                           const std::vector<double>& rates);
-
-/// Invoked (serialized, from the pool) when the last replication of a
-/// stack's row completes — progress reporting for long sweeps.
-using StackProgressFn = std::function<void(const net::StackSpec&)>;
-
-/// Full (stack × rate) grid, the shape of every sweep figure; returns
-/// results[stack][rate]. Every replication in the grid is one task in a
-/// shared pool of `cfg.jobs` workers, so wide grids keep all cores busy
-/// even when individual cells have few runs. `cfg.stack` is ignored.
-std::vector<std::vector<ExperimentResult>> sweep_grid(
-    const ExperimentConfig& cfg, const std::vector<net::StackSpec>& stacks,
-    const std::vector<double>& rates,
-    const StackProgressFn& on_stack_done = {});
 
 }  // namespace eend::core

@@ -13,11 +13,11 @@
 #include "obs/trace.hpp"
 #include "opt/design_heuristic.hpp"
 #include "opt/design_instance.hpp"
-#include "opt/portfolio.hpp"
 #include "opt/warm_start.hpp"
 #include "presolve/presolve.hpp"
 #include "replay/realization.hpp"
 #include "replay/replay.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace eend::core {
@@ -28,14 +28,30 @@ namespace {
 /// its own quick.duration_s — matches the bench binaries' --quick.
 constexpr double kQuickDurationS = 120.0;
 
-/// Aggregates each requested metric over a row's `runs` per-run records
-/// (`run_at(i)` yields run i's record) through the kind's metric table —
-/// the one summarize-over-runs path behind every kind's rows.
+const std::vector<double>& rate_axis(const Experiment& e, bool quick) {
+  return quick && e.quick.rates_pps ? *e.quick.rates_pps : e.rates_pps;
+}
+
+const std::vector<std::size_t>& node_axis(const Experiment& e, bool quick) {
+  return quick && e.quick.node_counts ? *e.quick.node_counts : e.node_counts;
+}
+
+/// The one place a ResultRow is filled: the experiment's identity, the
+/// kind's x axis, and each requested metric aggregated over the row's
+/// `runs` per-run records (`run_at(i)` yields run i's record) through the
+/// kind's metric table.
 template <class Run, std::size_t N, class RunAt>
-std::vector<MetricValue> summarize_metrics(const Experiment& e,
-                                           const Metric<Run> (&table)[N],
-                                           std::size_t runs, RunAt run_at) {
-  std::vector<MetricValue> out;
+ResultRow make_row(const Experiment& e, std::string series, double x,
+                   std::size_t runs, std::uint64_t seed,
+                   const Metric<Run> (&table)[N], RunAt run_at) {
+  ResultRow row;
+  row.experiment = e.id;
+  row.kind = kind_name(e.kind);
+  row.series = std::move(series);
+  row.x_name = kind_axis(e.kind).x_name;
+  row.x = x;
+  row.runs = runs;
+  row.seed = seed;
   for (const MetricSpec& spec : e.metrics) {
     const Metric<Run>* m = nullptr;
     for (const Metric<Run>& candidate : table)
@@ -49,12 +65,27 @@ std::vector<MetricValue> summarize_metrics(const Experiment& e,
     std::vector<double> xs(runs);
     for (std::size_t i = 0; i < runs; ++i) xs[i] = m->get(run_at(i));
     const SampleStats st = summarize(xs);
-    out.push_back({spec.name, st.mean, st.ci95_half_width, st.n});
+    row.metrics.push_back({spec.name, st.mean, st.ci95_half_width, st.n});
   }
-  return out;
+  return row;
 }
 
 // ------------------------------------------------- design-search cells ---
+
+opt::DesignInstance build_instance(const opt::DesignInstanceSpec& spec,
+                                   std::uint32_t trace_tid) {
+  obs::PhaseTimer t_build("instance.build", obs::kPidCell, trace_tid);
+  return opt::make_design_instance(spec);
+}
+
+/// The Klein-Ravi tree every search of one problem shares, solved on the
+/// dead-end-masked twin when presolve ran — bit-identical to the full
+/// solve (presolve/presolve.hpp), just cheaper.
+graph::SteinerTree shared_klein_ravi_tree(
+    const core::NetworkDesignProblem& problem,
+    const presolve::PresolveResult* pre) {
+  return (pre ? pre->node_reduced : problem).solve_node_weighted();
+}
 
 /// One design-search cell, shared by the design and replay kinds: solve
 /// the Klein-Ravi tree once (it seeds klein_ravi, local_search, annealing
@@ -65,27 +96,25 @@ std::vector<MetricValue> summarize_metrics(const Experiment& e,
 /// single point both kinds' results pass through on their way to sinks.
 struct CellSearchResult {
   opt::CandidateDesign baseline;
-  double baseline_wall = 0.0;
   std::vector<opt::CandidateDesign> designs;  ///< per heuristic, in order
   std::vector<double> walls;                  ///< per heuristic, seconds
 };
 
 CellSearchResult search_design_cell(
-    const opt::DesignInstance& inst,
+    const opt::DesignInstanceSpec& spec, const opt::DesignInstance& inst,
     const std::vector<std::string>& heuristics, opt::HeuristicOptions ho,
-    std::uint64_t seed, std::size_t n, std::uint32_t trace_tid = 0) {
+    std::uint32_t trace_tid) {
   const core::NetworkDesignProblem& problem = inst.problem;
+  const std::size_t n = spec.node_count;
+  const std::uint64_t seed = spec.seed;
   ho.presolve = inst.presolve.get();
   CellSearchResult out;
   obs::PhaseTimer t_base("search:klein_ravi(baseline)", obs::kPidCell, trace_tid);
-  // The shared tree comes from the dead-end-masked twin when presolve ran —
-  // bit-identical to the full solve (presolve/presolve.hpp), just cheaper.
   const graph::SteinerTree kr_tree =
-      (inst.presolve ? inst.presolve->node_reduced : problem)
-          .solve_node_weighted();
+      shared_klein_ravi_tree(problem, ho.presolve);
   ho.klein_ravi_tree = &kr_tree;
   out.baseline = opt::heuristic_by_name("klein_ravi").run(problem, ho, seed);
-  out.baseline_wall = t_base.stop();
+  const double baseline_wall = t_base.stop();
   EEND_CHECK_MSG(out.baseline.feasible,
                  "Klein-Ravi baseline infeasible on a connected instance "
                  "(n=" << n << ", seed=" << seed << ")");
@@ -101,7 +130,7 @@ CellSearchResult search_design_cell(
             : opt::heuristic_by_name(name).run(problem, ho, seed);
     // The baseline's wall time (tree solve included) is attributed to the
     // klein_ravi series when that series is requested.
-    out.walls[hi] = name == "klein_ravi" ? out.baseline_wall : t0.stop();
+    out.walls[hi] = name == "klein_ravi" ? baseline_wall : t0.stop();
     EEND_CHECK_MSG(out.designs[hi].feasible,
                    "heuristic \"" << name
                    << "\" infeasible on a connected instance (n=" << n
@@ -128,6 +157,56 @@ CellSearchResult search_design_cell(
 
 }  // namespace
 
+/// The (node count × run) cells of the design-search kinds (design, replay,
+/// churn), n-major: cell `ni * runs + run` is instance `run` of
+/// `nodes[ni]`, seeded `seed + run`. Cells are independent and fan across
+/// the pool; with more than one cell each search runs its portfolio starts
+/// inline, while a single cell hands the whole pool to them. Every
+/// heuristic is jobs-invariant, so output bytes never depend on the split.
+struct ExperimentEngine::SearchCells {
+  std::vector<std::size_t> nodes;
+  std::size_t runs = 0;
+  std::uint64_t seed = 0;
+  std::size_t jobs = 1;  ///< search jobs inside one cell
+
+  std::size_t size() const { return nodes.size() * runs; }
+
+  opt::DesignInstanceSpec spec(const Experiment& e, std::size_t ci) const {
+    opt::DesignInstanceSpec s;
+    s.node_count = nodes[ci / runs];
+    s.demand_count = e.demands;
+    s.seed = seed + ci % runs;
+    s.demand_weights = e.demand_weights;
+    s.presolve = e.presolve;
+    s.field_scale = e.field_scale;
+    return s;
+  }
+
+  opt::HeuristicOptions options(const Experiment& e) const {
+    opt::HeuristicOptions ho;
+    ho.starts = e.starts;
+    ho.anneal_iterations = e.anneal_iters;
+    ho.jobs = jobs;
+    return ho;
+  }
+
+  /// Progress text: "n=40 instance 2/3".
+  std::string label(std::size_t ci) const {
+    return "n=" + std::to_string(nodes[ci / runs]) + " instance " +
+           std::to_string(ci % runs + 1) + "/" + std::to_string(runs);
+  }
+};
+
+ExperimentEngine::SearchCells ExperimentEngine::search_cells(
+    const Experiment& e) const {
+  SearchCells c;
+  c.nodes = node_axis(e, opts_.quick);
+  c.runs = effective_runs(e);
+  c.seed = effective_seed(e);
+  c.jobs = c.size() > 1 ? 1 : opts_.jobs;
+  return c;
+}
+
 void ExperimentEngine::run(const Manifest& m) {
   for (const Experiment& e : m.experiments) run(e);
 }
@@ -137,8 +216,8 @@ void ExperimentEngine::run(const Experiment& e) {
   exp_counters_.clear();
   for (ResultSink* s : sinks_) s->begin_experiment(e);
   switch (e.kind) {
-    case ExperimentKind::Sweep: run_sweep(e); break;
-    case ExperimentKind::Density: run_density(e); break;
+    case ExperimentKind::Sweep:
+    case ExperimentKind::Density: run_simulation(e); break;
     case ExperimentKind::Grid: run_grid(e); break;
     case ExperimentKind::Mopt: run_mopt(e); break;
     case ExperimentKind::Design: run_design(e); break;
@@ -158,8 +237,27 @@ void ExperimentEngine::emit(const ResultRow& r) {
   for (ResultSink* s : sinks_) s->row(r);
 }
 
-void ExperimentEngine::note(const std::string& line) {
-  if (opts_.progress) *opts_.progress << line << '\n';
+void ExperimentEngine::note(const Experiment& e, const std::string& cell) {
+  if (opts_.progress)
+    *opts_.progress << "  [" << e.title << "] " << cell << '\n';
+}
+
+void ExperimentEngine::fan_cells(
+    const Experiment& e, const char* span, std::size_t count,
+    const std::function<std::string(std::size_t)>& cell) {
+  std::vector<obs::CounterSnapshot> snaps(count);
+  std::mutex io_m;
+  ParallelRunner pool(opts_.jobs);
+  pool.set_span_label(span);
+  pool.for_each_index(count, [&](std::size_t i) {
+    obs::CounterRegistry reg;
+    const obs::ScopedRegistry scope(&reg);
+    const std::string done = cell(i);
+    snaps[i] = reg.snapshot();
+    const std::lock_guard<std::mutex> lk(io_m);
+    note(e, done);
+  });
+  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
 }
 
 net::ScenarioConfig ExperimentEngine::resolve_scenario(
@@ -191,97 +289,51 @@ std::vector<net::StackSpec> ExperimentEngine::resolve_stacks(
   return out;
 }
 
-void ExperimentEngine::run_sweep(const Experiment& e) {
-  ExperimentConfig cfg;
-  cfg.scenario = resolve_scenario(e);
-  cfg.runs = effective_runs(e);
-  cfg.base_seed = effective_seed(e);
-  cfg.jobs = opts_.jobs;
-
+void ExperimentEngine::run_simulation(const Experiment& e) {
+  // The x axis is the flow rate (sweep) or the node count (density); a
+  // density cell resolves its scenario per count, since presets such as
+  // huge_field derive the field size from it.
+  const bool density = e.kind == ExperimentKind::Density;
+  std::vector<double> xs;
+  if (density)
+    for (const std::size_t n : node_axis(e, opts_.quick))
+      xs.push_back(static_cast<double>(n));
+  else
+    xs = rate_axis(e, opts_.quick);
   const std::vector<net::StackSpec> stacks = resolve_stacks(e);
 
-  const std::vector<double>& rates =
-      (opts_.quick && e.quick.rates_pps) ? *e.quick.rates_pps : e.rates_pps;
-
-  StackProgressFn progress;
-  if (opts_.progress)
-    progress = [this, &e](const net::StackSpec& s) {
-      note("  [" + e.title + "] " + s.label + " done");
-    };
-
-  // results[stack][rate]
-  const auto results = sweep_grid(cfg, stacks, rates, progress);
-
-  // Cells already merged their replication snapshots in seed order; fold
-  // them into the experiment total in (stack, rate) cell order.
-  for (const auto& per_stack : results)
-    for (const auto& r : per_stack) exp_counters_.merge_from(r.counters);
-
-  for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-    for (std::size_t si = 0; si < stacks.size(); ++si) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = stacks[si].label;
-      row.x_name = "rate_pps";
-      row.x = rates[ri];
-      row.runs = cfg.runs;
-      row.seed = cfg.base_seed;
-      const std::vector<metrics::RunResult>& raw = results[si][ri].raw;
-      row.metrics = summarize_metrics(
-          e, kSimMetrics, raw.size(),
-          [&](std::size_t run) -> const SimRun& { return raw[run]; });
-      emit(row);
-    }
-  }
-}
-
-void ExperimentEngine::run_density(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
-  const std::vector<net::StackSpec> stacks = resolve_stacks(e);
-
-  // All (node count × stack) cells share one pool so wide density tables
-  // keep every core busy even at runs=1; emission order (n-major,
-  // stack-minor) matches the cell list and never depends on scheduling.
+  // All (x × stack) cells share one pool so wide tables keep every core
+  // busy even at runs=1; emission order (x-major, stack-minor) matches the
+  // cell list and never depends on scheduling.
   std::vector<ExperimentConfig> cells;
-  for (const std::size_t n : nodes) {
-    const net::ScenarioConfig sc = resolve_scenario(e, n);
-    for (const auto& stack : stacks) {
-      ExperimentConfig cfg;
-      cfg.scenario = sc;
+  for (const double x : xs) {
+    ExperimentConfig cfg;
+    cfg.scenario = density ? resolve_scenario(e, static_cast<std::size_t>(x))
+                           : resolve_scenario(e);
+    if (!density) cfg.scenario.rate_pps = x;
+    cfg.runs = effective_runs(e);
+    cfg.base_seed = effective_seed(e);
+    for (const net::StackSpec& stack : stacks) {
       cfg.stack = stack;
-      cfg.runs = effective_runs(e);
-      cfg.base_seed = effective_seed(e);
-      cells.push_back(std::move(cfg));
+      cells.push_back(cfg);
     }
   }
 
   std::function<void(std::size_t)> on_cell_done;
   if (opts_.progress)
     on_cell_done = [&](std::size_t i) {
-      note("  [" + e.title + "] " + cells[i].stack.label + " n=" +
-           std::to_string(cells[i].scenario.node_count) + " done");
+      note(e, cells[i].stack.label + " " + kind_axis(e.kind).x_name + "=" +
+                  format_double(xs[i / stacks.size()]) + " done");
     };
   const auto results = run_experiment_cells(cells, opts_.jobs, on_cell_done);
 
   for (const auto& r : results) exp_counters_.merge_from(r.counters);
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    ResultRow row;
-    row.experiment = e.id;
-    row.kind = kind_name(e.kind);
-    row.series = cells[i].stack.label;
-    row.x_name = "nodes";
-    row.x = static_cast<double>(cells[i].scenario.node_count);
-    row.runs = cells[i].runs;
-    row.seed = cells[i].base_seed;
     const std::vector<metrics::RunResult>& raw = results[i].raw;
-    row.metrics = summarize_metrics(
-        e, kSimMetrics, raw.size(),
-        [&](std::size_t run) -> const SimRun& { return raw[run]; });
-    emit(row);
+    emit(make_row(e, cells[i].stack.label, xs[i / stacks.size()],
+                  cells[i].runs, cells[i].base_seed, kSimMetrics,
+                  [&](std::size_t run) -> const SimRun& { return raw[run]; }));
   }
 }
 
@@ -289,99 +341,35 @@ void ExperimentEngine::run_grid(const Experiment& e) {
   net::ScenarioConfig sc = resolve_scenario(e);
   sc.rate_pps = e.base_rate_pps;
   sc.seed = effective_seed(e);
-
   const std::vector<net::StackSpec> stacks = resolve_stacks(e);
-
-  const std::vector<double>& rates =
-      (opts_.quick && e.quick.rates_pps) ? *e.quick.rates_pps : e.rates_pps;
+  const std::vector<double>& rates = rate_axis(e, opts_.quick);
 
   // One base-rate simulation per stack; fan out, keep stack order.
   std::vector<GridSeries> series(stacks.size());
-  std::vector<obs::CounterSnapshot> snaps(stacks.size());
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("grid.series");
-  pool.for_each_index(stacks.size(), [&](std::size_t i) {
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
+  fan_cells(e, "grid.series", stacks.size(), [&](std::size_t i) {
     series[i] = grid_series(sc, stacks[i], rates);
-    snaps[i] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] " + stacks[i].label + " done (" +
-           std::to_string(series[i].active_nodes.size()) + " active nodes)");
-    }
+    return stacks[i].label + " done (" +
+           std::to_string(series[i].active_nodes.size()) + " active nodes)";
   });
-  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
 
-  for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-    for (std::size_t si = 0; si < series.size(); ++si) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = series[si].label;
-      row.x_name = "rate_pps";
-      row.x = rates[ri];
-      row.runs = 1;
-      row.seed = sc.seed;
-      row.metrics = summarize_metrics(e, kGridMetrics, 1, [&](std::size_t) {
-        return GridCell{series[si], series[si].points[ri]};
-      });
-      emit(row);
-    }
-  }
+  for (std::size_t ri = 0; ri < rates.size(); ++ri)
+    for (const GridSeries& s : series)
+      emit(make_row(e, s.label, rates[ri], 1, sc.seed, kGridMetrics,
+                    [&](std::size_t) { return GridCell{s, s.points[ri]}; }));
 }
 
 void ExperimentEngine::run_design(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
-  const std::size_t runs = effective_runs(e);
-  const std::uint64_t base_seed = effective_seed(e);
+  const SearchCells cells = search_cells(e);
+  const opt::HeuristicOptions ho = cells.options(e);
 
-  opt::HeuristicOptions ho;
-  ho.starts = e.starts;
-  ho.anneal_iterations = e.anneal_iters;
-
-  // All (node count x instance) cells are independent; fan them across the
-  // pool into pre-sized slots so --jobs helps even without a portfolio
-  // series. With more than one cell the portfolio runs its starts inline;
-  // a single cell hands the whole pool to the portfolio's multi-starts.
-  // Either way every heuristic is jobs-invariant, so output bytes never
-  // depend on the split.
-  struct Cell {
-    std::size_t n = 0;
-    std::size_t run = 0;
-  };
-  std::vector<Cell> cells;
-  for (const std::size_t n : nodes)
-    for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
-  ho.jobs = cells.size() > 1 ? 1 : opts_.jobs;
-
-  // Per-cell results: [cell][heuristic] -> this instance's metric values.
+  // samples[cell][heuristic]: this instance's metric values.
   std::vector<std::vector<DesignSample>> samples(cells.size());
-  std::vector<obs::CounterSnapshot> snaps(cells.size());
-
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("design.cell");
-  pool.for_each_index(cells.size(), [&](std::size_t ci) {
+  fan_cells(e, "design.cell", cells.size(), [&](std::size_t ci) {
     const std::uint32_t tid = static_cast<std::uint32_t>(ci) + 1;
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
-    const Cell& cell = cells[ci];
-    opt::DesignInstanceSpec spec;
-    spec.node_count = cell.n;
-    spec.demand_count = e.demands;
-    spec.seed = base_seed + cell.run;
-    spec.presolve = e.presolve;
-    spec.field_scale = e.field_scale;
-    obs::PhaseTimer t_build("instance.build", obs::kPidCell, tid);
-    const opt::DesignInstance inst = opt::make_design_instance(spec);
-    t_build.stop();
-
+    const opt::DesignInstanceSpec spec = cells.spec(e, ci);
+    const opt::DesignInstance inst = build_instance(spec, tid);
     const CellSearchResult sr =
-        search_design_cell(inst, e.heuristics, ho, spec.seed, cell.n, tid);
+        search_design_cell(spec, inst, e.heuristics, ho, tid);
     samples[ci].resize(e.heuristics.size());
     for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi) {
       const opt::CandidateDesign& cand = sr.designs[hi];
@@ -400,44 +388,23 @@ void ExperimentEngine::run_design(const Experiment& e) {
         s.redges = static_cast<double>(inst.presolve->reduced_edges);
       }
     }
-    snaps[ci] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cell.n) +
-           " instance " + std::to_string(cell.run + 1) + "/" +
-           std::to_string(runs) + " done");
-    }
+    return cells.label(ci) + " done";
   });
-  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
 
   // Aggregate per (n, heuristic) across instances; emission is n-major,
   // heuristic-minor in manifest order, independent of scheduling.
-  for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-    for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = e.heuristics[hi];
-      row.x_name = "nodes";
-      row.x = static_cast<double>(nodes[ni]);
-      row.runs = runs;
-      row.seed = base_seed;
-      row.metrics = summarize_metrics(
-          e, kDesignMetrics, runs, [&](std::size_t run) -> const DesignSample& {
-            return samples[ni * runs + run][hi];
-          });
-      emit(row);
-    }
-  }
+  for (std::size_t ni = 0; ni < cells.nodes.size(); ++ni)
+    for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi)
+      emit(make_row(e, e.heuristics[hi],
+                    static_cast<double>(cells.nodes[ni]), cells.runs,
+                    cells.seed, kDesignMetrics,
+                    [&](std::size_t run) -> const DesignSample& {
+                      return samples[ni * cells.runs + run][hi];
+                    }));
 }
 
 void ExperimentEngine::run_replay(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
-  const std::size_t runs = effective_runs(e);
-  const std::uint64_t base_seed = effective_seed(e);
-
+  const SearchCells cells = search_cells(e);
   replay::ReplaySettings settings;
   settings.stack = net::stack_preset(e.replay_stack);
   settings.duration_s = e.replay_duration_s;
@@ -446,14 +413,6 @@ void ExperimentEngine::run_replay(const Experiment& e) {
         settings.duration_s, e.quick.duration_s.value_or(kQuickDurationS));
   settings.rate_pps = e.replay_rate_pps;
   settings.battery_capacity_j = e.battery_j;
-
-  struct Cell {
-    std::size_t n = 0;
-    std::size_t run = 0;
-  };
-  std::vector<Cell> cells;
-  for (const std::size_t n : nodes)
-    for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
 
   // Phase 1 — search: one instance per cell (shared Klein-Ravi tree), every
   // requested heuristic run under the joule-scaled replay objective, so the
@@ -468,99 +427,45 @@ void ExperimentEngine::run_replay(const Experiment& e) {
     std::vector<opt::CandidateDesign> designs;  // per heuristic
   };
   std::vector<CellState> state(cells.size());
-  std::vector<obs::CounterSnapshot> search_snaps(cells.size());
-
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("replay.search");
-  pool.for_each_index(cells.size(), [&](std::size_t ci) {
+  fan_cells(e, "replay.search", cells.size(), [&](std::size_t ci) {
     const std::uint32_t tid = static_cast<std::uint32_t>(ci) + 1;
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
-    const Cell& cell = cells[ci];
     CellState& st = state[ci];
-    st.spec.node_count = cell.n;
-    st.spec.demand_count = e.demands;
-    st.spec.seed = base_seed + cell.run;
-    st.spec.demand_weights = e.demand_weights;
-    st.spec.presolve = e.presolve;
-    st.spec.field_scale = e.field_scale;
-    obs::PhaseTimer t_build("instance.build", obs::kPidCell, tid);
-    st.instance = opt::make_design_instance(st.spec);
-    t_build.stop();
-
-    opt::HeuristicOptions ho;
+    st.spec = cells.spec(e, ci);
+    st.instance = build_instance(st.spec, tid);
+    opt::HeuristicOptions ho = cells.options(e);
     ho.eval = replay::replay_eq5_params(settings, st.spec.card);
-    ho.starts = e.starts;
-    ho.anneal_iterations = e.anneal_iters;
-    ho.jobs = cells.size() > 1 ? 1 : opts_.jobs;
     ho.battery_budget_j = e.battery_j;
-    st.designs = search_design_cell(st.instance, e.heuristics, ho,
-                                    st.spec.seed, cell.n, tid)
-                     .designs;
-    search_snaps[ci] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cell.n) + " instance " +
-           std::to_string(cell.run + 1) + "/" + std::to_string(runs) +
-           " searched");
-    }
+    st.designs =
+        search_design_cell(st.spec, st.instance, e.heuristics, ho, tid)
+            .designs;
+    return cells.label(ci) + " searched";
   });
 
   // reports[cell * heuristics + heuristic]
-  std::vector<replay::ReplayReport> reports(cells.size() *
-                                            e.heuristics.size());
-  std::vector<obs::CounterSnapshot> replay_snaps(reports.size());
-  pool.set_span_label("replay.sim");
-  pool.for_each_index(reports.size(), [&](std::size_t i) {
-    const std::size_t ci = i / e.heuristics.size();
-    const std::size_t hi = i % e.heuristics.size();
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
-    const CellState& st = state[ci];
-    reports[i] = replay::replay_design(st.spec, st.instance, st.designs[hi],
-                                       settings);
-    replay_snaps[i] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cells[ci].n) + " " +
-           e.heuristics[hi] + " instance " +
-           std::to_string(cells[ci].run + 1) + "/" + std::to_string(runs) +
-           " replayed");
-    }
+  const std::size_t nh = e.heuristics.size();
+  std::vector<replay::ReplayReport> reports(cells.size() * nh);
+  fan_cells(e, "replay.sim", reports.size(), [&](std::size_t i) {
+    const CellState& st = state[i / nh];
+    reports[i] = replay::replay_design(st.spec, st.instance,
+                                       st.designs[i % nh], settings);
+    return cells.label(i / nh) + " " + e.heuristics[i % nh] + " replayed";
   });
-  for (const obs::CounterSnapshot& s : search_snaps)
-    exp_counters_.merge_from(s);
-  for (const obs::CounterSnapshot& s : replay_snaps)
-    exp_counters_.merge_from(s);
 
-  for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-    for (std::size_t hi = 0; hi < e.heuristics.size(); ++hi) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = e.heuristics[hi];
-      row.x_name = "nodes";
-      row.x = static_cast<double>(nodes[ni]);
-      row.runs = runs;
-      row.seed = base_seed;
-      row.metrics = summarize_metrics(
-          e, kReplayMetrics, runs, [&](std::size_t run) -> const ReplayRun& {
-            return reports[(ni * runs + run) * e.heuristics.size() + hi];
-          });
-      emit(row);
-    }
-  }
+  for (std::size_t ni = 0; ni < cells.nodes.size(); ++ni)
+    for (std::size_t hi = 0; hi < nh; ++hi)
+      emit(make_row(e, e.heuristics[hi],
+                    static_cast<double>(cells.nodes[ni]), cells.runs,
+                    cells.seed, kReplayMetrics,
+                    [&](std::size_t run) -> const ReplayRun& {
+                      return reports[(ni * cells.runs + run) * nh + hi];
+                    }));
 }
 
 void ExperimentEngine::run_churn(const Experiment& e) {
-  const std::vector<std::size_t>& nodes =
-      (opts_.quick && e.quick.node_counts) ? *e.quick.node_counts
-                                           : e.node_counts;
+  const SearchCells cells = search_cells(e);
+  const opt::HeuristicOptions ho = cells.options(e);  // plain Eq. 5
   const std::size_t epochs =
       (opts_.quick && e.quick.epochs) ? *e.quick.epochs : e.epochs;
-  const std::size_t runs = effective_runs(e);
-  const std::uint64_t base_seed = effective_seed(e);
 
   replay::ReplaySettings settings;
   if (e.replay_every > 0) {
@@ -571,41 +476,13 @@ void ExperimentEngine::run_churn(const Experiment& e) {
     settings.rate_pps = e.replay_rate_pps;
   }
 
-  // (node count x trace) cells are independent; each cell plays its whole
-  // serving loop serially (epoch k+1 needs epoch k's design), so the fan
-  // is across cells. Pre-sized per-epoch slots + a single emission pass
-  // after the pool keep output bytes independent of --jobs.
-  struct Cell {
-    std::size_t n = 0;
-    std::size_t run = 0;
-  };
-  std::vector<Cell> cells;
-  for (const std::size_t n : nodes)
-    for (std::size_t run = 0; run < runs; ++run) cells.push_back({n, run});
-  const std::size_t inner_jobs = cells.size() > 1 ? 1 : opts_.jobs;
-
-  // samples[cell][epoch]
+  // Each cell plays its whole serving loop serially (epoch k+1 needs epoch
+  // k's design) into pre-sized per-epoch slots: samples[cell][epoch].
   std::vector<std::vector<ChurnSample>> samples(cells.size());
-  std::vector<obs::CounterSnapshot> snaps(cells.size());
-
-  std::mutex io_m;
-  ParallelRunner pool(opts_.jobs);
-  pool.set_span_label("churn.cell");
-  pool.for_each_index(cells.size(), [&](std::size_t ci) {
+  fan_cells(e, "churn.cell", cells.size(), [&](std::size_t ci) {
     const std::uint32_t tid = static_cast<std::uint32_t>(ci) + 1;
-    obs::CounterRegistry reg;
-    const obs::ScopedRegistry scope(&reg);
-    const Cell& cell = cells[ci];
-    opt::DesignInstanceSpec spec;
-    spec.node_count = cell.n;
-    spec.demand_count = e.demands;
-    spec.seed = base_seed + cell.run;
-    spec.demand_weights = e.demand_weights;
-    spec.presolve = e.presolve;
-    spec.field_scale = e.field_scale;
-    obs::PhaseTimer t_build("instance.build", obs::kPidCell, tid);
-    const opt::DesignInstance inst = opt::make_design_instance(spec);
-    t_build.stop();
+    const opt::DesignInstanceSpec spec = cells.spec(e, ci);
+    const opt::DesignInstance inst = build_instance(spec, tid);
 
     churn::TraceSpec trace;
     trace.epochs = epochs;
@@ -620,7 +497,7 @@ void ExperimentEngine::run_churn(const Experiment& e) {
     trace.schedule = e.churn_schedule;
 
     churn::ChurnState state(inst, spec);
-    const opt::DesignObjective objective;  // plain Eq. 5, like run_design
+    const opt::DesignObjective objective(ho.eval);
 
     // From-scratch portfolio on an arbitrary (possibly perturbed) problem:
     // the per-epoch baseline the warm repair is scored and raced against.
@@ -628,18 +505,13 @@ void ExperimentEngine::run_churn(const Experiment& e) {
                                 const presolve::PresolveResult* pre)
         -> std::pair<opt::CandidateDesign, double> {
       obs::PhaseTimer t0("churn.cold_solve", obs::kPidCell, tid);
-      const graph::SteinerTree kr =
-          (pre ? pre->node_reduced : problem).solve_node_weighted();
-      opt::PortfolioOptions po;
-      po.objective = objective;
-      po.starts = e.starts;
-      po.jobs = inner_jobs;
-      po.anneal.iterations = e.anneal_iters;
-      po.seed = spec.seed;
-      po.klein_ravi_tree = &kr;
-      po.presolve = pre;
-      opt::PortfolioResult pr = opt::design_portfolio(problem, po);
-      return {std::move(pr.best), t0.stop()};
+      const graph::SteinerTree kr = shared_klein_ravi_tree(problem, pre);
+      opt::HeuristicOptions cold = ho;
+      cold.klein_ravi_tree = &kr;
+      cold.presolve = pre;
+      opt::CandidateDesign best =
+          opt::heuristic_by_name("portfolio").run(problem, cold, spec.seed);
+      return {std::move(best), t0.stop()};
     };
 
     samples[ci].resize(epochs);
@@ -648,7 +520,7 @@ void ExperimentEngine::run_churn(const Experiment& e) {
     auto [serving, wall0] = cold_solve(inst.problem, inst.presolve.get());
     EEND_CHECK_MSG(serving.feasible,
                    "cold portfolio infeasible on a connected instance (n="
-                       << cell.n << ", seed=" << spec.seed << ")");
+                       << spec.node_count << ", seed=" << spec.seed << ")");
     opt::RouteCache serving_routes;
     serving = opt::evaluate_design(inst.problem, serving.nodes, objective,
                                    nullptr, &serving_routes);
@@ -690,9 +562,9 @@ void ExperimentEngine::run_churn(const Experiment& e) {
       obs::PhaseTimer t_warm("churn.warm_repair", obs::kPidCell, tid);
       opt::WarmStartOptions wo;
       wo.objective = objective;
-      wo.starts = e.starts;
-      wo.anneal_iterations = e.anneal_iters;
-      wo.jobs = inner_jobs;
+      wo.starts = ho.starts;
+      wo.anneal_iterations = ho.anneal_iterations;
+      wo.jobs = ho.jobs;
       wo.fallback_pct = e.fallback_pct;
       wo.presolve = pre_ptr;
       opt::RouteCache next_routes;
@@ -734,69 +606,30 @@ void ExperimentEngine::run_churn(const Experiment& e) {
       serving = wr.design;
       serving_routes = std::move(next_routes);
     }
-
-    snaps[ci] = reg.snapshot();
-    if (opts_.progress) {
-      std::lock_guard<std::mutex> lk(io_m);
-      note("  [" + e.title + "] n=" + std::to_string(cell.n) + " trace " +
-           std::to_string(cell.run + 1) + "/" + std::to_string(runs) +
-           " served (" + std::to_string(epochs) + " epochs)");
-    }
+    return cells.label(ci) + " served (" + std::to_string(epochs) +
+           " epochs)";
   });
-  for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
 
   // Aggregate per (n, epoch) across traces; emission is n-major,
   // epoch-minor, independent of scheduling.
-  for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = "n=" + std::to_string(nodes[ni]);
-      row.x_name = "epoch";
-      row.x = static_cast<double>(epoch);
-      row.runs = runs;
-      row.seed = base_seed;
-      row.metrics = summarize_metrics(
-          e, kChurnMetrics, runs, [&](std::size_t run) -> const ChurnSample& {
-            return samples[ni * runs + run][epoch];
-          });
-      emit(row);
-    }
-  }
+  for (std::size_t ni = 0; ni < cells.nodes.size(); ++ni)
+    for (std::size_t epoch = 0; epoch < epochs; ++epoch)
+      emit(make_row(e, "n=" + std::to_string(cells.nodes[ni]),
+                    static_cast<double>(epoch), cells.runs, cells.seed,
+                    kChurnMetrics, [&](std::size_t run) -> const ChurnSample& {
+                      return samples[ni * cells.runs + run][epoch];
+                    }));
 }
 
 void ExperimentEngine::run_mopt(const Experiment& e) {
-  struct Curve {
-    energy::RadioCard card;
-    double distance;
-    std::string legend;
-  };
-  std::vector<Curve> curves;
-  for (const CardSpec& c : e.cards) {
-    Curve cv;
-    cv.card = energy::card_by_name(c.card);
-    cv.distance = c.distance_m;
-    cv.legend = cv.card.name + " (D=" + Table::num(c.distance_m, 0) + "m)";
-    curves.push_back(std::move(cv));
-  }
-
-  for (const double rb : e.rb) {
-    for (const Curve& cv : curves) {
-      ResultRow row;
-      row.experiment = e.id;
-      row.kind = kind_name(e.kind);
-      row.series = cv.legend;
-      row.x_name = "rb";
-      row.x = rb;
-      row.runs = 1;
-      row.seed = 0;
-      row.metrics = summarize_metrics(e, kMoptMetrics, 1, [&](std::size_t) {
-        return MoptCell{cv.card, cv.distance, rb};
-      });
-      emit(row);
+  for (const double rb : e.rb)
+    for (const CardSpec& c : e.cards) {
+      const energy::RadioCard card = energy::card_by_name(c.card);
+      emit(make_row(e, card.name + " (D=" + Table::num(c.distance_m, 0) + "m)",
+                    rb, 1, 0, kMoptMetrics, [&](std::size_t) {
+                      return MoptCell{card, c.distance_m, rb};
+                    }));
     }
-  }
 }
 
 }  // namespace eend::core

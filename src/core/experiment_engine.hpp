@@ -2,15 +2,18 @@
 // results through the registered ResultSinks.
 //
 // Determinism contract: for a given manifest and options, the byte stream
-// each sink receives is identical for every jobs value — replication and
-// per-stack parallelism reuse ParallelRunner's index-slot merging, and rows
-// are emitted x-major / series-minor in manifest order after each
-// experiment's cells complete. --jobs only changes wall-clock time.
+// each sink receives is identical for every jobs value — every kind's
+// cells land in pre-sized slots (run_experiment_cells for sweep and
+// density, fan_cells for the rest), and rows are emitted x-major /
+// series-minor in manifest order after each experiment's cells complete.
+// --jobs only changes wall-clock time.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/manifest.hpp"
@@ -29,7 +32,12 @@ struct EngineOptions {
   /// (seed 0 is a valid override, hence optionals rather than sentinels).
   std::optional<std::size_t> runs_override;
   std::optional<std::uint64_t> seed_override;
-  /// Progress lines ("  [title] STACK done") go here; nullptr = silent.
+  /// One progress line per finished cell, "  [<title>] <cell> <verb>",
+  /// goes here; nullptr = silent. A simulation cell reads "<stack>
+  /// <x_name>=<x> done", a grid series "<stack> done (<k> active nodes)",
+  /// a design-search cell "n=<N> instance <r>/<runs>" followed by "done"
+  /// (design), "searched" and "<heuristic> replayed" (replay) or "served
+  /// (<E> epochs)" (churn). Lines arrive in completion order.
   std::ostream* progress = nullptr;
   /// Per-experiment telemetry counters as JSONL (one line per counter /
   /// histogram, merged in seed order so the bytes are --jobs-invariant);
@@ -51,13 +59,23 @@ class ExperimentEngine {
   void run(const Experiment& e);
 
  private:
-  void run_sweep(const Experiment& e);
-  void run_density(const Experiment& e);
+  struct SearchCells;
+
+  /// Sweep and density: (x × stack) replication cells on one pool.
+  void run_simulation(const Experiment& e);
   void run_grid(const Experiment& e);
   void run_mopt(const Experiment& e);
   void run_design(const Experiment& e);
   void run_replay(const Experiment& e);
   void run_churn(const Experiment& e);
+
+  /// Run cells 0..count-1 on the pool under the trace span `span`. Each
+  /// cell gets a private counter registry, snapshotted into its slot and
+  /// merged into the experiment's counters in cell order; `cell(i)` returns
+  /// its progress text, noted as the cell finishes.
+  void fan_cells(const Experiment& e, const char* span, std::size_t count,
+                 const std::function<std::string(std::size_t)>& cell);
+  SearchCells search_cells(const Experiment& e) const;
 
   void emit(const ResultRow& r);
   /// Resolve the experiment's scenario; density cells pass their node
@@ -69,12 +87,12 @@ class ExperimentEngine {
   static std::vector<net::StackSpec> resolve_stacks(const Experiment& e);
   std::size_t effective_runs(const Experiment& e) const;
   std::uint64_t effective_seed(const Experiment& e) const;
-  void note(const std::string& line);
+  void note(const Experiment& e, const std::string& cell);
 
   EngineOptions opts_;
   std::vector<ResultSink*> sinks_;
   /// Counters accumulated by the experiment currently inside run(); each
-  /// run_* kind merges its per-cell snapshots here in cell order.
+  /// kind's per-cell snapshots merge here in cell order.
   obs::CounterSnapshot exp_counters_;
 };
 

@@ -136,12 +136,13 @@ std::vector<MetricInfo> describe(const Metric<Run> (&table)[N]) {
   return out;
 }
 
-/// Single registry of experiment kinds: the manifest name, the metric
-/// table and default metric set, the scenario preset a simulation kind
-/// falls back to, and the --list cell counts.
+/// Single registry of experiment kinds: the manifest name, the x axis,
+/// the metric table and default metric set, the scenario preset a
+/// simulation kind falls back to, and the --list cell counts.
 struct KindInfo {
   ExperimentKind kind;
   const char* name;
+  KindAxis axis;
   std::vector<MetricInfo> metrics;
   std::vector<MetricSpec> default_metrics;
   const char* scenario_preset;  ///< nullptr: the kind takes no scenario
@@ -158,29 +159,36 @@ std::size_t count_node_counts(const Experiment& e) {
 }
 
 const KindInfo kKinds[] = {
-    {Sweep, "sweep", describe(kSimMetrics),
+    {Sweep, "sweep", {"rate_pps", "rate (pkt/s)", 1, true},
+     describe(kSimMetrics),
      {{"delivery_ratio", 3}, {"goodput_bit_per_j", 1}}, "small_network",
      count_stacks, [](const Experiment& e) { return e.rates_pps.size(); }},
-    {Density, "density", describe(kSimMetrics),
+    {Density, "density", {"nodes", "# of nodes", 0, true},
+     describe(kSimMetrics),
      {{"delivery_ratio", 3}, {"goodput_bit_per_j", 1}}, "density_network",
      count_stacks, count_node_counts},
-    {Grid, "grid", describe(kGridMetrics), {{"goodput_kbit_per_j", 3}},
+    {Grid, "grid", {"rate_pps", "rate (pkt/s)", 1, false},
+     describe(kGridMetrics), {{"goodput_kbit_per_j", 3}},
      "hypothetical_grid", count_stacks,
      [](const Experiment& e) { return e.rates_pps.size(); }},
-    {Mopt, "mopt", describe(kMoptMetrics), {{"mopt", 3}}, nullptr,
+    {Mopt, "mopt", {"rb", "R/B", 2, false},
+     describe(kMoptMetrics), {{"mopt", 3}}, nullptr,
      [](const Experiment& e) { return e.cards.size(); },
      [](const Experiment& e) { return e.rb.size(); }},
-    {Design, "design", describe(kDesignMetrics),
+    {Design, "design", {"nodes", "# of nodes", 0, true},
+     describe(kDesignMetrics),
      {{"eq5_total", 1}, {"gap_vs_klein_ravi", 2}}, nullptr, count_heuristics,
      count_node_counts},
-    {Replay, "replay", describe(kReplayMetrics),
+    {Replay, "replay", {"nodes", "# of nodes", 0, true},
+     describe(kReplayMetrics),
      {{"analytic_eq5_j", 1},
       {"sim_energy_j", 1},
       {"analytic_gap_pct", 1},
       {"delivery_ratio", 3},
       {"first_death_s", 1}},
      nullptr, count_heuristics, count_node_counts},
-    {Churn, "churn", describe(kChurnMetrics),
+    {Churn, "churn", {"epoch", "epoch", 0, true},
+     describe(kChurnMetrics),
      {{"warm_score", 1}, {"gap_vs_cold_pct", 2}, {"events_applied", 1}},
      nullptr, count_node_counts,
      [](const Experiment& e) { return e.epochs; }},
@@ -1163,6 +1171,8 @@ json::Object experiment_to_json(const Experiment& e) {
 // ------------------------------------------------------------------- kinds ---
 
 const char* kind_name(ExperimentKind k) { return kind_info(k).name; }
+
+const KindAxis& kind_axis(ExperimentKind k) { return kind_info(k).axis; }
 
 ExperimentKind kind_from_name(const std::string& name) {
   std::vector<std::string> valid;

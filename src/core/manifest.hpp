@@ -47,6 +47,15 @@ enum class ExperimentKind { Sweep, Density, Grid, Mopt, Design, Replay, Churn };
 const char* kind_name(ExperimentKind k);
 ExperimentKind kind_from_name(const std::string& name);
 
+/// A kind's x axis, as the rows and the pretty tables show it.
+struct KindAxis {
+  const char* x_name;  ///< ResultRow::x_name
+  const char* header;  ///< pretty-table x column header
+  int precision;       ///< x cell decimals (0 for counts)
+  bool with_ci;        ///< cells print "mean +- ci95" (false: analytic)
+};
+const KindAxis& kind_axis(ExperimentKind k);
+
 /// Scenario reference: a named preset plus explicit overrides, resolved to
 /// a net::ScenarioConfig on demand. Presets: "small_network",
 /// "large_network", "density_network", "hypothetical_grid", "custom".

@@ -101,42 +101,13 @@ void TableSink::end_experiment(const Experiment& e) {
                              << ") in experiment " << r.experiment);
   }
 
-  const auto x_header = [&]() -> std::string {
-    switch (e.kind) {
-      case ExperimentKind::Sweep:
-      case ExperimentKind::Grid: return "rate (pkt/s)";
-      case ExperimentKind::Density:
-      case ExperimentKind::Design:
-      case ExperimentKind::Replay: return "# of nodes";
-      case ExperimentKind::Churn: return "epoch";
-      case ExperimentKind::Mopt: return "R/B";
-    }
-    return "x";
-  }();
-  const auto x_cell = [&](double x) {
-    switch (e.kind) {
-      case ExperimentKind::Density:
-      case ExperimentKind::Design:
-      case ExperimentKind::Replay:
-      case ExperimentKind::Churn:
-        return std::to_string(static_cast<long long>(x));
-      case ExperimentKind::Mopt: return Table::num(x, 2);
-      default: return Table::num(x, 1);
-    }
-  };
-  // Analytic kinds have no replication spread; "x +- 0" would be noise.
-  const bool with_ci = e.kind == ExperimentKind::Sweep ||
-                       e.kind == ExperimentKind::Density ||
-                       e.kind == ExperimentKind::Design ||
-                       e.kind == ExperimentKind::Replay ||
-                       e.kind == ExperimentKind::Churn;
-
+  const KindAxis& axis = kind_axis(e.kind);
   for (const MetricSpec& metric : e.metrics) {
-    std::vector<std::string> header{x_header};
+    std::vector<std::string> header{axis.header};
     for (const auto& s : series) header.push_back(s);
     Table t(std::move(header));
     for (const double x : xs) {
-      std::vector<std::string> cells{x_cell(x)};
+      std::vector<std::string> cells{Table::num(x, axis.precision)};
       for (const auto& s : series) {
         const MetricValue* found = nullptr;
         const auto it = cell_index.find({s, x});
@@ -145,7 +116,7 @@ void TableSink::end_experiment(const Experiment& e) {
             if (m.name == metric.name) found = &m;
         EEND_CHECK_MSG(found, "metric " << metric.name << " missing for ("
                                         << s << ", x=" << x << ")");
-        cells.push_back(with_ci
+        cells.push_back(axis.with_ci
                             ? Table::num_ci(found->mean, found->ci95,
                                             metric.precision)
                             : Table::num(found->mean, metric.precision));

@@ -36,8 +36,9 @@ struct MetricValue {
 struct ResultRow {
   std::string experiment;  ///< manifest experiment id
   std::string kind;        ///< kind_name() of the experiment
-  std::string series;      ///< stack label or card legend
-  std::string x_name;      ///< "rate_pps" | "nodes" | "rb"
+  std::string series;      ///< stack, card legend, heuristic or "n=<N>"
+  std::string x_name;      ///< kind_axis(): "rate_pps", "nodes", "epoch"
+                           ///< or "rb"
   double x = 0.0;
   std::size_t runs = 0;
   std::uint64_t seed = 0;
@@ -78,8 +79,9 @@ class JsonlSink : public ResultSink {
 };
 
 /// Pretty pivot tables, one per (experiment, metric): rows = x values in
-/// first-seen order, columns = series in first-seen order. Sim kinds print
-/// "mean +- ci95"; analytic kinds (grid, mopt) print the bare value.
+/// first-seen order, columns = series in first-seen order. The x header,
+/// the x cell precision and whether cells print "mean +- ci95" or the bare
+/// value (analytic kinds: grid, mopt) come from kind_axis().
 class TableSink : public ResultSink {
  public:
   explicit TableSink(std::ostream& os) : os_(os) {}

@@ -195,6 +195,12 @@ TEST(GoldenRegression, Table2Density) {
   check_against_golden("table2_quick", "table2_density.json");
 }
 
+// Figs. 13-16 (§5.2.3): the grid kind's frozen-route analytic series, the
+// only shipped manifest of that kind.
+TEST(GoldenRegression, HypoGrid) {
+  check_against_golden("hypo_grid_quick", "hypo_grid.json");
+}
+
 // Large-field scaling family (2k nodes at --quick scale): pins the spatial
 // index's end-to-end behavior — any neighbor-set or ordering drift in the
 // grid-backed channel shows up here as a metric diff.

@@ -993,6 +993,57 @@ TEST(Sinks, TableBannerUsesTheExperimentKindsMetricLabel) {
                CheckError);
 }
 
+TEST(Sinks, TablePrintsEachKindsAxis) {
+  // Per kind: a metric it reports, its x-axis header, how x = 3 prints,
+  // and whether cells carry a "+- ci95" half-width (analytic kinds do not).
+  struct Case {
+    ExperimentKind kind;
+    const char* metric;
+    const char* header;
+    const char* x_cell;
+    bool with_ci;
+  };
+  const Case cases[] = {
+      {ExperimentKind::Sweep, "delivery_ratio", "rate (pkt/s)", "3.0", true},
+      {ExperimentKind::Density, "delivery_ratio", "# of nodes", "3", true},
+      {ExperimentKind::Grid, "active_nodes", "rate (pkt/s)", "3.0", false},
+      {ExperimentKind::Mopt, "mopt", "R/B", "3.00", false},
+      {ExperimentKind::Design, "eq5_total", "# of nodes", "3", true},
+      {ExperimentKind::Replay, "delivery_ratio", "# of nodes", "3", true},
+      {ExperimentKind::Churn, "warm_score", "epoch", "3", true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(kind_name(c.kind));
+    Experiment e;
+    e.id = e.title = kind_name(c.kind);
+    e.kind = c.kind;
+    e.metrics = {{c.metric, 2}};
+    const ResultRow r{.experiment = e.id,
+                      .kind = kind_name(c.kind),
+                      .series = "s",
+                      .x_name = "x",
+                      .x = 3.0,
+                      .runs = 2,
+                      .seed = 1,
+                      .metrics = {{c.metric, 1.5, 0.25, 2}}};
+    std::ostringstream os;
+    TableSink sink(os);
+    sink.begin_experiment(e);
+    sink.row(r);
+    sink.end_experiment(e);
+    const std::string out = os.str();
+    // The [csv] echo of the table holds the header and the one row verbatim.
+    EXPECT_NE(out.find(std::string("\n") + c.header + ",s\n"),
+              std::string::npos)
+        << out;
+    const std::string cell = c.with_ci ? "1.50 +- 0.25" : "1.50";
+    EXPECT_NE(out.find(std::string("\n") + c.x_cell + "," + cell + "\n"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("+-") != std::string::npos, c.with_ci) << out;
+  }
+}
+
 // ------------------------------------------------- scenario resolution ---
 
 TEST(Manifest, RejectsUnresolvableScenariosAtParseTime) {

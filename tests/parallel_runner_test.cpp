@@ -142,35 +142,5 @@ TEST(ParallelExperiment, SweepRatesIsJobsInvariant) {
   }
 }
 
-TEST(ParallelExperiment, SweepGridIsJobsInvariantAndReportsProgress) {
-  const std::vector<net::StackSpec> stacks{net::StackSpec::titan_pc(),
-                                           net::StackSpec::dsr_active()};
-  const std::vector<double> rates{2.0, 4.0};
-  ExperimentConfig cfg = tiny_experiment();
-  cfg.runs = 2;
-
-  cfg.jobs = 1;
-  std::vector<std::string> done_serial;
-  const auto a = sweep_grid(cfg, stacks, rates, [&](const net::StackSpec& s) {
-    done_serial.push_back(s.label);
-  });
-
-  cfg.jobs = 8;
-  std::atomic<int> done_parallel{0};
-  const auto b = sweep_grid(
-      cfg, stacks, rates,
-      [&](const net::StackSpec&) { done_parallel.fetch_add(1); });
-
-  EXPECT_EQ(done_serial.size(), stacks.size());
-  EXPECT_EQ(done_parallel.load(), static_cast<int>(stacks.size()));
-  ASSERT_EQ(a.size(), stacks.size());
-  ASSERT_EQ(b.size(), stacks.size());
-  for (std::size_t si = 0; si < stacks.size(); ++si) {
-    ASSERT_EQ(a[si].size(), rates.size());
-    for (std::size_t ri = 0; ri < rates.size(); ++ri)
-      expect_results_identical(a[si][ri], b[si][ri]);
-  }
-}
-
 }  // namespace
 }  // namespace eend::core

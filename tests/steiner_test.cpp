@@ -47,11 +47,6 @@ void prune_leaves_reference(const Graph& g,
   }
 }
 
-/// Reference Klein-Ravi: the std::set / std::map / per-center-allocation
-/// implementation that preceded the flat-array spider search, kept here
-/// verbatim (with its result assembly) as the oracle that the kernel in
-/// steiner.cpp reproduces bit for bit. `searches`, when non-null, counts
-/// its spider searches.
 bool is_terminal(std::span<const NodeId> terminals, NodeId v) {
   return std::find(terminals.begin(), terminals.end(), v) != terminals.end();
 }
@@ -99,38 +94,51 @@ SteinerTree assemble_reference(const Graph& g,
   return t;
 }
 
+/// Reference Klein-Ravi: the solver that preceded the bounded spider search
+/// in steiner.cpp, kept as the oracle that kernel reproduces bit for bit.
+/// It keeps that solver's structure — a full, unpruned Dijkstra from every
+/// centre in every merge round, an argmin over all centres — and its float
+/// expressions; its lookups are flat (a `selected` mask, a per-node entry
+/// cost, touch-points indexed by component) and its buffers are reused
+/// across centres. `searches`, when non-null, counts its spider searches.
 SteinerTree klein_ravi_reference(const Graph& g,
                                 std::span<const NodeId> terminals,
                                 std::uint64_t* searches = nullptr) {
   EEND_REQUIRE(!terminals.empty());
   for (NodeId t : terminals) EEND_REQUIRE(g.valid_node(t));
+  const std::size_t n = g.node_count();
 
-  // Node cost: terminals are free (c(si) = c(di) = 0 per the paper).
-  auto cost_of = [&](NodeId v) {
-    return is_terminal(terminals, v) ? 0.0 : g.node_weight(v);
-  };
+  // Entering node v costs entry[v]: its weight, except that terminals are
+  // free (c(si) = c(di) = 0 per the paper) and selected nodes are already
+  // paid for.
+  std::vector<char> selected(n, 0);
+  std::vector<double> entry(n);
+  for (NodeId v = 0; v < n; ++v) entry[v] = g.node_weight(v);
+  for (NodeId t : terminals) {
+    selected[t] = 1;
+    entry[t] = 0.0;
+  }
 
   // Components: start with each terminal alone. We track, per node, which
   // component it belongs to (kInvalidNode = none yet). Selected nodes form
   // the growing solution.
-  std::vector<NodeId> comp(g.node_count(), kInvalidNode);
-  std::set<NodeId> selected(terminals.begin(), terminals.end());
+  std::vector<NodeId> comp(n, kInvalidNode);
   NodeId next_comp = 0;
   for (NodeId t : terminals)
     if (comp[t] == kInvalidNode) comp[t] = next_comp++;
   std::size_t active_components = next_comp;
 
-  // Node-weighted shortest path FROM a candidate spider center v to each
-  // component: weight of a path = sum of costs of intermediate nodes (both
-  // endpoints excluded; the center is charged separately).
+  // Node-weighted shortest paths FROM a candidate spider center to every
+  // node: weight of a path = sum of entry costs of the nodes after the
+  // center (the center is charged separately).
+  std::vector<double> dist(n);
+  std::vector<NodeId> par(n);
+  using Item = std::pair<double, NodeId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   auto spider_paths = [&](NodeId center) {
-    // Dijkstra where entering node u costs cost_of(u), except entering a
-    // node already in `selected` costs 0 (it is already paid for).
     if (searches) ++*searches;
-    std::vector<double> dist(g.node_count(), kInfCost);
-    std::vector<NodeId> par(g.node_count(), kInvalidNode);
-    using Item = std::pair<double, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    std::fill(dist.begin(), dist.end(), kInfCost);
+    std::fill(par.begin(), par.end(), kInvalidNode);
     dist[center] = 0.0;
     pq.emplace(0.0, center);
     while (!pq.empty()) {
@@ -139,8 +147,7 @@ SteinerTree klein_ravi_reference(const Graph& g,
       if (d > dist[u]) continue;
       for (const auto& [v, e] : g.neighbors(u)) {
         (void)e;
-        const double step = selected.count(v) ? 0.0 : cost_of(v);
-        const double nd = d + step;
+        const double nd = d + entry[v];
         if (nd < dist[v]) {
           dist[v] = nd;
           par[v] = u;
@@ -148,36 +155,34 @@ SteinerTree klein_ravi_reference(const Graph& g,
         }
       }
     }
-    return std::make_pair(std::move(dist), std::move(par));
   };
 
+  // Cheapest touch-point per component, (dist, node); node kInvalidNode =
+  // not reached.
+  std::vector<Item> comp_best(next_comp);
+  std::vector<Item> legs;
   while (active_components > 1) {
     double best_ratio = kInfCost;
     NodeId best_center = kInvalidNode;
     std::vector<NodeId> best_targets;  // one representative node per comp
 
-    for (NodeId center = 0; center < g.node_count(); ++center) {
-      auto [dist, par] = spider_paths(center);
-      (void)par;  // only the winning center's parents are needed (below)
-      // Cheapest touch-point per component.
-      std::map<NodeId, std::pair<double, NodeId>> comp_best;
-      for (NodeId v = 0; v < g.node_count(); ++v) {
+    for (NodeId center = 0; center < n; ++center) {
+      spider_paths(center);
+      std::fill(comp_best.begin(), comp_best.end(),
+                Item{kInfCost, kInvalidNode});
+      for (NodeId v = 0; v < n; ++v) {
         if (comp[v] == kInvalidNode || dist[v] == kInfCost) continue;
-        auto it = comp_best.find(comp[v]);
-        if (it == comp_best.end() || dist[v] < it->second.first)
-          comp_best[comp[v]] = {dist[v], v};
+        Item& best = comp_best[comp[v]];
+        if (best.second == kInvalidNode || dist[v] < best.first)
+          best = {dist[v], v};
       }
-      if (comp_best.size() < 2) continue;
-      std::vector<std::pair<double, NodeId>> legs;
-      legs.reserve(comp_best.size());
-      for (const auto& [c, leg] : comp_best) {
-        (void)c;
-        legs.push_back(leg);
-      }
+      legs.clear();
+      for (const Item& leg : comp_best)
+        if (leg.second != kInvalidNode) legs.push_back(leg);
+      if (legs.size() < 2) continue;
       std::sort(legs.begin(), legs.end());
       // Try spider degrees 2..all, pick the best cost/#components ratio.
-      const double center_cost = selected.count(center) ? 0.0 : cost_of(center);
-      double acc = center_cost;
+      double acc = entry[center];
       for (std::size_t i = 0; i < legs.size(); ++i) {
         acc += legs[i].first;
         const std::size_t deg = i + 1;
@@ -199,43 +204,47 @@ SteinerTree klein_ravi_reference(const Graph& g,
     }
 
     // Re-derive the winning spider's parent links with one extra Dijkstra
-    // (`selected` is unchanged since the argmin scan, so the run is
-    // identical) instead of copying the N-sized parent vector on every
-    // ratio improvement inside the O(centers × merges) loop.
-    const std::vector<NodeId> best_parent = spider_paths(best_center).second;
+    // (`entry` is unchanged since the argmin scan, so the run is identical).
+    spider_paths(best_center);
 
     // Apply the spider: select center and all path nodes; merge components.
     const NodeId merged = comp[best_targets[0]];
     auto select_node = [&](NodeId v) {
-      selected.insert(v);
+      selected[v] = 1;
+      entry[v] = 0.0;
       if (comp[v] == kInvalidNode) comp[v] = merged;
     };
     select_node(best_center);
     for (NodeId target : best_targets) {
       for (NodeId cur = target; cur != kInvalidNode && cur != best_center;
-           cur = best_parent[cur])
+           cur = par[cur])
         select_node(cur);
     }
     // Relabel all nodes of merged components.
-    std::set<NodeId> merged_comps;
-    for (NodeId target : best_targets) merged_comps.insert(comp[target]);
-    for (NodeId v = 0; v < g.node_count(); ++v)
-      if (comp[v] != kInvalidNode && merged_comps.count(comp[v]))
-        comp[v] = merged;
-    active_components -= merged_comps.size() - 1;
+    std::vector<char> merging(next_comp, 0);
+    std::size_t merged_count = 0;
+    for (NodeId target : best_targets)
+      if (!merging[comp[target]]) {
+        merging[comp[target]] = 1;
+        ++merged_count;
+      }
+    for (NodeId v = 0; v < n; ++v)
+      if (comp[v] != kInvalidNode && merging[comp[v]]) comp[v] = merged;
+    active_components -= merged_count - 1;
   }
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
   // spanning structure works; MST keeps edge cost tidy), then prune.
   std::set<EdgeId> edges;
   {
-    std::map<NodeId, NodeId> remap;
+    std::vector<NodeId> remap(n, kInvalidNode);
     Graph sub;
     std::vector<EdgeId> back;
-    for (NodeId v : selected) remap[v] = sub.add_node();
+    for (NodeId v = 0; v < n; ++v)
+      if (selected[v]) remap[v] = sub.add_node();
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
       const Edge& ed = g.edge(static_cast<EdgeId>(e));
-      if (remap.count(ed.u) && remap.count(ed.v)) {
+      if (remap[ed.u] != kInvalidNode && remap[ed.v] != kInvalidNode) {
         sub.add_edge(remap[ed.u], remap[ed.v], ed.weight);
         back.push_back(static_cast<EdgeId>(e));
       }
