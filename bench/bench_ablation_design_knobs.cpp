@@ -13,6 +13,11 @@
 
 int main(int argc, char** argv) {
   using namespace eend;
+  using metrics::RunResult;
+  // Mean of one per-run metric over an experiment's runs.
+  const auto mean = [](const core::ExperimentResult& r, auto metric) {
+    return core::summarize_runs(r, metric).mean;
+  };
   const Flags flags(argc, argv);
   const auto opts = bench::parse_bench_options(flags, 3);
   const bool quick = opts.quick;
@@ -57,8 +62,8 @@ int main(int argc, char** argv) {
       for (const auto& raw : r.raw)
         rreq += static_cast<double>(raw.rreq_transmissions);
       t.add_row({Table::num(alpha, 1),
-                 Table::num(r.delivery_ratio.mean, 3),
-                 Table::num(r.goodput_bit_per_j.mean, 1),
+                 Table::num(mean(r, &RunResult::delivery_ratio), 3),
+                 Table::num(mean(r, &RunResult::goodput_bit_per_j), 1),
                  Table::num(rreq / static_cast<double>(r.raw.size()), 0)});
     }
     print_table(std::cout, "Ablation 1 — TITAN participation (large net)", t);
@@ -70,18 +75,19 @@ int main(int argc, char** argv) {
     for (const auto& stack :
          {net::StackSpec::dsdvh_odpm_psm(), net::StackSpec::dsdvh_odpm_span()}) {
       const auto r = run_one(stack);
-      t.add_row({stack.label, Table::num(r.delivery_ratio.mean, 3),
-                 Table::num(r.goodput_bit_per_j.mean, 1),
-                 Table::num(r.passive_energy_j.mean, 0)});
+      t.add_row({stack.label,
+                 Table::num(mean(r, &RunResult::delivery_ratio), 3),
+                 Table::num(mean(r, &RunResult::goodput_bit_per_j), 1),
+                 Table::num(mean(r, &RunResult::passive_energy_j), 0)});
     }
     // Cross: naive PSM with short keep-alives.
     net::StackSpec cross = net::StackSpec::dsdvh_odpm_span();
     cross.label = "DSDVH-ODPM(0.6,1.2)-PSM";
     cross.psm.span_improvements = false;
     const auto r = run_one(cross);
-    t.add_row({cross.label, Table::num(r.delivery_ratio.mean, 3),
-               Table::num(r.goodput_bit_per_j.mean, 1),
-               Table::num(r.passive_energy_j.mean, 0)});
+    t.add_row({cross.label, Table::num(mean(r, &RunResult::delivery_ratio), 3),
+               Table::num(mean(r, &RunResult::goodput_bit_per_j), 1),
+               Table::num(mean(r, &RunResult::passive_energy_j), 0)});
     print_table(std::cout,
                 "Ablation 2/3 — keep-alive timers and Span PSM improvements",
                 t);
@@ -105,8 +111,8 @@ int main(int argc, char** argv) {
       for (const auto& raw : r.raw)
         coll += static_cast<double>(raw.mac_collisions);
       t.add_row({scale ? "scaled with TPC power" : "fixed at max range",
-                 Table::num(r.delivery_ratio.mean, 3),
-                 Table::num(r.goodput_bit_per_j.mean, 1),
+                 Table::num(mean(r, &RunResult::delivery_ratio), 3),
+                 Table::num(mean(r, &RunResult::goodput_bit_per_j), 1),
                  Table::num(coll / static_cast<double>(r.raw.size()), 0)});
     }
     print_table(std::cout,
@@ -119,8 +125,9 @@ int main(int argc, char** argv) {
     for (const auto& stack : {net::StackSpec::dsrh_odpm_rate(),
                               net::StackSpec::dsrh_odpm_norate()}) {
       const auto r = run_one(stack);
-      t.add_row({stack.label, Table::num(r.delivery_ratio.mean, 3),
-                 Table::num(r.goodput_bit_per_j.mean, 1)});
+      t.add_row({stack.label,
+                 Table::num(mean(r, &RunResult::delivery_ratio), 3),
+                 Table::num(mean(r, &RunResult::goodput_bit_per_j), 1)});
     }
     print_table(std::cout, "Ablation 5 — value of rate information in h()",
                 t);

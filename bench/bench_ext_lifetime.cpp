@@ -16,6 +16,11 @@
 
 int main(int argc, char** argv) {
   using namespace eend;
+  using metrics::RunResult;
+  // Mean of one per-run metric over an experiment's runs.
+  const auto mean = [](const core::ExperimentResult& r, auto metric) {
+    return core::summarize_runs(r, metric).mean;
+  };
   const Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
 
@@ -52,8 +57,8 @@ int main(int argc, char** argv) {
     const auto d = summarize(deaths);
     t.add_row({stack.label, Table::num_ci(d.mean, d.ci95_half_width, 0),
                Table::num(summarize(depleted).mean, 1),
-               Table::num(r.delivery_ratio.mean, 3),
-               Table::num(r.goodput_bit_per_j.mean, 1)});
+               Table::num(mean(r, &RunResult::delivery_ratio), 3),
+               Table::num(mean(r, &RunResult::goodput_bit_per_j), 1)});
     if (!opts.quiet)
       std::cerr << "  [lifetime] " << stack.label << " done\n";
   }

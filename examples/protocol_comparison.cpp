@@ -44,19 +44,23 @@ int main(int argc, char** argv) {
     cfg.stack = stack;
     cfg.runs = runs;
     const auto r = core::run_experiment(cfg);
-    if (r.goodput_bit_per_j.mean > best_goodput) {
-      best_goodput = r.goodput_bit_per_j.mean;
+    using metrics::RunResult;
+    const auto stats = [&](auto metric) {
+      return core::summarize_runs(r, metric);
+    };
+    const SampleStats delivery = stats(&RunResult::delivery_ratio);
+    const SampleStats goodput = stats(&RunResult::goodput_bit_per_j);
+    if (goodput.mean > best_goodput) {
+      best_goodput = goodput.mean;
       best_label = stack.label;
     }
     t.add_row({stack.label,
-               Table::num_ci(r.delivery_ratio.mean,
-                             r.delivery_ratio.ci95_half_width, 3),
-               Table::num_ci(r.goodput_bit_per_j.mean,
-                             r.goodput_bit_per_j.ci95_half_width, 1),
-               Table::num(r.total_energy_j.mean, 0),
-               Table::num(r.transmit_energy_j.mean, 1),
-               Table::num(r.control_energy_j.mean, 1),
-               Table::num(r.nodes_carrying_data.mean, 1)});
+               Table::num_ci(delivery.mean, delivery.ci95_half_width, 3),
+               Table::num_ci(goodput.mean, goodput.ci95_half_width, 1),
+               Table::num(stats(&RunResult::total_energy_j).mean, 0),
+               Table::num(stats(&RunResult::transmit_energy_j).mean, 1),
+               Table::num(stats(&RunResult::control_energy_j).mean, 1),
+               Table::num(stats(&RunResult::nodes_carrying_data).mean, 1)});
     std::cerr << "  " << stack.label << " done\n";
   }
   std::cout << t.to_text() << "\nMost energy-efficient stack: " << best_label

@@ -105,19 +105,19 @@ test -s BENCH_design_churn.json
 echo "OK: wrote BENCH_design_churn.json (warm speedup/gap floors held)"
 
 echo "== determinism: eend_run --quick, jobs=1 vs jobs=8 =="
-# One manifest per kind that fans out across the pool (design, replay,
-# churn, sweep, density, grid): stdout tables, CSV, JSONL and --counters
-# must be byte-identical for any --jobs (the engine's and the telemetry
-# layer's determinism contract). The churn run also writes a Chrome trace;
-# its counters and trace ship as CI artifacts.
+# One manifest per kind that fans out across the pool (design, presolve,
+# replay, churn, sweep, density, grid): stdout tables, CSV, JSONL and
+# --counters must be byte-identical for any --jobs (the engine's and the
+# telemetry layer's determinism contract). The churn run also writes a
+# Chrome trace; its counters and trace ship as CI artifacts.
 ./build/tools/eend_run --manifest examples/manifests/design_portfolio.json \
   --list | grep -q "portfolio_scaling  \[design\]"
 ./build/tools/eend_run --manifest examples/manifests/design_replay.json \
   --list | grep -q "replay_scaling  \[replay\]"
 ./build/tools/eend_run --manifest examples/manifests/design_churn.json \
   --list | grep -q "churn_serving  \[churn\]"
-for m in design_portfolio design_replay design_churn small_field \
-    table2_density hypo_grid; do
+for m in design_portfolio design_presolve design_replay design_churn \
+    small_field table2_density hypo_grid; do
   for j in 1 8; do
     out="/tmp/eend_${m}_j$j"
     trace=()
@@ -132,10 +132,11 @@ for m in design_portfolio design_replay design_churn small_field \
   echo "OK: $m byte-identical for jobs=1 and jobs=8 (incl. --counters)"
 done
 # The counter catalog must cover all four layers: sim core, design
-# search (route cache and the move evaluator's kept paths), the graph
-# kernels (Klein-Ravi's spider search, its bound and its centre screen)
-# and the churn engine.
+# search (route cache, the move evaluator's kept paths and the routing
+# searches it still runs), the graph kernels (Klein-Ravi's spider search,
+# its bound and its centre screen) and the churn engine.
 for name in sim.events_fired opt.cache.route_hits opt.move.reused_routes \
+    opt.route.searches opt.route.settled_nodes \
     graph.klein_ravi.spider_searches graph.klein_ravi.pruned_searches \
     graph.klein_ravi.screen_settled churn.events_applied; do
   grep -q "\"counter\":\"$name\"" /tmp/eend_design_churn_j1.counters.jsonl

@@ -1,15 +1,31 @@
 #include "analytical/design_eval.hpp"
 
 #include <algorithm>
-#include <tuple>
+#include <bit>
 
 namespace eend::analytical {
 
 namespace {
 
-void sort_unique(std::vector<graph::NodeId>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
+/// Sets bit i; returns whether it was set before.
+bool test_and_set(std::vector<std::uint64_t>& bits, std::size_t i) {
+  std::uint64_t& word = bits[i / 64];
+  const std::uint64_t mask = std::uint64_t{1} << (i % 64);
+  const bool was = (word & mask) != 0;
+  word |= mask;
+  return was;
+}
+
+bool test(const std::vector<std::uint64_t>& bits, std::size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1;
+}
+
+/// Calls fn(i) for every set bit i, ascending.
+template <class Fn>
+void for_each_set(const std::vector<std::uint64_t>& bits, Fn&& fn) {
+  for (std::size_t w = 0; w < bits.size(); ++w)
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
 }
 
 }  // namespace
@@ -18,64 +34,56 @@ Eq5Breakdown evaluate_eq5(const graph::Graph& g,
                           std::span<const RoutedDemand> routes,
                           const Eq5Params& params) {
   Eq5Scratch scratch;
-  return evaluate_eq5(g, routes, params, scratch);
+  return evaluate_eq5(g, graph::ArcIndex(g), routes, params, scratch);
 }
 
-Eq5Breakdown evaluate_eq5(const graph::Graph& g,
+Eq5Breakdown evaluate_eq5(const graph::Graph& g, const graph::ArcIndex& arcs,
                           std::span<const RoutedDemand> routes,
                           const Eq5Params& params, Eq5Scratch& scratch) {
-  Eq5Breakdown out;
-  auto& active = scratch.active;
-  auto& endpoints = scratch.endpoints;
-  auto& hops = scratch.hops;
-  active.clear();
-  endpoints.clear();
-  hops.clear();
+  EEND_REQUIRE(arcs.first.size() == g.node_count());
+  const std::size_t node_words = (g.node_count() + 63) / 64;
+  scratch.in_f.assign(node_words, 0);
+  scratch.endpoint.assign(node_words, 0);
+  scratch.used.assign((arcs.rank_count + 63) / 64, 0);
+  scratch.load.resize(arcs.rank_count);
 
   for (const RoutedDemand& r : routes) {
     EEND_REQUIRE_MSG(r.path.size() >= 1, "empty path");
     EEND_REQUIRE(r.path.front() == r.demand.source &&
-                 r.path.back() == r.demand.destination);
-    endpoints.push_back(r.demand.source);
-    endpoints.push_back(r.demand.destination);
-    active.insert(active.end(), r.path.begin(), r.path.end());
+                 r.path.back() == r.demand.destination &&
+                 g.valid_node(r.demand.source));
+    test_and_set(scratch.endpoint, r.demand.source);
+    test_and_set(scratch.endpoint, r.demand.destination);
+    test_and_set(scratch.in_f, r.path.front());
     for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-      const auto [lo, hi] = std::minmax(r.path[i], r.path[i + 1]);
-      hops.push_back({lo, hi, static_cast<std::uint32_t>(hops.size()),
-                      r.packets});
+      const graph::RankedArc* hop = arcs.find(r.path[i], r.path[i + 1]);
+      EEND_REQUIRE_MSG(hop && hop->weight < graph::kInfCost,
+                       "path hop " << std::min(r.path[i], r.path[i + 1])
+                                   << "-"
+                                   << std::max(r.path[i], r.path[i + 1])
+                                   << " is not an edge");
+      test_and_set(scratch.in_f, r.path[i + 1]);
+      Eq5Scratch::PairLoad& load = scratch.load[hop->rank];
+      if (!test_and_set(scratch.used, hop->rank)) load = {0.0, hop->weight};
+      load.packets += r.packets;
     }
   }
-  sort_unique(active);
-  sort_unique(endpoints);
-  // Sorting on (lo, hi, route order) groups each edge's hops in route
-  // order: every edge sums its packets in route order, and the edges add
-  // their data costs in ascending (lo, hi) order. The float result depends
-  // on both orders (analytical_test pins them against an ordered-map
-  // reference).
-  std::sort(hops.begin(), hops.end(),
-            [](const Eq5Scratch::Hop& a, const Eq5Scratch::Hop& b) {
-              return std::tie(a.lo, a.hi, a.seq) < std::tie(b.lo, b.hi, b.seq);
-            });
 
-  out.active_nodes = active.size();
-  for (graph::NodeId v : active) {
-    const bool endpoint =
-        std::binary_search(endpoints.begin(), endpoints.end(), v);
+  Eq5Breakdown out;
+  scratch.active.clear();
+  for_each_set(scratch.in_f, [&](std::size_t i) {
+    const auto v = static_cast<graph::NodeId>(i);
+    scratch.active.push_back(v);
+    const bool endpoint = test(scratch.endpoint, v);
     if (!endpoint) ++out.relay_nodes;
-    if (endpoint && !params.include_endpoint_idle) continue;
+    if (endpoint && !params.include_endpoint_idle) return;
     out.idle += params.t_idle * g.node_weight(v);
-  }
-  for (std::size_t i = 0; i < hops.size();) {
-    const graph::NodeId lo = hops[i].lo, hi = hops[i].hi;
-    double pkts = 0.0;
-    for (; i < hops.size() && hops[i].lo == lo && hops[i].hi == hi; ++i)
-      pkts += hops[i].packets;
-    // Every hop is checked here, once per distinct edge.
-    const double w = g.edge_weight_between(lo, hi);
-    EEND_REQUIRE_MSG(w < graph::kInfCost,
-                     "path hop " << lo << "-" << hi << " is not an edge");
-    out.data += params.t_data_per_packet * pkts * w;
-  }
+  });
+  out.active_nodes = scratch.active.size();
+  for_each_set(scratch.used, [&](std::size_t rank) {
+    const Eq5Scratch::PairLoad& load = scratch.load[rank];
+    out.data += params.t_data_per_packet * load.packets * load.weight;
+  });
   return out;
 }
 

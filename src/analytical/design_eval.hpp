@@ -44,28 +44,33 @@ struct Eq5Breakdown {
 /// (the opt/ move evaluator keeps one and skips per-call allocations).
 /// After a call, `active` holds F — every node on some route — ascending.
 struct Eq5Scratch {
-  struct Hop {
-    graph::NodeId lo, hi;  ///< edge key (min, max) of one route hop
-    std::uint32_t seq;     ///< hop index in route order
-    double packets;
+  struct PairLoad {
+    double packets;  ///< summed in route order
+    double weight;
   };
   std::vector<graph::NodeId> active;
-  std::vector<graph::NodeId> endpoints;
-  std::vector<Hop> hops;
+  std::vector<std::uint64_t> in_f, endpoint;  ///< bitsets over node ids
+  std::vector<std::uint64_t> used;            ///< bitset over pair ranks
+  std::vector<PairLoad> load;                 ///< per pair rank
 };
 
 /// Evaluate Eq. 5 for the subgraph induced by the routed demands.
 /// Node weights come from Graph::node_weight (c(u)); edge traversal cost
-/// per packet comes from the edge weight (w(e)).
+/// per packet comes from the lightest edge between a hop's endpoints
+/// (w(e)). Builds the graph's ArcIndex for this one call.
 /// Every path must be a valid walk in g (consecutive nodes adjacent).
-/// Idle costs sum in ascending node order, each edge's packets in route
-/// order and the edges' data costs in ascending (min, max) order.
 Eq5Breakdown evaluate_eq5(const graph::Graph& g,
                           std::span<const RoutedDemand> routes,
                           const Eq5Params& params);
 
-/// The same evaluation on caller-owned buffers.
-Eq5Breakdown evaluate_eq5(const graph::Graph& g,
+/// The Eq. 5 kernel, on caller-owned buffers. Each hop's pair rank and
+/// weight come from `arcs` — g's ArcIndex, or any index with g's ranks
+/// that lists every hop (the move evaluator passes its design's induced
+/// view). No sort: F and the endpoints are bitsets read in ascending
+/// node order, where the idle costs sum; each pair's packets sum in route
+/// order, and the pairs' data costs in ascending rank — that is,
+/// ascending (min, max) — order.
+Eq5Breakdown evaluate_eq5(const graph::Graph& g, const graph::ArcIndex& arcs,
                           std::span<const RoutedDemand> routes,
                           const Eq5Params& params, Eq5Scratch& scratch);
 

@@ -156,52 +156,11 @@ NetworkDesignProblem::try_route_in_subgraph_cached(
   return std::nullopt;
 }
 
-bool NetworkDesignProblem::route_demands(
-    std::span<const char> allowed,
-    std::span<const std::vector<graph::NodeId>* const> keep,
-    graph::SpWorkspace& ws, std::vector<analytical::RoutedDemand>& routes,
-    std::size_t* failed_demand) const {
-  EEND_REQUIRE(allowed.size() == graph_.node_count());
-  EEND_REQUIRE(keep.empty() || keep.size() == demands_.size());
-  const std::uint64_t settled_before = ws.settled;
-  std::uint64_t searches = 0;
-  std::optional<std::size_t> failed;
-  routes.resize(demands_.size());
-  for (std::size_t i = 0; i < demands_.size(); ++i) {
-    const graph::Demand& d = demands_[i];
-    analytical::RoutedDemand& r = routes[i];
-    r.demand = d;
-    r.packets = d.rate;
-    if (!allowed[d.source] || !allowed[d.destination]) {
-      failed = i;
-      break;
-    }
-    if (!keep.empty() && keep[i]) {
-      r.path = *keep[i];
-      continue;
-    }
-    ++searches;
-    const graph::NodeId t = d.destination;
-    ws.run(
-        graph_, d.source,
-        [&](double dist, const graph::Adjacency& a) {
-          return allowed[a.neighbor] ? dist + graph_.edge(a.edge).weight
-                                     : graph::kInfCost;
-        },
-        [t](double, graph::NodeId u) { return u != t; });
-    ws.tree.path_to(t, r.path);  // t's parent chain was all set by this run
-    if (r.path.empty()) {
-      failed = i;
-      break;
-    }
-  }
-  if (searches) {
-    obs::count("opt.route.searches", searches);
-    obs::count("opt.route.settled_nodes", ws.settled - settled_before);
-  }
-  if (!failed) return true;
-  if (failed_demand) *failed_demand = *failed;
-  return false;
+void NetworkDesignProblem::publish_routing(std::uint64_t searches,
+                                           std::uint64_t settled) {
+  if (!searches) return;
+  obs::count("opt.route.searches", searches);
+  obs::count("opt.route.settled_nodes", settled);
 }
 
 std::vector<analytical::RoutedDemand>

@@ -120,11 +120,73 @@ class NetworkDesignProblem {
                      std::span<const std::vector<graph::NodeId>* const> keep,
                      graph::SpWorkspace& ws,
                      std::vector<analytical::RoutedDemand>& routes,
-                     std::size_t* failed_demand = nullptr) const;
+                     std::size_t* failed_demand = nullptr) const {
+    EEND_REQUIRE(allowed.size() == graph_.node_count());
+    return route_demands(
+        allowed, [this](graph::NodeId u) { return graph_.neighbors(u); },
+        keep, ws, routes, failed_demand);
+  }
+
+  /// The same loop over another neighbour source for the searches (see
+  /// graph::SpWorkspace::run): `neighbors(u)` returns u's graph::Adjacency
+  /// or graph::RankedArc entries. It must list every arc from u to an
+  /// allowed node with that pair's lightest weight; arcs to forbidden
+  /// nodes may be left out. The move evaluator passes its design's
+  /// induced view, which leaves out all but a few.
+  template <class Neighbors>
+  bool route_demands(std::span<const char> allowed, Neighbors&& neighbors,
+                     std::span<const std::vector<graph::NodeId>* const> keep,
+                     graph::SpWorkspace& ws,
+                     std::vector<analytical::RoutedDemand>& routes,
+                     std::size_t* failed_demand = nullptr) const {
+    EEND_REQUIRE(keep.empty() || keep.size() == demands_.size());
+    const std::uint64_t settled_before = ws.settled;
+    std::uint64_t searches = 0;
+    std::optional<std::size_t> failed;
+    routes.resize(demands_.size());
+    for (std::size_t i = 0; i < demands_.size(); ++i) {
+      const graph::Demand& d = demands_[i];
+      analytical::RoutedDemand& r = routes[i];
+      r.demand = d;
+      r.packets = d.rate;
+      if (!allowed[d.source] || !allowed[d.destination]) {
+        failed = i;
+        break;
+      }
+      if (!keep.empty() && keep[i]) {
+        r.path = *keep[i];
+        continue;
+      }
+      ++searches;
+      const graph::NodeId t = d.destination;
+      ws.run(
+          d.source, neighbors,
+          [&](double dist, const auto& a) {
+            return allowed[a.neighbor] ? dist + arc_weight(a)
+                                       : graph::kInfCost;
+          },
+          [t](double, graph::NodeId u) { return u != t; });
+      ws.tree.path_to(t, r.path);  // t's parent chain was all set by this run
+      if (r.path.empty()) {
+        failed = i;
+        break;
+      }
+    }
+    publish_routing(searches, ws.settled - settled_before);
+    if (!failed) return true;
+    if (failed_demand) *failed_demand = *failed;
+    return false;
+  }
 
  private:
   std::vector<analytical::RoutedDemand> route_in_subgraph(
       const std::vector<graph::NodeId>& allowed_nodes) const;
+  double arc_weight(const graph::Adjacency& a) const {
+    return graph_.edge(a.edge).weight;
+  }
+  static double arc_weight(const graph::RankedArc& a) { return a.weight; }
+  /// opt.route.searches / settled_nodes, when `searches` is non-zero.
+  static void publish_routing(std::uint64_t searches, std::uint64_t settled);
 
   graph::Graph graph_;
   std::vector<graph::Demand> demands_;

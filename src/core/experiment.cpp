@@ -29,33 +29,6 @@ metrics::RunResult run_replication(const ExperimentConfig& cfg,
   return out;
 }
 
-ExperimentResult aggregate(const ExperimentConfig& cfg,
-                           std::vector<metrics::RunResult> raw) {
-  ExperimentResult out;
-  out.stack_label = cfg.stack.label;
-  out.rate_pps = cfg.scenario.rate_pps;
-
-  std::vector<double> delivery, goodput, tx, total, control, passive, active;
-  for (const metrics::RunResult& r : raw) {
-    delivery.push_back(r.delivery_ratio);
-    goodput.push_back(r.goodput_bit_per_j);
-    tx.push_back(r.transmit_energy_j);
-    total.push_back(r.total_energy_j);
-    control.push_back(r.control_energy_j);
-    passive.push_back(r.passive_energy_j);
-    active.push_back(static_cast<double>(r.nodes_carrying_data));
-  }
-  out.raw = std::move(raw);
-  out.delivery_ratio = summarize(delivery);
-  out.goodput_bit_per_j = summarize(goodput);
-  out.transmit_energy_j = summarize(tx);
-  out.total_energy_j = summarize(total);
-  out.control_energy_j = summarize(control);
-  out.passive_energy_j = summarize(passive);
-  out.nodes_carrying_data = summarize(active);
-  return out;
-}
-
 // Shared engine: evaluate `cells` (each `runs` replications) on one pool;
 // results in cell-major, then seed, order — independent of scheduling.
 std::vector<ExperimentResult> run_cells(
@@ -83,12 +56,13 @@ std::vector<ExperimentResult> run_cells(
   std::vector<ExperimentResult> out;
   out.reserve(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    std::vector<metrics::RunResult> slice(
-        std::make_move_iterator(raw.begin() + c * runs),
-        std::make_move_iterator(raw.begin() + (c + 1) * runs));
-    out.push_back(aggregate(cells[c], std::move(slice)));
+    ExperimentResult& cell = out.emplace_back();
+    cell.stack_label = cells[c].stack.label;
+    cell.rate_pps = cells[c].scenario.rate_pps;
+    cell.raw.assign(std::make_move_iterator(raw.begin() + c * runs),
+                    std::make_move_iterator(raw.begin() + (c + 1) * runs));
     for (std::size_t r = 0; r < runs; ++r)  // seed-order merge
-      out.back().counters.merge_from(snaps[c * runs + r]);
+      cell.counters.merge_from(snaps[c * runs + r]);
   }
   return out;
 }

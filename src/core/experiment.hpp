@@ -29,18 +29,11 @@ struct ExperimentConfig {
   std::size_t jobs = 1;
 };
 
-/// Aggregated results of one experiment cell.
+/// Results of one experiment cell: its per-run records; summarize_runs
+/// (and the manifest engine's metric tables) aggregate them.
 struct ExperimentResult {
   std::string stack_label;
   double rate_pps = 0.0;
-
-  SampleStats delivery_ratio;
-  SampleStats goodput_bit_per_j;
-  SampleStats transmit_energy_j;
-  SampleStats total_energy_j;
-  SampleStats control_energy_j;
-  SampleStats passive_energy_j;
-  SampleStats nodes_carrying_data;
 
   std::vector<metrics::RunResult> raw;  ///< per-run detail, in seed order
 
@@ -49,6 +42,18 @@ struct ExperimentResult {
   /// work, so the merge is byte-identical for any --jobs.
   obs::CounterSnapshot counters;
 };
+
+/// Mean and 95% confidence interval of one per-run metric over r's runs,
+/// in seed order. `metric` is a RunResult member pointer or a callable on
+/// a RunResult.
+template <class Metric>
+SampleStats summarize_runs(const ExperimentResult& r, Metric&& metric) {
+  std::vector<double> xs;
+  xs.reserve(r.raw.size());
+  for (const metrics::RunResult& run : r.raw)
+    xs.push_back(static_cast<double>(std::invoke(metric, run)));
+  return summarize(xs);
+}
 
 /// Run `cfg.runs` independent replications (seeds base_seed..base_seed+R-1).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);

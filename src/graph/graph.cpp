@@ -42,4 +42,36 @@ double Graph::edge_weight_between(NodeId u, NodeId v) const {
   return best;
 }
 
+ArcIndex::ArcIndex(const Graph& g) {
+  // Pairs in ascending (min, max) order: each node's edges to higher ids,
+  // sorted by that id, with parallel edges adjacent.
+  std::vector<std::uint32_t> rank(g.edge_count());
+  std::vector<double> weight;  // per rank
+  std::vector<std::pair<NodeId, EdgeId>> up;
+  for (NodeId lo = 0; lo < g.node_count(); ++lo) {
+    up.clear();
+    for (const Adjacency& a : g.neighbors(lo))
+      if (a.neighbor > lo) up.emplace_back(a.neighbor, a.edge);
+    std::sort(up.begin(), up.end());
+    for (std::size_t i = 0; i < up.size(); ++i) {
+      const double w = g.edge(up[i].second).weight;
+      if (i == 0 || up[i - 1].first != up[i].first)
+        weight.push_back(w);
+      else
+        weight.back() = std::min(weight.back(), w);
+      rank[up[i].second] = static_cast<std::uint32_t>(weight.size() - 1);
+    }
+  }
+  rank_count = weight.size();
+  first.resize(g.node_count());
+  last.resize(g.node_count());
+  arcs.reserve(2 * g.edge_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    first[v] = static_cast<std::uint32_t>(arcs.size());
+    for (const Adjacency& a : g.neighbors(v))
+      arcs.push_back({a.neighbor, rank[a.edge], weight[rank[a.edge]]});
+    last[v] = static_cast<std::uint32_t>(arcs.size());
+  }
+}
+
 }  // namespace eend::graph

@@ -84,6 +84,43 @@ class Graph {
   std::vector<double> node_weight_;
 };
 
+/// One arc of an ArcIndex: the neighbour, the rank of the endpoint pair
+/// and the pair's weight.
+struct RankedArc {
+  NodeId neighbor;
+  std::uint32_t rank;
+  double weight;
+};
+
+/// Per-node arc lists whose arcs carry their pair rank and weight, in
+/// O(N + E) memory (no N×N table). Ranks number the graph's distinct
+/// (min, max) endpoint pairs in ascending order; a pair's weight is the
+/// minimum over its parallel edges, as in Graph::edge_weight_between.
+/// ArcIndex(g) lists every node's arcs in adjacency order; the design
+/// search's move surface fills one with the arcs inside a design (its
+/// induced view, opt/move_evaluator.hpp) and keeps the instance's ranks.
+struct ArcIndex {
+  ArcIndex() = default;
+  explicit ArcIndex(const Graph& g);
+
+  /// Node v's arcs are arcs[first[v] .. last[v]).
+  std::vector<std::uint32_t> first, last;
+  std::vector<RankedArc> arcs;
+  std::size_t rank_count = 0;  ///< distinct endpoint pairs of the graph
+
+  std::span<const RankedArc> of(NodeId v) const {
+    return {arcs.data() + first[v], arcs.data() + last[v]};
+  }
+  /// The first listed arc a -> b, or nullptr when there is none (or a is
+  /// not a node of the index).
+  const RankedArc* find(NodeId a, NodeId b) const {
+    if (a >= first.size()) return nullptr;
+    for (const RankedArc& x : of(a))
+      if (x.neighbor == b) return &x;
+    return nullptr;
+  }
+};
+
 /// A source-destination traffic demand (si, di, ri) from the Section 3
 /// problem definition.
 struct Demand {

@@ -35,6 +35,14 @@ struct ShortestPathTree {
 /// reached. The heap is std::priority_queue's push/pop over (dist, node),
 /// so ties settle in its order. Callers own a workspace and run one search
 /// at a time on it (concurrent searches each need their own).
+///
+/// The order in which one node's neighbours are offered never matters:
+/// the heap pops distinct (dist, node) pairs in strict order and a parent
+/// is replaced only on a strictly shorter offer, so the settle sequence,
+/// every parent and `settled` depend only on the set of offers — zero
+/// weights and parallel edges included. A neighbour source may therefore
+/// list a node's arcs in any order and leave out every arc whose offer
+/// would be kInfCost.
 class SpWorkspace {
  public:
   explicit SpWorkspace(std::size_t node_count)
@@ -47,16 +55,17 @@ class SpWorkspace {
   ShortestPathTree tree;
   std::uint64_t settled = 0;  ///< nodes settled over every run so far
 
-  /// Dijkstra from `source`. `relax(d, adj)` returns the candidate
-  /// distance of adj.neighbor through a node settled at `d` (kInfCost
-  /// skips the neighbour), so each caller keeps its own float expression.
-  /// `on_settle(d, u)` runs once per settled node, before u's neighbours
-  /// are relaxed; returning false stops the search there.
-  template <class Relax, class OnSettle>
-  void run(const Graph& g, NodeId source, Relax&& relax,
+  /// Dijkstra from `source`. `neighbors(u)` returns the range of u's arcs
+  /// (each with a `neighbor` member); `relax(d, arc)` returns the
+  /// candidate distance of arc.neighbor through a node settled at `d`
+  /// (kInfCost skips the neighbour), so each caller keeps its own float
+  /// expression. `on_settle(d, u)` runs once per settled node, before u's
+  /// neighbours are relaxed; returning false stops the search there.
+  template <class Neighbors, class Relax, class OnSettle>
+  void run(NodeId source, Neighbors&& neighbors, Relax&& relax,
            OnSettle&& on_settle) {
     auto& dist = tree.distance;
-    EEND_REQUIRE(dist.size() == g.node_count() && g.valid_node(source));
+    EEND_REQUIRE(source < dist.size());
     for (NodeId v : touched_) dist[v] = kInfCost;
     touched_.assign(1, source);
     tree.source = source;
@@ -69,7 +78,7 @@ class SpWorkspace {
       if (d > dist[u]) continue;  // stale entry
       ++settled;
       if (!on_settle(d, u)) return;
-      for (const Adjacency& a : g.neighbors(u)) {
+      for (const auto& a : neighbors(u)) {
         const NodeId v = a.neighbor;
         const double nd = relax(d, a);
         if (!(nd < dist[v])) continue;
@@ -80,6 +89,16 @@ class SpWorkspace {
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
       }
     }
+  }
+
+  /// The same over g's adjacency lists.
+  template <class Relax, class OnSettle>
+  void run(const Graph& g, NodeId source, Relax&& relax,
+           OnSettle&& on_settle) {
+    EEND_REQUIRE(tree.distance.size() == g.node_count());
+    run(
+        source, [&g](NodeId u) { return g.neighbors(u); },
+        std::forward<Relax>(relax), std::forward<OnSettle>(on_settle));
   }
 
  private:

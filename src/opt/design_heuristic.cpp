@@ -36,11 +36,12 @@ std::vector<double> node_energy_loads(
   return load;
 }
 
-void score_routes(const graph::Graph& g,
+void score_routes(const graph::Graph& g, const graph::ArcIndex& arcs,
                   std::span<const analytical::RoutedDemand> routes,
                   const DesignObjective& objective,
                   analytical::Eq5Scratch& scratch, CandidateDesign& out) {
-  out.score = analytical::evaluate_eq5(g, routes, objective.eval, scratch);
+  out.score =
+      analytical::evaluate_eq5(g, arcs, routes, objective.eval, scratch);
   out.max_node_load = 0.0;
   out.lifetime_penalty = 0.0;
   // The load scan is O(N + route length) per evaluation and only the
@@ -89,7 +90,8 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
     return out;
   }
   analytical::Eq5Scratch scratch;
-  score_routes(problem.graph(), *routes, objective, scratch, out);
+  score_routes(problem.graph(), graph::ArcIndex(problem.graph()), *routes,
+               objective, scratch, out);
   if (fill) {
     // Memoize against the *allowed* set (pre-normalization): the subset
     // test in the cached routing twin compares allowed sets, not the

@@ -85,10 +85,11 @@ std::vector<double> node_energy_loads(
     const analytical::Eq5Params& eval);
 
 /// The scoring tail every design evaluation shares: Eq. 5 over `routes`
-/// (on `scratch`'s buffers), the overload penalty when the objective
+/// (on `scratch`'s buffers, with hop ranks and weights from `arcs`; see
+/// analytical::evaluate_eq5), the overload penalty when the objective
 /// carries a battery budget, and `out.nodes` normalized to the nodes the
 /// routes use. Overwrites every field of `out` and marks it feasible.
-void score_routes(const graph::Graph& g,
+void score_routes(const graph::Graph& g, const graph::ArcIndex& arcs,
                   std::span<const analytical::RoutedDemand> routes,
                   const DesignObjective& objective,
                   analytical::Eq5Scratch& scratch, CandidateDesign& out);

@@ -6,33 +6,46 @@
 
 namespace eend::opt {
 
-void MoveSurface::rebuild(const graph::Graph& g,
+void MoveSurface::rebuild(const graph::ArcIndex& arcs,
                           std::span<const graph::NodeId> nodes,
                           std::span<const graph::NodeId> terminals) {
-  in_design.assign(g.node_count(), 0);
+  const std::size_t n = arcs.first.size();
+  in_design.assign(n, 0);
   for (graph::NodeId v : nodes) in_design[v] = 1;
   relays.clear();
   frontier.clear();
   swaps.clear();
   swap_begin.assign(1, 0);
+  view.first.assign(n, 0);
+  view.last.assign(n, 0);
+  view.arcs.clear();
+  view.rank_count = arcs.rank_count;
   for (graph::NodeId v : nodes) {
     if (std::binary_search(terminals.begin(), terminals.end(), v)) continue;
     relays.push_back(v);
   }
   std::sort(relays.begin(), relays.end());
-  // Mark frontier nodes as they are found (2 = listed), so the sort sees
-  // each once; the marks are cleared again below.
-  for (graph::NodeId v : nodes)
-    for (const graph::Adjacency& a : g.neighbors(v))
-      if (!in_design[a.neighbor]) {
+  // One walk over the design's arcs records the view and the frontier.
+  // Frontier nodes are marked as they are found (2 = listed), so the sort
+  // sees each once; the marks are cleared again below.
+  for (graph::NodeId v : nodes) {
+    view.first[v] = static_cast<std::uint32_t>(view.arcs.size());
+    for (const graph::RankedArc& a : arcs.of(v)) {
+      if (in_design[a.neighbor] == 1) {
+        view.arcs.push_back(a);
+      } else if (!in_design[a.neighbor]) {
         in_design[a.neighbor] = 2;
         frontier.push_back(a.neighbor);
       }
+    }
+    view.last[v] = static_cast<std::uint32_t>(view.arcs.size());
+    view.arcs.push_back({});  // spare slot
+  }
   for (graph::NodeId u : frontier) in_design[u] = 0;
   std::sort(frontier.begin(), frontier.end());
   for (graph::NodeId v : relays) {
     const auto first = static_cast<std::ptrdiff_t>(swaps.size());
-    for (const graph::Adjacency& a : g.neighbors(v))
+    for (const graph::RankedArc& a : arcs.of(v))
       if (!in_design[a.neighbor]) swaps.push_back(a.neighbor);
     std::sort(swaps.begin() + first, swaps.end());
     swaps.erase(std::unique(swaps.begin() + first, swaps.end()), swaps.end());
@@ -40,7 +53,40 @@ void MoveSurface::rebuild(const graph::Graph& g,
   }
 }
 
-TerminalRows::TerminalRows(const core::NetworkDesignProblem& problem) {
+namespace {
+
+/// Whether design node x's view ends in an arc to u — the spare slot
+/// MoveSurface::open(u) fills (x's own arcs all lead into the design).
+bool spare_holds(const graph::ArcIndex& view, graph::NodeId x,
+                 graph::NodeId u) {
+  return view.last[x] > view.first[x] &&
+         view.arcs[view.last[x] - 1].neighbor == u;
+}
+
+}  // namespace
+
+void MoveSurface::open(const graph::ArcIndex& arcs, graph::NodeId u) {
+  view.first[u] = static_cast<std::uint32_t>(view.arcs.size());
+  for (const graph::RankedArc& a : arcs.of(u)) {
+    const graph::NodeId x = a.neighbor;
+    if (!in_design[x]) continue;
+    view.arcs.push_back(a);
+    // A parallel edge finds the spare slot filled already.
+    if (!spare_holds(view, x, u))
+      view.arcs[view.last[x]++] = {u, a.rank, a.weight};
+  }
+  view.last[u] = static_cast<std::uint32_t>(view.arcs.size());
+}
+
+void MoveSurface::close(graph::NodeId u) {
+  for (const graph::RankedArc& a : view.of(u))
+    if (spare_holds(view, a.neighbor, u)) --view.last[a.neighbor];
+  view.arcs.resize(view.first[u]);
+  view.first[u] = view.last[u] = 0;
+}
+
+TerminalRows::TerminalRows(const core::NetworkDesignProblem& problem)
+    : arcs(problem.graph()) {
   const graph::Graph& g = problem.graph();
   const std::vector<graph::NodeId> terminals = problem.terminals();
   if (std::any_of(g.edges().begin(), g.edges().end(),
@@ -82,21 +128,21 @@ MoveEvaluator::MoveEvaluator(
       objective_(objective),
       terminals_(problem.terminals()),
       incumbent_(incumbent),
+      rows_(rows ? rows : &own_rows_.emplace(problem)),
       ws_(problem.graph().node_count()),
       from_u_(problem.graph().node_count(), graph::kInfCost),
       needed_(problem.graph().node_count(), 0) {
   EEND_REQUIRE_MSG(incumbent.feasible,
                    "the move evaluator needs a feasible incumbent");
   const auto& demands = problem_.demands();
-  surface_.rebuild(g_, incumbent_.nodes, terminals_);
+  surface_.rebuild(rows_->arcs, incumbent_.nodes, terminals_);
   keep_.assign(demands.size(), nullptr);
 
   if (routes && routes->size() == demands.size())
     routes_ = *routes;
-  else if (!problem_.route_demands(surface_.in_design, {}, ws_, routes_))
+  else if (!route({}, routes_))
     routes_.clear();  // a hand-built incumbent: nothing to reuse
   if (routes_.empty()) return;
-  rows_ = rows ? rows : &own_rows_.emplace(problem_);
   reuse_ = !rows_->dist.empty();
   if (reuse_) set_bounds();
 }
@@ -109,10 +155,24 @@ MoveEvaluator::~MoveEvaluator() {
   }
 }
 
+bool MoveEvaluator::route(
+    std::span<const std::vector<graph::NodeId>* const> keep,
+    std::vector<analytical::RoutedDemand>& routes) {
+  const graph::ArcIndex& view = surface_.view;
+  return problem_.route_demands(
+      surface_.in_design, [&view](graph::NodeId x) { return view.of(x); },
+      keep, ws_, routes);
+}
+
 void MoveEvaluator::set_bounds() {
+  // graph::path_cost's sum, on the view's weights.
   bound_.clear();
-  for (const analytical::RoutedDemand& r : routes_)
-    bound_.push_back(graph::path_cost(g_, r.path) * (1.0 + kScreenMargin));
+  for (const analytical::RoutedDemand& r : routes_) {
+    double cost = 0.0;
+    for (std::size_t i = 0; i + 1 < r.path.size(); ++i)
+      cost += surface_.view.find(r.path[i], r.path[i + 1])->weight;
+    bound_.push_back(cost * (1.0 + kScreenMargin));
+  }
 }
 
 void MoveEvaluator::screen_from(graph::NodeId u) {
@@ -130,12 +190,12 @@ void MoveEvaluator::screen_from(graph::NodeId u) {
       }
   }
   const std::vector<char>& allowed = surface_.in_design;
+  const graph::ArcIndex& view = surface_.view;
   const std::uint64_t before = ws_.settled;
   ws_.run(
-      g_, u,
-      [&](double d, const graph::Adjacency& a) {
-        return allowed[a.neighbor] ? d + g_.edge(a.edge).weight
-                                   : graph::kInfCost;
+      u, [&view](graph::NodeId x) { return view.of(x); },
+      [&](double d, const graph::RankedArc& a) {
+        return allowed[a.neighbor] ? d + a.weight : graph::kInfCost;
       },
       [&](double d, graph::NodeId x) {
         if (d > limit) return false;
@@ -162,8 +222,11 @@ void MoveEvaluator::score(Move move, Scored& out) {
   EEND_REQUIRE(!closing || surface_.in_design[v]);
   EEND_REQUIRE(!opening || !surface_.in_design[u]);
   std::vector<char>& allowed = surface_.in_design;
+  if (opening) {
+    surface_.open(rows_->arcs, u);
+    allowed[u] = 1;
+  }
   if (closing) allowed[v] = 0;
-  if (opening) allowed[u] = 1;
 
   std::fill(keep_.begin(), keep_.end(), nullptr);
   if (reuse_) {
@@ -186,13 +249,18 @@ void MoveEvaluator::score(Move move, Scored& out) {
                       [](const auto* p) { return p != nullptr; }));
   }
 
-  const bool ok = problem_.route_demands(allowed, keep_, ws_, out.routes);
+  const bool ok = route(keep_, out.routes);
+  // Eq. 5 reads the hops through u from the view, so it runs before the
+  // move is undone.
+  if (ok)
+    score_routes(g_, surface_.view, out.routes, objective_, eq5_,
+                 out.design);
   if (closing) allowed[v] = 1;
-  if (opening) allowed[u] = 0;
-  if (ok) {
-    score_routes(g_, out.routes, objective_, eq5_, out.design);
-    return;
+  if (opening) {
+    allowed[u] = 0;
+    surface_.close(u);
   }
+  if (ok) return;
   // Infeasible: the candidate's node set, sorted, and an empty score —
   // what evaluate_design returns.
   CandidateDesign& d = out.design;
@@ -225,7 +293,7 @@ void MoveEvaluator::adopt(Scored& s) {
   EEND_REQUIRE_MSG(s.design.feasible, "cannot adopt an infeasible design");
   std::swap(incumbent_, s.design);
   std::swap(routes_, s.routes);
-  surface_.rebuild(g_, incumbent_.nodes, terminals_);
+  surface_.rebuild(rows_->arcs, incumbent_.nodes, terminals_);
   if (reuse_) set_bounds();
 }
 

@@ -28,6 +28,21 @@
 // Every demand not kept runs the masked early-exit routing loop of
 // core::NetworkDesignProblem::route_demands.
 //
+// Every search and every Eq. 5 sum reads only the design's own subgraph:
+// MoveSurface keeps an induced view of it, an ArcIndex of the arcs between
+// design nodes (a few per node, where a node has many graph neighbours),
+// carrying each arc's weight and the instance's pair rank. A move closing
+// v leaves v's arcs in place and masks v; a move opening u adds u's arcs
+// to design nodes, and writes the arc back to u into each such node's
+// spare slot, for the length of the move. Searching the view instead of
+// the masked graph is exact: it lists every arc the masked search would
+// relax to a finite offer, with the pair's lightest weight, and the order
+// of a node's offers cannot change the settle sequence or any parent
+// (graph::SpWorkspace). So paths and the opt.route.* counts are the
+// full-graph search's, zero-weight and parallel edges included. Eq. 5
+// reads each hop's rank and weight from the view too (analytical::
+// evaluate_eq5).
+//
 // Why the screen is exact: with strictly positive weights Dijkstra settles
 // nodes in (distance, id) order and replaces a parent only on a strictly
 // shorter offer. An offer that reaches a node x of P_i (the incumbent
@@ -55,14 +70,17 @@ namespace eend::opt {
 /// incumbent path. Covers the rounding of a few dozen float additions.
 inline constexpr double kScreenMargin = 1e-9;
 
-/// Full-graph distance rows from every terminal of one problem: the
-/// insertion screen's lower bound on any walk through an opened node.
+/// Full-graph distance rows from every terminal of one problem — the
+/// insertion screen's lower bound on any walk through an opened node —
+/// and the graph's ArcIndex, whose pair ranks every induced view keeps.
 /// They depend only on the instance, so design_portfolio and
 /// warm_start_search compute them once and every evaluator of the call
 /// reads them; an evaluator given none computes its own. Construction
 /// publishes its searches as opt.route.searches / settled_nodes.
 struct TerminalRows {
   explicit TerminalRows(const core::NetworkDesignProblem& problem);
+
+  graph::ArcIndex arcs;  ///< the whole graph's ranked arcs
 
   /// dist[k · N + x] = dG(terminal k, x). Empty on a graph with a
   /// zero-weight edge, where evaluators reroute every demand.
@@ -88,9 +106,20 @@ struct MoveSurface {
   std::vector<std::size_t> swap_begin;
   std::vector<graph::NodeId> swaps;
   std::vector<char> in_design;  ///< membership mask over node ids
+  /// The design's induced view: each design node's arcs to design nodes,
+  /// followed by one spare slot that open() fills.
+  graph::ArcIndex view;
 
-  void rebuild(const graph::Graph& g, std::span<const graph::NodeId> nodes,
+  /// `arcs` is the graph's ArcIndex.
+  void rebuild(const graph::ArcIndex& arcs,
+               std::span<const graph::NodeId> nodes,
                std::span<const graph::NodeId> terminals);
+
+  /// Adds inactive node u to the view for one move: u's arcs to design
+  /// nodes, and the arc back to u in each such node's spare slot.
+  void open(const graph::ArcIndex& arcs, graph::NodeId u);
+  /// Undoes open(u).
+  void close(graph::NodeId u);
 
   std::span<const graph::NodeId> swaps_of(std::size_t k) const {
     return std::span<const graph::NodeId>(swaps).subspan(
@@ -168,6 +197,9 @@ class MoveEvaluator {
  private:
   void set_bounds();  ///< bound_ from routes_
   void screen_from(graph::NodeId u);
+  /// route_demands over the view, masked by surface_.in_design.
+  bool route(std::span<const std::vector<graph::NodeId>* const> keep,
+             std::vector<analytical::RoutedDemand>& routes);
 
   const core::NetworkDesignProblem& problem_;
   const graph::Graph& g_;
@@ -180,10 +212,9 @@ class MoveEvaluator {
   CandidateDesign incumbent_;
   std::vector<analytical::RoutedDemand> routes_;
   std::vector<double> bound_;  ///< D_i · (1 + kScreenMargin)
-  MoveSurface surface_;
-
   std::optional<TerminalRows> own_rows_;  ///< when none were passed in
-  const TerminalRows* rows_ = nullptr;
+  const TerminalRows* rows_;
+  MoveSurface surface_;
 
   // Per-move scratch.
   Scored cand_;  ///< best_move's candidate buffer

@@ -215,9 +215,74 @@ Eq5Breakdown ordered_reference_eq5(const graph::Graph& g,
   return out;
 }
 
+/// Bitwise comparison of evaluate_eq5 — the per-call overload and the
+/// kernel on a reused scratch — against the ordered reference.
+void expect_matches_reference(const graph::Graph& g,
+                              const std::vector<RoutedDemand>& routes,
+                              const Eq5Params& p, Eq5Scratch& scratch,
+                              const std::string& where) {
+  const Eq5Breakdown want = ordered_reference_eq5(g, routes, p);
+  for (const Eq5Breakdown& got :
+       {evaluate_eq5(g, routes, p),
+        evaluate_eq5(g, graph::ArcIndex(g), routes, p, scratch)}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.idle),
+              std::bit_cast<std::uint64_t>(want.idle))
+        << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.data),
+              std::bit_cast<std::uint64_t>(want.data))
+        << where;
+    EXPECT_EQ(got.active_nodes, want.active_nodes) << where;
+    EXPECT_EQ(got.relay_nodes, want.relay_nodes) << where;
+  }
+}
+
+RoutedDemand routed(std::vector<graph::NodeId> path, double packets) {
+  RoutedDemand r;
+  r.demand = {path.front(), path.back(), 1.0};
+  r.path = std::move(path);
+  r.packets = packets;
+  return r;
+}
+
 TEST(EvaluateEq5, FlatAccumulationMatchesOrderedReferenceBitwise) {
+  Eq5Scratch scratch;  // reused across cases: no state may leak
+  Eq5Params fixed;
+  fixed.t_data_per_packet = 1.1;
+  {
+    // Parallel edges: each pair costs its lightest edge, whichever edge
+    // id comes first.
+    graph::Graph g(4);
+    for (graph::NodeId v = 0; v < 4; ++v) g.set_node_weight(v, 0.3 + v);
+    g.add_edge(0, 1, 2.5);
+    g.add_edge(1, 2, 1.3);
+    g.add_edge(1, 0, 1.7);  // lighter than the first 0-1 edge
+    g.add_edge(2, 3, 0.9);
+    g.add_edge(2, 1, 3.1);  // heavier than the first 1-2 edge
+    g.add_edge(3, 2, 0.9);  // as heavy as the first 2-3 edge
+    expect_matches_reference(
+        g, {routed({0, 1, 2, 3}, 1.3), routed({3, 2, 1}, 2.2)}, fixed,
+        scratch, "parallel edges");
+  }
+  {
+    // Edges shared across routes, in both directions, with edge ids in
+    // descending pair order: every pair sums its packets in route order
+    // and the pairs add up in ascending (min, max) order.
+    graph::Graph g(5);
+    for (graph::NodeId v = 0; v < 5; ++v) g.set_node_weight(v, 0.7 * v);
+    g.add_edge(3, 4, 0.7);
+    g.add_edge(2, 3, 1.1);
+    g.add_edge(1, 2, 0.3);
+    g.add_edge(0, 4, 1.9);
+    g.add_edge(0, 1, 2.9);
+    expect_matches_reference(
+        g,
+        {routed({0, 1, 2, 3, 4}, 0.1), routed({1, 2, 3}, 0.7),
+         routed({4, 3, 2}, 3.3), routed({0, 4}, 0.2),
+         routed({3, 2, 1, 0}, 0.6)},
+        fixed, scratch, "shared edges");
+  }
+
   Rng rng(90210);
-  Eq5Scratch scratch;  // reused across trials: no state may leak
   std::size_t shared_edges = 0;
   for (int trial = 0; trial < 300; ++trial) {
     // A connected random graph: a random spanning chain plus chords, with
@@ -263,18 +328,8 @@ TEST(EvaluateEq5, FlatAccumulationMatchesOrderedReferenceBitwise) {
     p.t_idle = rng.uniform(0.5, 2.0);
     p.t_data_per_packet = rng.uniform(0.5, 2.0);
     p.include_endpoint_idle = rng.bernoulli(0.5);
-    const Eq5Breakdown want = ordered_reference_eq5(g, routes, p);
-    for (const Eq5Breakdown& got :
-         {evaluate_eq5(g, routes, p), evaluate_eq5(g, routes, p, scratch)}) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.idle),
-                std::bit_cast<std::uint64_t>(want.idle))
-          << "trial " << trial;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.data),
-                std::bit_cast<std::uint64_t>(want.data))
-          << "trial " << trial;
-      EXPECT_EQ(got.active_nodes, want.active_nodes) << "trial " << trial;
-      EXPECT_EQ(got.relay_nodes, want.relay_nodes) << "trial " << trial;
-    }
+    expect_matches_reference(g, routes, p, scratch,
+                             "trial " + std::to_string(trial));
   }
   EXPECT_GT(shared_edges, 1000u);  // the order-sensitive case is common
 }

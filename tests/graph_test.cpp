@@ -1,10 +1,15 @@
 // Unit tests: graph container, shortest paths, MST, connectivity.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+
 #include "graph/connectivity.hpp"
 #include "graph/graph.hpp"
 #include "graph/mst.hpp"
 #include "graph/shortest_path.hpp"
+#include "util/rng.hpp"
 
 namespace eend::graph {
 namespace {
@@ -105,6 +110,80 @@ TEST(PathCost, SumsEdges) {
   EXPECT_EQ(path_hops(path), 2u);
   const std::vector<NodeId> broken{2, 0, 1};
   EXPECT_DOUBLE_EQ(path_cost(g, broken), 5.0);
+}
+
+TEST(SpWorkspace, FilteredShuffledNeighbourSourceMatchesMaskedRun) {
+  // A search over a neighbour source that lists only the allowed arcs, in
+  // any order, settles the same nodes in the same order with the same
+  // distance bits and parents as the masked search over g.neighbors —
+  // on graphs with zero-weight edges, exact ties and parallel edges.
+  Rng rng(5150);
+  std::size_t zero_edges = 0, parallel_edges = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 2 + rng.next_below(60);
+    Graph g(n);
+    for (std::size_t c = n + rng.next_below(3 * n); c > 0; --c) {
+      const auto a = static_cast<NodeId>(rng.next_below(n));
+      const auto b = static_cast<NodeId>(rng.next_below(n));
+      if (a == b) continue;
+      // Half-unit weights tie often; a fifth of the edges weigh nothing.
+      const double w =
+          rng.bernoulli(0.2) ? 0.0 : std::round(rng.uniform(0.0, 4.0) * 2) / 2;
+      zero_edges += w == 0.0;
+      g.add_edge(a, b, w);
+      if (rng.bernoulli(0.2)) {
+        g.add_edge(b, a, std::max(0.0, w + rng.uniform(-1.0, 1.0)));
+        ++parallel_edges;
+      }
+    }
+    std::vector<char> allowed(n);
+    for (char& x : allowed) x = rng.bernoulli(0.7);
+    // Two searches per workspace pair, so the reset between runs is
+    // covered too; either may stop early at a target.
+    const std::array<NodeId, 2> sources{
+        static_cast<NodeId>(rng.next_below(n)),
+        static_cast<NodeId>(rng.next_below(n))};
+    for (NodeId s : sources) allowed[s] = 1;
+    std::vector<std::vector<Adjacency>> lists(n);
+    for (NodeId v = 0; v < n; ++v) {
+      for (const Adjacency& a : g.neighbors(v))
+        if (allowed[a.neighbor]) lists[v].push_back(a);
+      rng.shuffle(lists[v]);
+    }
+    const auto relax = [&](double d, const Adjacency& a) {
+      return allowed[a.neighbor] ? d + g.edge(a.edge).weight : kInfCost;
+    };
+    SpWorkspace masked(n), filtered(n);
+    for (const NodeId source : sources) {
+      const NodeId stop = rng.bernoulli(0.5)
+                              ? static_cast<NodeId>(rng.next_below(n))
+                              : kInvalidNode;
+      std::vector<NodeId> want, got;
+      masked.run(g, source, relax, [&](double, NodeId u) {
+        want.push_back(u);
+        return u != stop;
+      });
+      filtered.run(
+          source,
+          [&](NodeId u) { return std::span<const Adjacency>(lists[u]); },
+          relax, [&](double, NodeId u) {
+            got.push_back(u);
+            return u != stop;
+          });
+      const std::string where = "trial " + std::to_string(trial);
+      EXPECT_EQ(got, want) << where;
+      EXPECT_EQ(filtered.settled, masked.settled) << where;
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(filtered.tree.distance[v]),
+                  std::bit_cast<std::uint64_t>(masked.tree.distance[v]))
+            << where << " node " << v;
+        EXPECT_EQ(filtered.tree.parent[v], masked.tree.parent[v])
+            << where << " node " << v;
+      }
+    }
+  }
+  EXPECT_GT(zero_edges, 500u);
+  EXPECT_GT(parallel_edges, 500u);
 }
 
 TEST(Mst, TriangleTakesCheapEdges) {

@@ -4,8 +4,8 @@
 // The load-bearing guarantee: for every removal, insertion and exchange
 // around an incumbent, MoveEvaluator::score returns exactly what
 // evaluate_design returns for the candidate node set — bit for bit, on
-// instances with exact path-length ties, float-inexact ties and zero-weight
-// edges, under the plain and the lifetime objective.
+// instances with exact path-length ties, float-inexact ties, zero-weight
+// and parallel edges, under the plain and the lifetime objective.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,13 +19,15 @@
 namespace eend::opt {
 namespace {
 
-enum class Weights { kUniform, kJitter, kInteger, kDecimal, kZero };
+enum class Weights { kUniform, kJitter, kInteger, kDecimal, kZero, kParallel };
 
 /// A make_design_instance graph with its edge weights rewritten:
 /// kJitter scales each by a factor in [0.7, 1.3); kInteger rounds to whole
 /// units (every Cabletron hop becomes 2: exact ties everywhere); kDecimal
 /// rounds to tenths (real ties whose float sums depend on the order);
-/// kZero zeroes every fifth edge.
+/// kZero zeroes every fifth edge; kParallel duplicates every seventh
+/// edge once lighter and once heavier (the duplicates get the highest
+/// edge ids, out of endpoint-pair order).
 core::NetworkDesignProblem instance(std::size_t n, Weights w,
                                     std::uint64_t seed) {
   DesignInstanceSpec spec;
@@ -46,6 +48,14 @@ core::NetworkDesignProblem instance(std::size_t n, Weights w,
       weight = std::round(weight * 10.0) / 10.0;
     else if (w == Weights::kZero && e % 5 == 0)
       weight = 0.0;
+  }
+  if (w == Weights::kParallel) {
+    const std::size_t m = g.edge_count();
+    for (graph::EdgeId e = 0; e < m; e += 7) {
+      const graph::Edge edge = g.edge(e);
+      g.add_edge(edge.v, edge.u, edge.weight * 0.75);
+      g.add_edge(edge.u, edge.v, edge.weight * 1.25);
+    }
   }
   return p;
 }
@@ -138,9 +148,9 @@ std::uint64_t check_every_move(const core::NetworkDesignProblem& p,
 TEST(MoveEvaluator, MatchesEvaluateDesignOnEveryMove) {
   Tally tally;
   for (const std::size_t n : {20u, 50u, 100u}) {
-    for (const Weights w : {Weights::kUniform, Weights::kJitter,
-                            Weights::kInteger, Weights::kDecimal,
-                            Weights::kZero}) {
+    for (const Weights w :
+         {Weights::kUniform, Weights::kJitter, Weights::kInteger,
+          Weights::kDecimal, Weights::kZero, Weights::kParallel}) {
       const auto p = instance(n, w, 11 + n);
       DesignObjective lifetime(analytical::Eq5Params{});
       lifetime.battery_budget_j = 3.0;  // binds on the busiest relays
@@ -160,6 +170,9 @@ TEST(MoveEvaluator, MatchesEvaluateDesignOnEveryMove) {
       }
     }
   }
+  // Node ids spanning five 64-bit words of Eq. 5's bitsets.
+  check_every_move(instance(300, Weights::kParallel, 300), DesignObjective{},
+                   "n=300 weights=parallel plain", tally);
   EXPECT_GT(tally.moves, 10000u);
   EXPECT_GT(tally.infeasible, 0u);  // cut relays are covered too
 }
@@ -177,7 +190,7 @@ TEST(MoveSurface, ListsEveryMoveInCanonicalOrder) {
   MoveSurface s;
   const std::vector<graph::NodeId> nodes{0, 1, 2, 3};
   const std::vector<graph::NodeId> terminals{0, 3};
-  s.rebuild(g, nodes, terminals);
+  s.rebuild(graph::ArcIndex(g), nodes, terminals);
   EXPECT_EQ(s.relays, (std::vector<graph::NodeId>{1, 2}));
   EXPECT_EQ(s.frontier, (std::vector<graph::NodeId>{4, 5}));
   EXPECT_EQ(std::vector<graph::NodeId>(s.swaps_of(0).begin(),

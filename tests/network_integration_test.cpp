@@ -82,8 +82,10 @@ TEST(NetworkIntegration, ExperimentRunnerAggregates) {
   cfg.runs = 3;
   const auto res = core::run_experiment(cfg);
   EXPECT_EQ(res.raw.size(), 3u);
-  EXPECT_GT(res.delivery_ratio.mean, 0.8);
-  EXPECT_GE(res.delivery_ratio.ci95_half_width, 0.0);
+  const SampleStats delivery =
+      core::summarize_runs(res, &metrics::RunResult::delivery_ratio);
+  EXPECT_GT(delivery.mean, 0.8);
+  EXPECT_GE(delivery.ci95_half_width, 0.0);
 }
 
 }  // namespace

@@ -89,30 +89,21 @@ ExperimentConfig tiny_experiment() {
   return cfg;
 }
 
-void expect_stats_identical(const SampleStats& a, const SampleStats& b) {
-  EXPECT_EQ(a.n, b.n);
-  EXPECT_EQ(a.mean, b.mean);  // bitwise: no tolerance
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.ci95_half_width, b.ci95_half_width);
-}
-
 void expect_results_identical(const ExperimentResult& a,
                               const ExperimentResult& b) {
   EXPECT_EQ(a.stack_label, b.stack_label);
   EXPECT_EQ(a.rate_pps, b.rate_pps);
-  expect_stats_identical(a.delivery_ratio, b.delivery_ratio);
-  expect_stats_identical(a.goodput_bit_per_j, b.goodput_bit_per_j);
-  expect_stats_identical(a.transmit_energy_j, b.transmit_energy_j);
-  expect_stats_identical(a.total_energy_j, b.total_energy_j);
-  expect_stats_identical(a.control_energy_j, b.control_energy_j);
-  expect_stats_identical(a.passive_energy_j, b.passive_energy_j);
-  expect_stats_identical(a.nodes_carrying_data, b.nodes_carrying_data);
   ASSERT_EQ(a.raw.size(), b.raw.size());
-  for (std::size_t i = 0; i < a.raw.size(); ++i) {
+  for (std::size_t i = 0; i < a.raw.size(); ++i) {  // bitwise: no tolerance
     EXPECT_EQ(a.raw[i].sent, b.raw[i].sent);
     EXPECT_EQ(a.raw[i].delivered, b.raw[i].delivered);
+    EXPECT_EQ(a.raw[i].delivery_ratio, b.raw[i].delivery_ratio);
+    EXPECT_EQ(a.raw[i].goodput_bit_per_j, b.raw[i].goodput_bit_per_j);
     EXPECT_EQ(a.raw[i].total_energy_j, b.raw[i].total_energy_j);
     EXPECT_EQ(a.raw[i].transmit_energy_j, b.raw[i].transmit_energy_j);
+    EXPECT_EQ(a.raw[i].control_energy_j, b.raw[i].control_energy_j);
+    EXPECT_EQ(a.raw[i].passive_energy_j, b.raw[i].passive_energy_j);
+    EXPECT_EQ(a.raw[i].nodes_carrying_data, b.raw[i].nodes_carrying_data);
     EXPECT_EQ(a.raw[i].channel_transmissions, b.raw[i].channel_transmissions);
   }
 }
