@@ -6,16 +6,12 @@
 // §5.2.2 density, one serving loop per (node count, rep): every epoch
 // perturbs the instance (arrivals, departures, rate swings, failures,
 // motion), repairs the serving design with opt::warm_start_search, and
-// races a from-scratch portfolio on the same perturbed problem. Three legs
-// per invocation:
+// races a from-scratch portfolio on the same perturbed problem. Each row
+// carries two timings:
 //   1. the from-scratch portfolio per epoch — the cold baseline
 //      (`cold_wall_s`, computed inside the same rows as the warm repair so
 //      both face identical instances);
-//   2. the warm repair with presolve off (`warm_wall_s`) — the serving
-//      loop's latency story;
-//   3. the warm repair with presolve on — the warm/cold *scores* must be
-//      identical to leg 2's row by row (the reductions are provably
-//      lossless), so the only difference is wall time.
+//   2. the warm repair (`warm_wall_s`) — the serving loop's latency story.
 //
 // `--assert-min-warm-speedup=P` turns the headline into a CI floor: for
 // every node count, the summed cold wall over perturbed epochs must be at
@@ -125,30 +121,11 @@ int main(int argc, char** argv) {
 
   const std::vector<core::ResultRow> rows = run_experiment(e, opts);
 
-  // Leg 3: identical trace, presolve on. Same designs, less search work.
-  core::Experiment ep = e;
-  ep.title = "Churn serving loop — presolve on (identical designs)";
-  ep.presolve = true;
-  const std::vector<core::ResultRow> rows_presolve = run_experiment(ep, opts);
-
-  // Presolve soundness at bench scale: every (size, epoch) score must be
-  // exactly reproduced — the reduced twins replay the same arithmetic.
-  for (const core::ResultRow& r : rows) {
-    const core::ResultRow& p = row_at(rows_presolve, r.series, r.x);
-    for (const char* m : {"warm_score", "cold_score", "gap_vs_cold_pct"})
-      if (metric_mean(r, m) != metric_mean(p, m)) {
-        std::cerr << "bench_design_churn: presolve changed " << m << " for ("
-                  << r.series << ", epoch=" << r.x << "): "
-                  << metric_mean(r, m) << " -> " << metric_mean(p, m) << "\n";
-        return 1;
-      }
-  }
-
   // Headline: warm-repair speedup over the from-scratch portfolio, summed
   // over the perturbed epochs (epoch 0 is the shared cold start).
   struct SizeSummary {
     std::size_t n = 0;
-    double warm_s = 0.0, warm_presolve_s = 0.0, cold_s = 0.0;
+    double warm_s = 0.0, cold_s = 0.0;
     double worst_gap_pct = 0.0, fallbacks = 0.0;
   };
   std::vector<SizeSummary> sizes;
@@ -159,10 +136,7 @@ int main(int argc, char** argv) {
     for (std::size_t epoch = 1; epoch < e.epochs; ++epoch) {
       const core::ResultRow& r =
           row_at(rows, series, static_cast<double>(epoch));
-      const core::ResultRow& p =
-          row_at(rows_presolve, series, static_cast<double>(epoch));
       s.warm_s += metric_mean(r, "warm_wall_s");
-      s.warm_presolve_s += metric_mean(p, "warm_wall_s");
       s.cold_s += metric_mean(r, "cold_wall_s");
       s.worst_gap_pct =
           std::max(s.worst_gap_pct, metric_mean(r, "gap_vs_cold_pct"));
@@ -170,8 +144,7 @@ int main(int argc, char** argv) {
     }
     const double speedup = s.warm_s > 0.0 ? s.cold_s / s.warm_s : 0.0;
     if (!quiet)
-      std::cerr << "n=" << n << ": warm " << s.warm_s << "s (presolve "
-                << s.warm_presolve_s << "s), cold " << s.cold_s
+      std::cerr << "n=" << n << ": warm " << s.warm_s << "s, cold " << s.cold_s
                 << "s, speedup " << speedup << "x, worst gap "
                 << s.worst_gap_pct << "%\n";
     if (min_speedup > 0.0 && speedup < min_speedup) {
@@ -197,7 +170,6 @@ int main(int argc, char** argv) {
           {"reps", json::Value(static_cast<double>(e.runs))},
           {"epochs", json::Value(static_cast<double>(e.epochs))},
           {"warm_seconds", json::Value(s.warm_s)},
-          {"warm_seconds_presolve", json::Value(s.warm_presolve_s)},
           {"cold_seconds", json::Value(s.cold_s)},
           {"warm_speedup",
            json::Value(s.warm_s > 0.0 ? s.cold_s / s.warm_s : 0.0)},

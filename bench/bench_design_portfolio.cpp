@@ -9,15 +9,12 @@
 // invariant (cost <= Klein-Ravi on every instance); this bench re-asserts
 // it from the emitted rows before writing anything.
 //
-// Three legs per invocation:
+// Two legs per invocation:
 //   1. the dense family with presolve off (the historical baseline);
-//   2. the same family with presolve on — results must be *identical*
-//      (asserted row by row; the reductions are provably lossless), so the
-//      only difference is wall time, reported side by side;
-//   3. a sparse shrink family (field_scale 2.0, where dead ends / long
-//      edges / chains actually fire) with the certified-bound columns —
-//      reduction percentages land in the JSON and `--assert-min-shrink-pct`
-//      turns them into a CI floor.
+//   2. a sparse shrink family (field_scale 2.0, where dead ends and chains
+//      actually fire) with the certified-bound columns — reduction
+//      percentages land in the JSON and `--assert-min-shrink-pct` turns
+//      them into a CI floor.
 //
 // Emits machine-readable JSON (default BENCH_design_portfolio.json;
 // --json= overrides, "none" disables) to extend the BENCH_*.json perf
@@ -119,12 +116,6 @@ int main(int argc, char** argv) {
 
   const std::vector<core::ResultRow> rows = run_experiment(e, opts);
 
-  // Leg 2: identical family, presolve on. Same numbers, less work.
-  core::Experiment ep = e;
-  ep.title = "Design-search portfolio — presolve on (identical results)";
-  ep.presolve = true;
-  const std::vector<core::ResultRow> rows_presolve = run_experiment(ep, opts);
-
   // Re-assert the portfolio guarantee from the user-visible rows (the
   // engine already EEND_CHECKs it per instance; this catches aggregation
   // mistakes too).
@@ -136,21 +127,7 @@ int main(int argc, char** argv) {
                 << r.x << "\n";
       return 1;
     }
-  // Presolve soundness at bench scale: every (series, size) mean must be
-  // exactly reproduced — the reduced twins replay the same arithmetic.
-  for (const core::ResultRow& r : rows) {
-    const core::ResultRow& p = row_at(rows_presolve, r.series, r.x);
-    for (const char* m : {"eq5_total", "gap_vs_klein_ravi", "relay_nodes"})
-      if (metric_mean(r, m) != metric_mean(p, m)) {
-        std::cerr << "bench_design_portfolio: presolve changed " << m
-                  << " for (" << r.series << ", n=" << r.x << "): "
-                  << metric_mean(r, m) << " -> " << metric_mean(p, m)
-                  << "\n";
-        return 1;
-      }
-  }
-
-  // Leg 3: sparse shrink family with certified bounds. field_scale 2.0
+  // Leg 2: sparse shrink family with certified bounds. field_scale 2.0
   // quarters the density — the regime where the reductions fire — and the
   // sizes stay small: this leg demonstrates shrink, not scaling.
   core::Experiment es = e;
@@ -186,15 +163,12 @@ int main(int argc, char** argv) {
       json::Array heur;
       for (const core::ResultRow& r : rows) {
         if (r.x != static_cast<double>(n)) continue;
-        const core::ResultRow& p = row_at(rows_presolve, r.series, r.x);
         heur.push_back(json::Object{
             {"name", json::Value(r.series)},
             {"mean_cost", json::Value(metric_mean(r, "eq5_total"))},
             {"mean_gap_vs_klein_ravi_pct",
              json::Value(metric_mean(r, "gap_vs_klein_ravi"))},
-            {"mean_seconds", json::Value(metric_mean(r, "wall_time_s"))},
-            {"mean_seconds_presolve",
-             json::Value(metric_mean(p, "wall_time_s"))}});
+            {"mean_seconds", json::Value(metric_mean(r, "wall_time_s"))}});
       }
       sizes_json.push_back(json::Object{
           {"n", json::Value(static_cast<double>(n))},

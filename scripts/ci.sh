@@ -78,9 +78,9 @@ run bench_ablation_design_knobs --quick --quiet --jobs=0   # ablations
 run bench_ext_lifetime --quick --quiet --jobs=0      # lifetime extension
 
 echo "== design search: portfolio bench (JSON artifact) =="
-# The bench itself asserts (a) presolve on/off produces identical results
-# on the dense family and (b) the sparse shrink family drops >= 2% of its
-# nodes (measured 4-5%; half that is the regression floor).
+# The bench itself asserts that the sparse shrink family drops >= 2% of its
+# nodes from the compact view (measured 4-5%; half that is the regression
+# floor).
 ./build/bench/bench_design_portfolio --quick --quiet \
   --assert-min-shrink-pct=2 \
   --json=BENCH_design_portfolio.json > /dev/null
@@ -96,8 +96,7 @@ echo "OK: wrote BENCH_design_replay.json"
 echo "== design churn: warm-start serving-loop bench (JSON artifact) =="
 # Self-asserting floors: the warm repair must beat the from-scratch
 # portfolio by >= 3x summed over perturbed epochs (measured 4-8x in
-# --quick mode), stay within 5% of its score at every epoch, and presolve
-# on/off must produce identical designs (asserted inside the bench).
+# --quick mode) and stay within 5% of its score at every epoch.
 ./build/bench/bench_design_churn --quick --quiet \
   --assert-min-warm-speedup=3.0 --assert-max-gap-pct=5.0 \
   --json=BENCH_design_churn.json > /dev/null

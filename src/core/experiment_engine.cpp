@@ -78,15 +78,6 @@ opt::DesignInstance build_instance(const opt::DesignInstanceSpec& spec,
   return opt::make_design_instance(spec);
 }
 
-/// The Klein-Ravi tree every search of one problem shares, solved on the
-/// dead-end-masked twin when presolve ran — bit-identical to the full
-/// solve (presolve/presolve.hpp), just cheaper.
-graph::SteinerTree shared_klein_ravi_tree(
-    const core::NetworkDesignProblem& problem,
-    const presolve::PresolveResult* pre) {
-  return (pre ? pre->node_reduced : problem).solve_node_weighted();
-}
-
 /// One design-search cell, shared by the design and replay kinds: solve
 /// the Klein-Ravi tree once (it seeds klein_ravi, local_search, annealing
 /// and the portfolio's start 0, and is the dominant cost on large
@@ -107,11 +98,9 @@ CellSearchResult search_design_cell(
   const core::NetworkDesignProblem& problem = inst.problem;
   const std::size_t n = spec.node_count;
   const std::uint64_t seed = spec.seed;
-  ho.presolve = inst.presolve.get();
   CellSearchResult out;
   obs::PhaseTimer t_base("search:klein_ravi(baseline)", obs::kPidCell, trace_tid);
-  const graph::SteinerTree kr_tree =
-      shared_klein_ravi_tree(problem, ho.presolve);
+  const graph::SteinerTree kr_tree = problem.solve_node_weighted();
   ho.klein_ravi_tree = &kr_tree;
   out.baseline = opt::heuristic_by_name("klein_ravi").run(problem, ho, seed);
   const double baseline_wall = t_base.stop();
@@ -501,14 +490,12 @@ void ExperimentEngine::run_churn(const Experiment& e) {
 
     // From-scratch portfolio on an arbitrary (possibly perturbed) problem:
     // the per-epoch baseline the warm repair is scored and raced against.
-    const auto cold_solve = [&](const core::NetworkDesignProblem& problem,
-                                const presolve::PresolveResult* pre)
+    const auto cold_solve = [&](const core::NetworkDesignProblem& problem)
         -> std::pair<opt::CandidateDesign, double> {
       obs::PhaseTimer t0("churn.cold_solve", obs::kPidCell, tid);
-      const graph::SteinerTree kr = shared_klein_ravi_tree(problem, pre);
+      const graph::SteinerTree kr = problem.solve_node_weighted();
       opt::HeuristicOptions cold = ho;
       cold.klein_ravi_tree = &kr;
-      cold.presolve = pre;
       opt::CandidateDesign best =
           opt::heuristic_by_name("portfolio").run(problem, cold, spec.seed);
       return {std::move(best), t0.stop()};
@@ -517,7 +504,7 @@ void ExperimentEngine::run_churn(const Experiment& e) {
     samples[ci].resize(epochs);
 
     // ---- epoch 0: the cold design IS the serving design.
-    auto [serving, wall0] = cold_solve(inst.problem, inst.presolve.get());
+    auto [serving, wall0] = cold_solve(inst.problem);
     EEND_CHECK_MSG(serving.feasible,
                    "cold portfolio infeasible on a connected instance (n="
                        << spec.node_count << ", seed=" << spec.seed << ")");
@@ -552,13 +539,6 @@ void ExperimentEngine::run_churn(const Experiment& e) {
       // Route caches are only valid over an unchanged graph.
       if (delta.topology_changed) serving_routes.clear();
 
-      std::optional<presolve::PresolveResult> pre;
-      if (e.presolve) {
-        obs::PhaseTimer t_pre("presolve", obs::kPidCell, tid);
-        pre = presolve::presolve_design(problem);
-      }
-      const presolve::PresolveResult* pre_ptr = pre ? &*pre : nullptr;
-
       obs::PhaseTimer t_warm("churn.warm_repair", obs::kPidCell, tid);
       opt::WarmStartOptions wo;
       wo.objective = objective;
@@ -566,14 +546,13 @@ void ExperimentEngine::run_churn(const Experiment& e) {
       wo.anneal_iterations = ho.anneal_iterations;
       wo.jobs = ho.jobs;
       wo.fallback_pct = e.fallback_pct;
-      wo.presolve = pre_ptr;
       opt::RouteCache next_routes;
       const opt::WarmStartResult wr = opt::warm_start_search(
           problem, serving, delta.touched_nodes, wo, spec.seed,
           serving_routes.empty() ? nullptr : &serving_routes, &next_routes);
       const double warm_wall = t_warm.stop();
 
-      const auto [cold, cold_wall] = cold_solve(problem, pre_ptr);
+      const auto [cold, cold_wall] = cold_solve(problem);
 
       ChurnSample& s = samples[ci][epoch];
       s.warm = wr.design.cost();

@@ -843,7 +843,7 @@ const Knob kKnobs[] = {
     {.key = "anneal_iters", .kinds = kSearchKinds,
      .access = field<&Experiment::anneal_iters>(),
      .range = within(0, 1e6, "<= 1e6")},
-    {.key = "presolve", .kinds = kSearchKinds,
+    {.key = "presolve", .kinds = bit(Design) | bit(Replay),
      .access = field<&Experiment::presolve>()},
     {.key = "field_scale", .kinds = kSearchKinds,
      .access = field<&Experiment::field_scale>(),

@@ -119,9 +119,9 @@ struct Experiment {
   std::size_t demands = 8;       ///< demands sampled per instance
   std::size_t starts = 8;        ///< portfolio multi-start count
   std::size_t anneal_iters = 300;///< annealing iterations per (re)start
-  /// Run presolve::presolve_design per instance: searches use the reduced
-  /// twins (bit-identical results) and the lb / certified_gap_pct /
-  /// reduced_* metrics become available.
+  /// design + replay kinds: run presolve::presolve_design per instance.
+  /// Search is unaffected; the lb / certified_gap_pct / reduced_* metrics
+  /// become available and every design is checked against the bound.
   bool presolve = false;
   /// Multiplier on the §5.2.2 density-law field side ("field_scale" key).
   /// Values > 1 make sparser instances at every node count — the regime

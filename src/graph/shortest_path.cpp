@@ -32,13 +32,9 @@ ShortestPathTree make_tree(const Graph& g, NodeId source) {
   return t;
 }
 
-double enter_cost(const NodeCostFn& node_cost, NodeId v) {
-  return node_cost ? node_cost(v) : 0.0;
-}
 }  // namespace
 
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const NodeCostFn& node_cost) {
+ShortestPathTree dijkstra(const Graph& g, NodeId source) {
   EEND_REQUIRE(g.valid_node(source));
   SpWorkspace ws(g.node_count());
   ws.run(
@@ -46,14 +42,13 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source,
       [&](double d, const Adjacency& a) {
         const double w = g.edge(a.edge).weight;
         EEND_CHECK_MSG(w >= 0.0, "Dijkstra requires non-negative weights");
-        return d + w + enter_cost(node_cost, a.neighbor);
+        return d + w;
       },
       [](double, NodeId) { return true; });
   return std::move(ws.tree);
 }
 
-ShortestPathTree bellman_ford(const Graph& g, NodeId source,
-                              const NodeCostFn& node_cost) {
+ShortestPathTree bellman_ford(const Graph& g, NodeId source) {
   ShortestPathTree t = make_tree(g, source);
   const std::size_t n = g.node_count();
   for (std::size_t round = 0; round + 1 < n; ++round) {
@@ -61,8 +56,7 @@ ShortestPathTree bellman_ford(const Graph& g, NodeId source,
     for (const Edge& e : g.edges()) {
       auto relax = [&](NodeId from, NodeId to) {
         if (t.distance[from] == kInfCost) return;
-        const double nd =
-            t.distance[from] + e.weight + enter_cost(node_cost, to);
+        const double nd = t.distance[from] + e.weight;
         if (nd < t.distance[to]) {
           t.distance[to] = nd;
           t.parent[to] = from;

@@ -1,7 +1,5 @@
 // Shortest-path algorithms over Graph: Dijkstra (primary) and Bellman-Ford
-// (used as a test oracle). Both operate on edge weights; an optional
-// node-cost hook lets callers fold node weights into path costs, which the
-// joint-optimization routing metric h(u,v,r) requires.
+// (used as a test oracle). Both operate on edge weights.
 #pragma once
 
 #include <algorithm>
@@ -106,20 +104,13 @@ class SpWorkspace {
   std::vector<std::pair<double, NodeId>> heap_;
 };
 
-/// Additional per-node cost charged when a path *enters* node v (not charged
-/// for source or destination). Used to express node-weighted problems on an
-/// edge-weighted solver; pass nullptr for pure edge-weighted paths.
-using NodeCostFn = std::function<double(NodeId)>;
-
 /// Dijkstra from `source`. Edge weights must be non-negative; throws
 /// CheckError otherwise (checked lazily as edges are relaxed).
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const NodeCostFn& node_cost = nullptr);
+ShortestPathTree dijkstra(const Graph& g, NodeId source);
 
 /// Bellman-Ford oracle; O(VE), tolerant of zero weights, used in tests to
 /// validate Dijkstra on random graphs.
-ShortestPathTree bellman_ford(const Graph& g, NodeId source,
-                              const NodeCostFn& node_cost = nullptr);
+ShortestPathTree bellman_ford(const Graph& g, NodeId source);
 
 /// Total edge weight of a node path (kInfCost if any hop is missing).
 double path_cost(const Graph& g, std::span<const NodeId> path);

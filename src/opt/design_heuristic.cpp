@@ -5,7 +5,6 @@
 #include "opt/annealing.hpp"
 #include "opt/local_search.hpp"
 #include "opt/portfolio.hpp"
-#include "presolve/presolve.hpp"
 #include "util/check.hpp"
 
 namespace eend::opt {
@@ -118,12 +117,11 @@ CandidateDesign design_from_tree(const core::NetworkDesignProblem& problem,
 namespace {
 
 /// The shared Klein-Ravi seed: the caller-provided tree when present,
-/// otherwise solved fresh — on the dead-end-masked twin when presolve ran
-/// (bit-identical to the full instance; see presolve/presolve.hpp).
+/// otherwise solved fresh.
 graph::SteinerTree klein_ravi_tree(const core::NetworkDesignProblem& p,
                                    const HeuristicOptions& o) {
   if (o.klein_ravi_tree) return *o.klein_ravi_tree;
-  return (o.presolve ? o.presolve->node_reduced : p).solve_node_weighted();
+  return p.solve_node_weighted();
 }
 
 /// The objective a heuristic scores under: plain Eq. 5 for the base
@@ -168,9 +166,7 @@ class MpcHeuristic final : public DesignHeuristic {
   CandidateDesign run(const core::NetworkDesignProblem& p,
                       const HeuristicOptions& o,
                       std::uint64_t) const override {
-    return design_from_tree(
-        p, (o.presolve ? o.presolve->node_reduced : p).solve_mpc_reduction(),
-        o.eval);
+    return design_from_tree(p, p.solve_mpc_reduction(), o.eval);
   }
 };
 
@@ -183,9 +179,7 @@ class KmbHeuristic final : public DesignHeuristic {
   CandidateDesign run(const core::NetworkDesignProblem& p,
                       const HeuristicOptions& o,
                       std::uint64_t) const override {
-    return design_from_tree(
-        p, (o.presolve ? o.presolve->edge_reduced : p).solve_edge_weighted(),
-        o.eval);
+    return design_from_tree(p, p.solve_edge_weighted(), o.eval);
   }
 };
 
@@ -250,7 +244,6 @@ class PortfolioHeuristic final : public DesignHeuristic {
     po.anneal.iterations = o.anneal_iterations;
     po.seed = seed;
     po.klein_ravi_tree = o.klein_ravi_tree;
-    po.presolve = o.presolve;
     return design_portfolio(p, po).best;
   }
 

@@ -30,10 +30,6 @@
 
 #include "core/design_problem.hpp"
 
-namespace eend::presolve {
-struct PresolveResult;
-}
-
 namespace eend::opt {
 
 /// One candidate design: the active node set with its Eq. 5 score.
@@ -159,13 +155,6 @@ struct HeuristicOptions {
   /// bench) solve it once and share it here. Must outlive the run() call;
   /// nullptr = each heuristic solves its own.
   const graph::SteinerTree* klein_ravi_tree = nullptr;
-  /// Optional presolve result for this problem (see presolve/presolve.hpp).
-  /// When set, the constructive solvers run on the reduced twins —
-  /// node_reduced for Klein-Ravi / MPC, edge_reduced for KMB — which is
-  /// bit-identical to solving the full instance, just cheaper. Evaluation
-  /// and the search layers always use the original problem. Must outlive
-  /// the run() call; nullptr = no reduction.
-  const presolve::PresolveResult* presolve = nullptr;
 };
 
 class DesignHeuristic {

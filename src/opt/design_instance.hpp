@@ -41,11 +41,11 @@ struct DesignInstanceSpec {
   double field_side = 0.0;
   /// Multiplier on the density-law side when field_side == 0. Values > 1
   /// make instances sparser at every node count — the regime where the
-  /// presolve reductions (dead ends, long edges, chains) actually fire.
+  /// presolve reductions (dead ends, chains) actually fire.
   double field_scale = 1.0;
-  /// Run presolve::presolve_design on the built problem: heuristics then
-  /// search the reduced twins (bit-identical results, less work) and every
-  /// design row carries a certified lower bound / gap.
+  /// Run presolve::presolve_design on the built problem. Search is
+  /// unaffected; the result feeds the certified lower bound / gap and the
+  /// shrink counts of every design row.
   bool presolve = false;
 
   DesignInstanceSpec();

@@ -6,7 +6,6 @@
 #include "core/parallel_runner.hpp"
 #include "opt/local_search.hpp"
 #include "opt/move_evaluator.hpp"
-#include "presolve/presolve.hpp"
 #include "util/rng.hpp"
 
 namespace eend::opt {
@@ -31,36 +30,23 @@ double jitter(Rng& rng, double amp) {
 graph::SteinerTree construct_seed(const core::NetworkDesignProblem& p,
                                   const PortfolioOptions& o,
                                   std::size_t start) {
-  // Constructive seeds run on the presolved twins when available — node-
-  // weighted greedy on node_reduced, edge-weighted KMB on edge_reduced —
-  // which is bit-identical to the full instance (presolve/presolve.hpp).
-  const core::NetworkDesignProblem& node_view =
-      o.presolve ? o.presolve->node_reduced : p;
   const std::string kind = seed_kind_for(start);
-  if (kind == "klein_ravi") {
-    return o.klein_ravi_tree ? *o.klein_ravi_tree
-                             : node_view.solve_node_weighted();
-  }
-  if (kind == "mpc") return node_view.solve_mpc_reduction();
-  if (kind == "kmb")
-    return (o.presolve ? o.presolve->edge_reduced : p).solve_edge_weighted();
+  if (kind == "klein_ravi")
+    return o.klein_ravi_tree ? *o.klein_ravi_tree : p.solve_node_weighted();
+  if (kind == "mpc") return p.solve_mpc_reduction();
+  if (kind == "kmb") return p.solve_edge_weighted();
 
   // GRASP randomization: rebuild the greedy tree on a weight-jittered copy
   // of the instance, then score it on the true instance. The amplitude
   // keeps weights positive for any grasp_jitter < 1.
   const double amp = std::min(o.grasp_jitter, 0.95);
   Rng rng = Rng(o.seed).fork(0x6EA5).fork(start);
+  graph::Graph jittered = p.graph();
   if (kind == "random_klein_ravi") {
-    // node_reduced shares the original node-id space, so the per-node
-    // jitter stream lines up and the reduced run stays bit-identical.
-    graph::Graph jittered = node_view.graph();
     for (graph::NodeId v = 0; v < jittered.node_count(); ++v)
       jittered.set_node_weight(v, jittered.node_weight(v) * jitter(rng, amp));
     return graph::klein_ravi_steiner(jittered, p.terminals());
   }
-  // random_kmb jitters *per edge id*: reduced twins renumber edges, which
-  // would shift the stream and change results — always use the original.
-  graph::Graph jittered = p.graph();
   for (graph::EdgeId e = 0; e < jittered.edge_count(); ++e)
     jittered.edge(e).weight *= jitter(rng, amp);
   return graph::kmb_steiner_tree(jittered, p.terminals());

@@ -35,10 +35,6 @@ struct PortfolioOptions {
   /// Optional precomputed Klein-Ravi tree (start 0's seed); see
   /// HeuristicOptions::klein_ravi_tree. Must outlive the call.
   const graph::SteinerTree* klein_ravi_tree = nullptr;
-  /// Optional presolve result; constructive seeds then run on the reduced
-  /// twins where that is provably bit-identical (see
-  /// HeuristicOptions::presolve). Must outlive the call.
-  const presolve::PresolveResult* presolve = nullptr;
   /// Optional TerminalRows of `problem` (opt/move_evaluator.hpp); computed
   /// once per call when null. Must outlive the call.
   const TerminalRows* terminal_rows = nullptr;

@@ -7,7 +7,6 @@
 #include "obs/counters.hpp"
 #include "opt/move_evaluator.hpp"
 #include "opt/portfolio.hpp"
-#include "presolve/presolve.hpp"
 #include "util/check.hpp"
 
 namespace eend::opt {
@@ -125,9 +124,7 @@ WarmStartResult warm_start_search(
   // reach); a repair worse than (1 + fallback_pct/100) x reference — or an
   // irreparable one — triggers the full portfolio, and the better design
   // wins.
-  const graph::SteinerTree kr_tree =
-      (options.presolve ? options.presolve->node_reduced : problem)
-          .solve_node_weighted();
+  const graph::SteinerTree kr_tree = problem.solve_node_weighted();
   const CandidateDesign reference =
       design_from_tree(problem, kr_tree, options.objective);
   EEND_CHECK_MSG(reference.feasible,
@@ -142,7 +139,6 @@ WarmStartResult warm_start_search(
     po.anneal.iterations = options.anneal_iterations;
     po.seed = seed;
     po.klein_ravi_tree = &kr_tree;
-    po.presolve = options.presolve;
     po.terminal_rows = &shared_rows();
     const PortfolioResult pr = design_portfolio(problem, po);
     if (!cur.feasible || pr.best.cost() < cur.cost()) cur = pr.best;

@@ -41,10 +41,6 @@ struct WarmStartOptions {
   double fallback_pct = 5.0;
   /// Steepest-descent passes over the repair region.
   std::size_t max_repair_passes = 8;
-  /// Optional presolve of the *current* (perturbed) problem: speeds the
-  /// Klein-Ravi reference and the fallback portfolio's constructive seeds
-  /// (bit-identical results). Must outlive the call; nullptr = none.
-  const presolve::PresolveResult* presolve = nullptr;
 };
 
 struct WarmStartResult {

@@ -15,11 +15,6 @@ using graph::kInfCost;
 using graph::kInvalidNode;
 using graph::NodeId;
 
-/// Long-edge elimination fires only on a strict win with this relative
-/// margin, so float re-association noise (~1e-15) can never flip a
-/// decision that a later recomputation would make the other way.
-constexpr double kLongEdgeMargin = 1.0 - 1e-12;
-
 /// Dead-end elimination: iteratively mark non-terminal nodes of (current)
 /// degree <= 1 removed and their incident edges dead. Worklist-driven —
 /// each edge is touched O(1) times.
@@ -36,7 +31,7 @@ void eliminate_dead_ends(const Graph& g, const std::vector<char>& is_term,
     work.pop_back();
     if (node_removed[v] || deg[v] > 1) continue;  // stale worklist entry
     node_removed[v] = 1;
-    steps.push_back({ReductionKind::kDeadEndNode, v, kInvalidNode});
+    steps.push_back({ReductionKind::kDeadEndNode, v});
     for (const auto& [nbr, e] : g.neighbors(v)) {
       if (!edge_alive[e]) continue;
       edge_alive[e] = 0;
@@ -46,102 +41,6 @@ void eliminate_dead_ends(const Graph& g, const std::vector<char>& is_term,
         work.push_back(nbr);
     }
   }
-}
-
-/// Long-edge elimination on the dead-end-masked edge set. witness(u,v) is
-/// the cheapest u -> v connection whose interior nodes are all terminals:
-/// min over terminal neighbors (or u/v themselves when terminals) of
-/// wa + D_T + wb, where D_T is the all-pairs terminal distance through
-/// terminal-only interiors (Floyd-Warshall over the terminal-induced
-/// subgraph — O(T^3), tiny for demand-derived terminal sets). An edge
-/// strictly beaten by its witness can never lie on any shortest path or
-/// acquire a Dijkstra label, so dropping all such edges at once preserves
-/// every distance and every parent array exactly.
-void eliminate_long_edges(const Graph& g, const std::vector<char>& is_term,
-                          const std::vector<NodeId>& terminals,
-                          std::vector<char>& edge_alive,
-                          std::vector<ReductionStep>& steps) {
-  const std::size_t t_count = terminals.size();
-  std::vector<std::size_t> term_index(g.node_count(), t_count);
-  for (std::size_t i = 0; i < t_count; ++i) term_index[terminals[i]] = i;
-
-  // All-pairs terminal distance restricted to terminal interiors.
-  std::vector<double> d(t_count * t_count, kInfCost);
-  for (std::size_t i = 0; i < t_count; ++i) d[i * t_count + i] = 0.0;
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (!edge_alive[e]) continue;
-    const graph::Edge& ed = g.edge(e);
-    if (!is_term[ed.u] || !is_term[ed.v]) continue;
-    const std::size_t a = term_index[ed.u], b = term_index[ed.v];
-    d[a * t_count + b] = std::min(d[a * t_count + b], ed.weight);
-    d[b * t_count + a] = std::min(d[b * t_count + a], ed.weight);
-  }
-  for (std::size_t k = 0; k < t_count; ++k)
-    for (std::size_t i = 0; i < t_count; ++i)
-      for (std::size_t j = 0; j < t_count; ++j)
-        d[i * t_count + j] = std::min(d[i * t_count + j],
-                                      d[i * t_count + k] + d[k * t_count + j]);
-
-  // Terminal gateways per node: cheapest alive edge to each terminal
-  // neighbor, plus the node itself at cost 0 when it is a terminal.
-  struct Gateway {
-    std::size_t term;
-    double cost;
-  };
-  std::vector<std::vector<Gateway>> gateways(g.node_count());
-  {
-    std::vector<double> best(t_count, kInfCost);
-    std::vector<std::size_t> touched;
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      for (const auto& [nbr, e] : g.neighbors(v)) {
-        if (!edge_alive[e] || !is_term[nbr]) continue;
-        const std::size_t ti = term_index[nbr];
-        if (best[ti] == kInfCost) touched.push_back(ti);
-        best[ti] = std::min(best[ti], g.edge(e).weight);
-      }
-      std::sort(touched.begin(), touched.end());
-      if (is_term[v]) gateways[v].push_back({term_index[v], 0.0});
-      for (const std::size_t ti : touched) {
-        gateways[v].push_back({ti, best[ti]});
-        best[ti] = kInfCost;
-      }
-      touched.clear();
-    }
-  }
-
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (!edge_alive[e]) continue;
-    const graph::Edge& ed = g.edge(e);
-    double witness = kInfCost;
-    for (const Gateway& a : gateways[ed.u])
-      for (const Gateway& b : gateways[ed.v]) {
-        const double w = a.cost + d[a.term * t_count + b.term] + b.cost;
-        witness = std::min(witness, w);
-      }
-    // A witness that would route through e itself costs >= w(e) (it pays
-    // the e gateway), so the strict comparison needs no self-use guard.
-    if (witness < ed.weight * kLongEdgeMargin) {
-      edge_alive[e] = 0;
-      steps.push_back({ReductionKind::kLongEdge, kInvalidNode, e});
-    }
-  }
-}
-
-/// Rebuild a problem over the original node-id space with only the alive
-/// edges (in original edge order, so relative edge order — and therefore
-/// every order-sensitive downstream loop — is preserved).
-core::NetworkDesignProblem masked_problem(
-    const core::NetworkDesignProblem& problem,
-    const std::vector<char>& edge_alive) {
-  const Graph& g = problem.graph();
-  Graph out(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v)
-    out.set_node_weight(v, g.node_weight(v));
-  for (EdgeId e = 0; e < g.edge_count(); ++e)
-    if (edge_alive[e]) out.add_edge(g.edge(e).u, g.edge(e).v, g.edge(e).weight);
-  core::NetworkDesignProblem p(std::move(out));
-  for (const graph::Demand& d : problem.demands()) p.add_demand(d);
-  return p;
 }
 
 /// Non-trivial articulation points of g (iterative Tarjan; parallel edges
@@ -319,23 +218,15 @@ PresolveResult presolve_design(const core::NetworkDesignProblem& problem) {
   PresolveResult out;
   ReductionTrace& trace = out.trace;
 
-  // ---- dead ends, then the node-reduced twin --------------------------
+  // ---- dead ends -------------------------------------------------------
   std::vector<char> node_removed(g.node_count(), 0);
   std::vector<char> edge_alive(g.edge_count(), 1);
   std::vector<std::size_t> deg(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) deg[v] = g.degree(v);
   eliminate_dead_ends(g, is_term, node_removed, edge_alive, deg,
                       trace.steps);
-  out.node_reduced = masked_problem(problem, edge_alive);
-
-  // ---- long edges, then the edge-reduced twin -------------------------
-  std::vector<char> edge_alive_er = edge_alive;
-  eliminate_long_edges(g, is_term, terminals, edge_alive_er, trace.steps);
-  out.edge_reduced = masked_problem(problem, edge_alive_er);
 
   // ---- compact: drop terminal-free components -------------------------
-  // (built from the dead-end-masked view only: long-edge elimination is an
-  // edge-weighted argument and must not constrain the node-weighted bound)
   std::vector<char> dropped(g.node_count(), 0);
   {
     std::vector<char> seen(g.node_count(), 0);
@@ -360,8 +251,7 @@ PresolveResult presolve_design(const core::NetworkDesignProblem& problem) {
       if (has_terminal) continue;
       for (const NodeId u : members) {
         dropped[u] = 1;
-        trace.steps.push_back(
-            {ReductionKind::kTerminalFreeComponent, u, kInvalidNode});
+        trace.steps.push_back({ReductionKind::kTerminalFreeComponent, u});
       }
     }
   }
@@ -407,8 +297,7 @@ PresolveResult presolve_design(const core::NetworkDesignProblem& problem) {
       }
       ch.b = cur;
       for (const NodeId v : ch.interior)
-        trace.steps.push_back(
-            {ReductionKind::kChainContraction, v, kInvalidNode});
+        trace.steps.push_back({ReductionKind::kChainContraction, v});
       // A chain closing back on its own anchor is a pendant cycle: any
       // route entering it must leave through the same anchor, so the
       // interior can never help a connection — drop it outright.
@@ -508,12 +397,11 @@ PresolveResult presolve_design(const core::NetworkDesignProblem& problem) {
   out.idle_lb_raw =
       dual_ascent(cgr, zero_cap, out.compact.demands()) + forced_weight;
 
-  // Routing term on edge_reduced (distances there equal the original's by
-  // construction). Unsatisfiable demands contribute nothing — any bound is
-  // vacuously valid on an infeasible instance.
-  const Graph& erg = out.edge_reduced.graph();
+  // Routing term on the instance's own graph. Unsatisfiable demands
+  // contribute nothing — any bound is vacuously valid on an infeasible
+  // instance.
   std::vector<std::pair<NodeId, graph::ShortestPathTree>> spt_cache;
-  for (const graph::Demand& dem : out.edge_reduced.demands()) {
+  for (const graph::Demand& dem : problem.demands()) {
     const graph::ShortestPathTree* spt = nullptr;
     for (const auto& [src, tree] : spt_cache)
       if (src == dem.source) {
@@ -521,7 +409,7 @@ PresolveResult presolve_design(const core::NetworkDesignProblem& problem) {
         break;
       }
     if (!spt) {
-      spt_cache.emplace_back(dem.source, graph::dijkstra(erg, dem.source));
+      spt_cache.emplace_back(dem.source, graph::dijkstra(g, dem.source));
       spt = &spt_cache.back().second;
     }
     const double dist = spt->distance[dem.destination];

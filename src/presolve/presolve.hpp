@@ -1,40 +1,30 @@
 // Instance presolve + certified lower bounds for the Eq. 5 design problem
 // (SCIP-STP style, adapted to the node-weighted setting).
 //
-// presolve_design() derives three views of one NetworkDesignProblem:
+// presolve_design() applies three reductions — iterative removal of
+// non-terminal dead ends (degree <= 1), dropping of terminal-free
+// components, and contraction of maximal chains of non-terminal degree-2
+// nodes into one synthetic node carrying the summed node weight — and
+// builds one view from them:
 //
-//  * node_reduced — the original node-id space with every iteratively
-//    removed non-terminal dead end (degree <= 1) masked out. Running
-//    Klein-Ravi or the MPC reduction here is *bit-identical* to the full
-//    instance (pendant spiders are strictly ratio-dominated and pendant
-//    detours strictly lengthen every Dijkstra label), just cheaper.
-//  * edge_reduced — node_reduced with long edges eliminated: an edge (u,v)
-//    is dropped when a strictly shorter u-v witness path through terminal
-//    interiors exists (a conservative bottleneck-Steiner-distance test that
-//    is cheap at O(T^3 + E·T^2)). Shortest-path distances — and therefore
-//    KMB's terminal Dijkstras — are preserved exactly, so edge-weighted
-//    search here is bit-identical too. A relative margin of 1e-12 keeps
-//    float re-association from ever flipping a real decision.
-//  * compact — a certified *remapped* instance: dead ends and terminal-free
-//    components dropped, maximal chains of non-terminal degree-2 nodes
-//    contracted into one synthetic node carrying the summed node weight.
-//    Its node-weighted optimum equals the original's, which makes it the
-//    substrate for the dual-ascent lower bound, the forced-node
-//    (terminal-separating articulation) inclusion test, the shrink
-//    statistics, and the oracle cross-checks. Search never runs on it.
+//  * compact — a certified *remapped* instance whose node-weighted optimum
+//    equals the original's. It is the substrate for the dual-ascent lower
+//    bound, the forced-node (terminal-separating articulation) inclusion
+//    test, the shrink statistics, and the oracle cross-checks. Search never
+//    runs on it: every solver sees the instance's own graph.
 //
 // The certified bound combines a routing term (per-demand shortest-path
-// distance, valid because any design routes each demand no shorter than the
-// unrestricted shortest path) with a node-weight term (sequential moat-
-// growing dual ascent over compact, plus the weights of forced nodes, which
-// get zero dual capacity so the two never double-count). For any Eq. 5
-// parameters, lower_bound() <= the Eq. 5 total of every feasible design —
-// including under replay scoring, whose endpoint-inclusive idle term only
-// adds cost.
+// distance, computed by Dijkstra on the instance's own graph; valid because
+// any design routes each demand no shorter than the unrestricted shortest
+// path) with a node-weight term (sequential moat-growing dual ascent over
+// compact, plus the weights of forced nodes, which get zero dual capacity so
+// the two never double-count). For any Eq. 5 parameters, lower_bound() <=
+// the Eq. 5 total of every feasible design — including under replay
+// scoring, whose endpoint-inclusive idle term only adds cost.
 //
-// All three views REQUIRE strictly positive node and edge weights (the
-// bit-identity arguments above use strictness); from_positions instances
-// satisfy this by construction (c = Pidle > 0, w = Ptx + Prx > 0).
+// presolve_design() REQUIRES strictly positive node and edge weights and
+// throws otherwise; from_positions instances satisfy this by construction
+// (c = Pidle > 0, w = Ptx + Prx > 0).
 #pragma once
 
 #include <cstddef>
@@ -48,17 +38,14 @@ namespace eend::presolve {
 
 enum class ReductionKind {
   kDeadEndNode,            ///< non-terminal node of degree <= 1 removed
-  kLongEdge,               ///< edge dominated by a terminal-interior witness
   kChainContraction,       ///< degree-2 interior folded into a synthetic node
   kTerminalFreeComponent,  ///< component without terminals dropped (compact)
 };
 
-/// One recorded reduction. Node steps carry the original node id, edge
-/// steps the original edge id.
+/// One recorded reduction of one original node.
 struct ReductionStep {
   ReductionKind kind;
   graph::NodeId node = graph::kInvalidNode;
-  graph::EdgeId edge = graph::kInvalidNode;
 };
 
 /// Lossless id bookkeeping between the original and compact instances.
@@ -82,15 +69,6 @@ struct ReductionTrace {
 };
 
 struct PresolveResult {
-  /// Dead-end-masked twin in the original id space: same node count/ids and
-  /// demands, pendant-incident edges omitted. Safe (bit-identical) for the
-  /// node-weighted solvers: Klein-Ravi and the MPC reduction.
-  core::NetworkDesignProblem node_reduced;
-
-  /// node_reduced with long edges eliminated. Safe (bit-identical) for the
-  /// edge-weighted solver (KMB) and exact for shortest-path distances.
-  core::NetworkDesignProblem edge_reduced;
-
   /// Certified remapped instance (see file comment). Never searched; feeds
   /// the dual ascent, forced-node detection and the oracle cross-checks.
   core::NetworkDesignProblem compact;
@@ -103,13 +81,13 @@ struct PresolveResult {
   std::vector<graph::NodeId> forced_nodes;
 
   /// Structural shrink of the certified instance: original minus compact
-  /// counts. Long-edge eliminations act on edge_reduced (a different view)
-  /// and are reported through trace.count(ReductionKind::kLongEdge).
+  /// counts.
   std::size_t reduced_nodes = 0;
   std::size_t reduced_edges = 0;
 
   /// Raw bound terms, scale-free in the Eq. 5 parameters:
-  ///   data_lb_raw = sum_i rate_i * dist(s_i, d_i)   (edge weights)
+  ///   data_lb_raw = sum_i rate_i * dist(s_i, d_i)   (edge weights, summed
+  ///                 in demand order)
   ///   idle_lb_raw = dual ascent value + sum of forced node weights
   double data_lb_raw = 0.0;
   double idle_lb_raw = 0.0;

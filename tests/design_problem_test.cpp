@@ -235,18 +235,19 @@ std::vector<graph::NodeId> random_mask(Rng& rng, std::size_t n, double keep) {
 
 enum class RouteOutcome { kRouted, kBlockedEndpoint, kUnreachable };
 
-/// Oracle: one graph::dijkstra per demand with a +inf entry cost outside
-/// the mask; the first unroutable demand fails the whole call.
+/// Oracle: one plain graph::dijkstra per demand on a copy of the graph that
+/// keeps only the edges between allowed nodes (same node ids, same relative
+/// edge order); the first unroutable demand fails the whole call.
 RouteOutcome reference_routes(const NetworkDesignProblem& p,
                               const std::vector<graph::NodeId>& allowed_nodes,
                               std::vector<std::vector<graph::NodeId>>& paths,
                               std::size_t& failed) {
-  const auto& g = p.graph();
-  std::vector<bool> allowed(g.node_count(), allowed_nodes.empty());
+  const auto& full = p.graph();
+  std::vector<bool> allowed(full.node_count(), allowed_nodes.empty());
   for (graph::NodeId v : allowed_nodes) allowed[v] = true;
-  const auto mask_cost = [&](graph::NodeId v) {
-    return allowed[v] ? 0.0 : graph::kInfCost;
-  };
+  graph::Graph g(full.node_count());
+  for (const graph::Edge& e : full.edges())
+    if (allowed[e.u] && allowed[e.v]) g.add_edge(e.u, e.v, e.weight);
   paths.clear();
   for (std::size_t i = 0; i < p.demands().size(); ++i) {
     const auto& d = p.demands()[i];
@@ -254,7 +255,7 @@ RouteOutcome reference_routes(const NetworkDesignProblem& p,
     if (!allowed[d.source] || !allowed[d.destination])
       return RouteOutcome::kBlockedEndpoint;
     paths.push_back(
-        graph::dijkstra(g, d.source, mask_cost).path_to(d.destination));
+        graph::dijkstra(g, d.source).path_to(d.destination));
     if (paths.back().empty()) return RouteOutcome::kUnreachable;
   }
   return RouteOutcome::kRouted;

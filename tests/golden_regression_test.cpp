@@ -266,8 +266,9 @@ TEST(GoldenRegression, DesignPresolve) {
 
 // Presolve soundness at the engine level: flipping `presolve` on must not
 // change a single byte of the existing design/replay golden families' output
-// — the reduced twins replay the searches exactly (the certified-bound
-// columns only appear when a manifest *requests* those metrics).
+// — presolve only computes the certified bound, which every design must meet
+// (the certified-bound columns only appear when a manifest *requests* those
+// metrics).
 TEST(GoldenRegression, PresolveFlipKeepsDesignOutputsByteIdentical) {
   for (const char* file : {"design_portfolio.json", "design_replay.json"}) {
     Manifest m =

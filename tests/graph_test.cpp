@@ -83,18 +83,6 @@ TEST(Dijkstra, UnreachableNodes) {
   EXPECT_TRUE(t.path_to(2).empty());
 }
 
-TEST(Dijkstra, NodeCostFolding) {
-  // 0-1-2 vs 0-3-2: equal edge weights, node 1 expensive.
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(0, 3, 1.0);
-  g.add_edge(3, 2, 1.0);
-  const auto cost = [](NodeId v) { return v == 1 ? 10.0 : 0.0; };
-  const auto t = dijkstra(g, 0, cost);
-  EXPECT_EQ(t.path_to(2), (std::vector<NodeId>{0, 3, 2}));
-}
-
 TEST(BellmanFord, MatchesDijkstraOnTriangle) {
   const Graph g = triangle();
   const auto d = dijkstra(g, 0);

@@ -695,10 +695,16 @@ TEST(Manifest, PresolveKeyRejectsBadInputsActionably) {
           "heuristics":["klein_ravi"],"presolve":1}]})");
       },
       "presolve must be a boolean");
-  // Only meaningful where instances are searched.
+  // Only meaningful where design rows carry the bound.
   expect_rejected(
       [] { Manifest::parse(sweep_manifest_json("presolve", "true")); },
-      "only valid for kinds \"design\", \"replay\" and \"churn\"");
+      "only valid for kinds \"design\" and \"replay\"");
+  expect_rejected(
+      [] {
+        Manifest::parse(R"({"name":"c","experiments":[{"id":"ch",
+          "kind":"churn","node_counts":[40],"epochs":6,"presolve":true}]})");
+      },
+      "only valid for kinds \"design\" and \"replay\"");
   // The certified-bound metrics need the pass that computes them.
   for (const std::string metric :
        {"lb", "certified_gap_pct", "reduced_nodes", "reduced_edges"})

@@ -1,9 +1,8 @@
 // Unit + soundness tests for the presolve subsystem: per-reduction hand
-// graphs (dead ends, chains, long edges, terminal-free components,
-// degenerates), trace un-mapping, reduced-twin bit-identity for every
-// constructive solver, compact-optimum preservation against the exact
-// oracle, and the certified lower bound against an exhaustive design
-// oracle on small instances.
+// graphs (dead ends, chains, terminal-free components, degenerates), trace
+// un-mapping, the routing term against plain Dijkstra, compact-optimum
+// preservation against the exact oracle, and the certified lower bound
+// against an exhaustive design oracle on small instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include "graph/steiner.hpp"
 #include "opt/design_heuristic.hpp"
 #include "opt/design_instance.hpp"
-#include "opt/portfolio.hpp"
 #include "presolve/presolve.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -21,7 +19,6 @@
 namespace eend::presolve {
 namespace {
 
-using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
@@ -69,14 +66,19 @@ TEST(Presolve, DeadEndChainsAreMaskedNotSearched) {
   g.add_edge(4, 5, 1.0);
   const auto pr = presolve_design(problem_of(g, {{0, 2, 1.0}}));
 
-  EXPECT_EQ(pr.trace.count(ReductionKind::kDeadEndNode), 2u);  // 5 then 4
-  // node_reduced keeps the original id space, minus the two tail edges.
-  EXPECT_EQ(pr.node_reduced.graph().node_count(), 6u);
-  EXPECT_EQ(pr.node_reduced.graph().edge_count(), 4u);
+  EXPECT_EQ(pr.trace.count(ReductionKind::kDeadEndNode), 2u);
+  // The tail peels from its leaf inwards: 5, then 4.
+  ASSERT_GE(pr.trace.steps.size(), 2u);
+  EXPECT_EQ(pr.trace.steps[0].node, 5u);
+  EXPECT_EQ(pr.trace.steps[1].node, 4u);
+  EXPECT_EQ(pr.trace.compact_of[4], graph::kInvalidNode);
+  EXPECT_EQ(pr.trace.compact_of[5], graph::kInvalidNode);
   // compact additionally contracts the two parallel 0-x-2 chains.
   EXPECT_EQ(pr.trace.count(ReductionKind::kChainContraction), 2u);
   EXPECT_EQ(pr.compact.graph().node_count(), 4u);
+  EXPECT_EQ(pr.compact.graph().edge_count(), 4u);
   EXPECT_EQ(pr.reduced_nodes, 2u);
+  EXPECT_EQ(pr.reduced_edges, 2u);
   // Two parallel routes: nothing is forced.
   EXPECT_TRUE(pr.forced_nodes.empty());
 }
@@ -116,48 +118,6 @@ TEST(Presolve, ChainContractionFoldsInteriorWeights) {
   EXPECT_DOUBLE_EQ(pr.lower_bound(eval), oracle_min_total(pr.compact, eval));
 }
 
-TEST(Presolve, LongEdgeEliminatedOnlyFromEdgeReducedView) {
-  // Terminal triangle: the heavy 0-2 edge is strictly beaten by the
-  // 0-1-2 witness through a terminal interior.
-  Graph g(3);
-  for (NodeId v = 0; v < 3; ++v) g.set_node_weight(v, 1.0);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  const EdgeId heavy = g.add_edge(0, 2, 3.0);
-  const auto pr =
-      presolve_design(problem_of(g, {{0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 1.0}}));
-
-  EXPECT_EQ(pr.trace.count(ReductionKind::kLongEdge), 1u);
-  EXPECT_EQ(pr.edge_reduced.graph().edge_count(), 2u);
-  bool recorded = false;
-  for (const ReductionStep& s : pr.trace.steps)
-    if (s.kind == ReductionKind::kLongEdge) recorded = (s.edge == heavy);
-  EXPECT_TRUE(recorded);
-  // The node-weighted views keep the edge: the elimination argument is
-  // edge-weighted only.
-  EXPECT_EQ(pr.node_reduced.graph().edge_count(), 3u);
-  EXPECT_EQ(pr.compact.graph().edge_count(), 3u);
-  // Distances must survive the elimination exactly.
-  const auto before = graph::dijkstra(g, 0);
-  const auto after = graph::dijkstra(pr.edge_reduced.graph(), 0);
-  for (NodeId v = 0; v < 3; ++v)
-    EXPECT_EQ(before.distance[v], after.distance[v]);
-}
-
-TEST(Presolve, EqualWitnessDoesNotEliminate) {
-  // Witness equal to the edge weight must NOT fire (strict test with
-  // margin): removing it could change tie-broken search results.
-  Graph g(3);
-  for (NodeId v = 0; v < 3; ++v) g.set_node_weight(v, 1.0);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(0, 2, 2.0);
-  const auto pr =
-      presolve_design(problem_of(g, {{0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 1.0}}));
-  EXPECT_EQ(pr.trace.count(ReductionKind::kLongEdge), 0u);
-  EXPECT_EQ(pr.edge_reduced.graph().edge_count(), 3u);
-}
-
 TEST(Presolve, TerminalFreeComponentDroppedFromCompact) {
   // Demand square plus a disjoint non-terminal triangle (cycle, so dead-end
   // elimination cannot touch it).
@@ -173,10 +133,17 @@ TEST(Presolve, TerminalFreeComponentDroppedFromCompact) {
   const auto pr = presolve_design(problem_of(g, {{0, 2, 1.0}}));
   EXPECT_EQ(pr.trace.count(ReductionKind::kTerminalFreeComponent), 3u);
   EXPECT_EQ(pr.compact.graph().node_count(), 4u);  // 0, 2 + two chain nodes
-  EXPECT_EQ(pr.trace.compact_of[4], graph::kInvalidNode);
-  // node_reduced masks edges only, so the triangle still exists there —
-  // harmless: no solver ever reaches it from the terminals.
-  EXPECT_EQ(pr.node_reduced.graph().edge_count(), 7u);
+  std::vector<NodeId> dropped;
+  for (const ReductionStep& s : pr.trace.steps)
+    if (s.kind == ReductionKind::kTerminalFreeComponent)
+      dropped.push_back(s.node);
+  std::sort(dropped.begin(), dropped.end());
+  EXPECT_EQ(dropped, (std::vector<NodeId>{4, 5, 6}));
+  for (const NodeId v : dropped)
+    EXPECT_EQ(pr.trace.compact_of[v], graph::kInvalidNode);
+  // The triangle's three edges go with it; the square's four survive.
+  EXPECT_EQ(pr.compact.graph().edge_count(), 4u);
+  EXPECT_EQ(pr.reduced_edges, 3u);
 }
 
 TEST(Presolve, NoOpInstanceIsUntouched) {
@@ -269,8 +236,8 @@ TEST(Presolve, RequiresStrictlyPositiveWeightsAndDemands) {
 // ---------------------------------------------- randomized invariance ---
 
 /// Random reducible instance: a ring core with chords, pendant chains
-/// hanging off it, one deliberately heavy chord between terminals (long-
-/// edge fodder) and a disjoint non-terminal triangle.
+/// hanging off it, one deliberately heavy chord between terminals (never
+/// on a shortest path) and a disjoint non-terminal triangle.
 core::NetworkDesignProblem random_reducible_problem(Rng& rng,
                                                     std::size_t core_n) {
   Graph g;
@@ -309,80 +276,27 @@ core::NetworkDesignProblem random_reducible_problem(Rng& rng,
                       rng.uniform(0.5, 2.0)}});
 }
 
-void expect_same_tree(const graph::SteinerTree& a, const graph::SteinerTree& b,
-                      const char* what, int trial) {
-  EXPECT_EQ(a.feasible, b.feasible) << what << " trial " << trial;
-  EXPECT_EQ(a.nodes, b.nodes) << what << " trial " << trial;
-  // Bit-identical, not merely close: the twins must replay the exact same
-  // arithmetic.
-  EXPECT_EQ(a.node_cost, b.node_cost) << what << " trial " << trial;
-  EXPECT_EQ(a.edge_cost, b.edge_cost) << what << " trial " << trial;
-}
-
-TEST(Presolve, ReducedTwinsAreBitIdenticalForEverySolver) {
+TEST(Presolve, RoutingTermIsDijkstraOnTheInstanceGraph) {
   Rng rng(777);
-  std::size_t total_dead_ends = 0, total_long_edges = 0;
+  std::size_t total_dead_ends = 0;
   for (int trial = 0; trial < 15; ++trial) {
     const auto p = random_reducible_problem(rng, 10);
     const auto pr = presolve_design(p);
     total_dead_ends += pr.trace.count(ReductionKind::kDeadEndNode);
-    total_long_edges += pr.trace.count(ReductionKind::kLongEdge);
 
-    expect_same_tree(p.solve_node_weighted(),
-                     pr.node_reduced.solve_node_weighted(), "klein_ravi",
-                     trial);
-    expect_same_tree(p.solve_mpc_reduction(),
-                     pr.node_reduced.solve_mpc_reduction(), "mpc", trial);
-    expect_same_tree(p.solve_edge_weighted(),
-                     pr.edge_reduced.solve_edge_weighted(), "kmb", trial);
-
-    // Shortest-path distances survive the edge-reduced view exactly.
+    // Bit-identical, not merely close: the bound's routing term is the
+    // rate-weighted sum of plain Dijkstra distances, in demand order.
+    double want = 0.0;
     for (const graph::Demand& d : p.demands()) {
-      const auto full = graph::dijkstra(p.graph(), d.source);
-      const auto reduced =
-          graph::dijkstra(pr.edge_reduced.graph(), d.source);
-      EXPECT_EQ(full.distance[d.destination],
-                reduced.distance[d.destination])
-          << "trial " << trial;
+      const auto spt = graph::dijkstra(p.graph(), d.source);
+      ASSERT_TRUE(spt.reachable(d.destination)) << "trial " << trial;
+      want += d.rate * spt.distance[d.destination];
     }
+    EXPECT_EQ(pr.data_lb_raw, want) << "trial " << trial;
   }
-  // The family must actually exercise the reductions, or the equalities
-  // above are vacuous.
+  // The family must actually exercise the reductions, or the equality
+  // above says nothing about presolve leaving the routing term alone.
   EXPECT_GT(total_dead_ends, 0u);
-  EXPECT_GT(total_long_edges, 0u);
-}
-
-TEST(Presolve, PortfolioSearchIsBitIdenticalWithPresolve) {
-  // End-to-end over the GRASP portfolio: reduced constructive seeds (and
-  // the random_klein_ravi jitter stream on node_reduced) must reproduce
-  // the unreduced search byte for byte.
-  Rng rng(31337);
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto p = random_reducible_problem(rng, 10);
-    const auto pr = presolve_design(p);
-
-    opt::PortfolioOptions po;
-    po.starts = 6;  // covers klein_ravi, mpc, kmb + both random kinds
-    po.anneal.iterations = 40;
-    po.seed = 17 + trial;
-    const auto plain = opt::design_portfolio(p, po);
-    po.presolve = &pr;
-    const auto reduced = opt::design_portfolio(p, po);
-
-    EXPECT_EQ(plain.best_start, reduced.best_start) << "trial " << trial;
-    EXPECT_EQ(plain.best.nodes, reduced.best.nodes) << "trial " << trial;
-    EXPECT_EQ(plain.best.score.total(), reduced.best.score.total())
-        << "trial " << trial;
-    ASSERT_EQ(plain.starts.size(), reduced.starts.size());
-    for (std::size_t i = 0; i < plain.starts.size(); ++i) {
-      EXPECT_EQ(plain.starts[i].seed_kind, reduced.starts[i].seed_kind);
-      EXPECT_EQ(plain.starts[i].seeded.nodes, reduced.starts[i].seeded.nodes)
-          << "start " << i << " trial " << trial;
-      EXPECT_EQ(plain.starts[i].improved.nodes,
-                reduced.starts[i].improved.nodes)
-          << "start " << i << " trial " << trial;
-    }
-  }
 }
 
 // --------------------------------------------------- certified bounds ---
@@ -468,11 +382,14 @@ TEST(Presolve, InstanceSpecPresolveFlagPopulatesTheInstance) {
   const auto reduced = opt::make_design_instance(spec);
   ASSERT_NE(reduced.presolve, nullptr);
   EXPECT_GT(reduced.presolve->lower_bound(analytical::Eq5Params{}), 0.0);
-  // The reduced twins share the instance's id space and demand list.
-  EXPECT_EQ(reduced.presolve->node_reduced.graph().node_count(),
-            reduced.problem.graph().node_count());
-  EXPECT_EQ(reduced.presolve->node_reduced.demands().size(),
+  // compact keeps every demand and accounts for every removed node.
+  EXPECT_EQ(reduced.presolve->compact.demands().size(),
             reduced.problem.demands().size());
+  EXPECT_EQ(reduced.presolve->compact.graph().node_count() +
+                reduced.presolve->reduced_nodes,
+            reduced.problem.graph().node_count());
+  EXPECT_EQ(reduced.presolve->trace.original_of.size(),
+            reduced.presolve->compact.graph().node_count());
   // compact_of covers every node.
   EXPECT_EQ(reduced.presolve->trace.compact_of.size(),
             reduced.problem.graph().node_count());
