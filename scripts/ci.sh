@@ -140,10 +140,16 @@ for name in sim.events_fired opt.cache.route_hits opt.move.reused_routes \
     graph.klein_ravi.screen_settled churn.events_applied; do
   grep -q "\"counter\":\"$name\"" /tmp/eend_design_churn_j1.counters.jsonl
 done
+# The routing layer publishes its duplicate suppression and drop reasons;
+# small_field carries the DSR, TITAN and DSRH stacks, so the loop above
+# also pins these counters' jobs invariance.
+for name in routing.rreq_suppressed routing.drops.no_route; do
+  grep -q "\"counter\":\"$name\"" /tmp/eend_small_field_j1.counters.jsonl
+done
 test -s /tmp/eend_design_churn_j1.trace.json
 cp /tmp/eend_design_churn_j1.counters.jsonl COUNTERS_design_churn.jsonl
 cp /tmp/eend_design_churn_j1.trace.json TRACE_design_churn.json
-echo "OK: counters cover sim/opt/graph/churn, wrote COUNTERS_design_churn.jsonl + TRACE_design_churn.json"
+echo "OK: counters cover sim/routing/opt/graph/churn, wrote COUNTERS_design_churn.jsonl + TRACE_design_churn.json"
 
 echo "== event core: ladder-queue vs baseline-heap bench (JSON artifact) =="
 # Self-asserting floors: conservative bounds (measured ~4.8x / ~59M ops/s

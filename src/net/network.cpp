@@ -224,11 +224,18 @@ metrics::RunResult Network::run() {
                 out.total_energy_j
           : 0.0;
 
+  routing::RoutingStats rs;
   for (const auto& r : routing_) {
     if (r->carried_data()) ++out.nodes_carrying_data;
-    out.rreq_transmissions +=
-        r->stats().rreq_sent + r->stats().rreq_forwarded;
-    out.update_transmissions += r->stats().updates_sent;
+    const routing::RoutingStats& s = r->stats();
+    out.rreq_transmissions += s.rreq_sent + s.rreq_forwarded;
+    out.update_transmissions += s.updates_sent;
+    rs.rreq_suppressed += s.rreq_suppressed;
+    rs.drops_no_route += s.drops_no_route;
+    rs.drops_buffer += s.drops_buffer;
+    rs.drops_mac += s.drops_mac;
+    rs.drops_ttl += s.drops_ttl;
+    rs.drops_stale_route += s.drops_stale_route;
   }
   for (const auto& m : macs_) {
     const mac::MacStats& ms = m->stats();
@@ -251,6 +258,12 @@ metrics::RunResult Network::run() {
     reg->add("mac.unicast_failures", out.mac_unicast_failures);
     reg->add("mac.collisions", out.mac_collisions);
     reg->add("net.channel_transmissions", out.channel_transmissions);
+    reg->add("routing.rreq_suppressed", rs.rreq_suppressed);
+    reg->add("routing.drops.no_route", rs.drops_no_route);
+    reg->add("routing.drops.buffer", rs.drops_buffer);
+    reg->add("routing.drops.mac", rs.drops_mac);
+    reg->add("routing.drops.ttl", rs.drops_ttl);
+    reg->add("routing.drops.stale_route", rs.drops_stale_route);
     reg->add("energy.depleted_nodes", out.depleted_nodes);
     sim_.publish_counters(*reg);
   }

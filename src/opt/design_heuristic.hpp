@@ -125,17 +125,21 @@ struct RouteCache {
 /// (only on feasible results) for the next round. Either pointer may be
 /// null; (nullptr, nullptr) is exactly the plain overload. On an
 /// infeasible result `failed_demand`, when non-null, receives the index of
-/// the first unroutable demand.
+/// the first unroutable demand. `arcs`, when non-null, is the graph's
+/// ArcIndex (e.g. TerminalRows::arcs); otherwise the call builds its own.
 CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective,
                                 const RouteCache* reuse, RouteCache* fill,
-                                std::size_t* failed_demand = nullptr);
+                                std::size_t* failed_demand = nullptr,
+                                const graph::ArcIndex* arcs = nullptr);
 
-/// Evaluate a constructive solver's tree as a design seed.
+/// Evaluate a constructive solver's tree as a design seed; `arcs` as in
+/// evaluate_design.
 CandidateDesign design_from_tree(const core::NetworkDesignProblem& problem,
                                  const graph::SteinerTree& tree,
-                                 const DesignObjective& objective);
+                                 const DesignObjective& objective,
+                                 const graph::ArcIndex* arcs = nullptr);
 
 /// Knobs shared by every heuristic (each uses the subset it needs).
 struct HeuristicOptions {

@@ -57,7 +57,8 @@ PortfolioStart run_start(const core::NetworkDesignProblem& p,
                          std::size_t start) {
   PortfolioStart out;
   out.seed_kind = seed_kind_for(start);
-  out.seeded = design_from_tree(p, construct_seed(p, o, start), o.objective);
+  out.seeded = design_from_tree(p, construct_seed(p, o, start), o.objective,
+                                &rows.arcs);
   if (!out.seeded.feasible) {
     out.improved = out.seeded;
     return out;

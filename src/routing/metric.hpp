@@ -27,6 +27,11 @@ inline const char* to_string(LinkMetric m) {
   return "?";
 }
 
+/// Does the metric read the u-v distance / the relay's power-management
+/// state? link_cost ignores an input its metric does not use.
+inline bool uses_distance(LinkMetric m) { return m != LinkMetric::Hop; }
+inline bool uses_relay_state(LinkMetric m) { return m == LinkMetric::JointH; }
+
 /// Cost of the link u->v.
 /// `dist` is the u-v distance; `relay_is_am` is v's power-management state
 /// (only JointH uses it); `rate_over_b` is ri/B (1.0 when unknown).

@@ -61,6 +61,7 @@ struct NodeEnv {
 struct RoutingStats {
   std::uint64_t rreq_sent = 0;
   std::uint64_t rreq_forwarded = 0;
+  std::uint64_t rreq_suppressed = 0;  ///< flooded duplicates rejected
   std::uint64_t rrep_sent = 0;
   std::uint64_t rerr_sent = 0;
   std::uint64_t updates_sent = 0;
@@ -71,6 +72,7 @@ struct RoutingStats {
   std::uint64_t drops_buffer = 0;
   std::uint64_t drops_mac = 0;
   std::uint64_t drops_ttl = 0;
+  std::uint64_t drops_stale_route = 0;  ///< source route not through us
 };
 
 class RoutingProtocol {

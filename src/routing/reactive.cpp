@@ -98,8 +98,10 @@ void ReactiveRouting::forward_data(mac::Packet packet, const DataBody& body) {
 
 void ReactiveRouting::handle_data(const mac::Packet& p) {
   const auto& body = p.body<DataBody>();
-  if (body.index >= body.route.size() || body.route[body.index] != env_.id)
-    return;  // stale route; drop silently
+  if (body.index >= body.route.size() || body.route[body.index] != env_.id) {
+    ++stats_.drops_stale_route;
+    return;
+  }
   env_.power->notify_data_activity();
   // Strip this hop's source-route overhead: the app sees (and delivery
   // accounting counts) the pure payload; forward_data re-adds the header.
@@ -277,29 +279,63 @@ bool ReactiveRouting::titan_participates() {
   return env_.rng.bernoulli(p);
 }
 
+ReactiveRouting::SeenTable::Slot& ReactiveRouting::SeenTable::probe(
+    std::uint64_t key) {
+  if (slots_.empty()) slots_.resize(128);
+  const std::size_t mask = slots_.size() - 1;
+  // Multiplicative hashing: consecutive seqs of one origin spread out.
+  std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> 32 & mask;
+  while (slots_[i].key != key && slots_[i].key != 0) i = (i + 1) & mask;
+  return slots_[i];
+}
+
+void ReactiveRouting::SeenTable::insert(Slot& empty, std::uint64_t key,
+                                        double best) {
+  EEND_CHECK(key != 0 && empty.key == 0);
+  empty = Slot{key, best};
+  if (2 * ++used_ > slots_.size()) grow();
+}
+
+void ReactiveRouting::SeenTable::grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  for (const Slot& s : old)
+    if (s.key != 0) probe(s.key) = s;
+}
+
 void ReactiveRouting::handle_rreq(const mac::Packet& p, mac::NodeId from) {
   const auto& body = p.body<RreqBody>();
   if (p.origin == env_.id) return;
-  if (contains(body.route, env_.id)) return;  // routing loop
   (void)from;
 
+  // Read only the link-cost inputs the metric uses; link_cost ignores the
+  // others, so the defaults below never change a cost.
   const mac::NodeId prev = body.route.back();
-  const bool i_am_target = p.final_dest == env_.id;
-  const bool me_am = env_.power->is_active_mode();
-  const double c =
-      link_cost(cfg_.metric, env_.radio->card(), env_.distance_to(prev),
-                me_am, effective_rate_over_b(env_.rate_over_b));
+  const double dist =
+      uses_distance(cfg_.metric) ? env_.distance_to(prev) : 0.0;
+  const bool me_am = uses_relay_state(cfg_.metric)
+                         ? env_.power->is_active_mode()
+                         : true;
+  const double c = link_cost(cfg_.metric, env_.radio->card(), dist, me_am,
+                             effective_rate_over_b(env_.rate_over_b));
   const double total = body.cost + c;
 
-  const auto key = std::pair{p.origin, body.seq};
-  const auto seen = rreq_best_.find(key);
-  if (seen != rreq_best_.end() &&
-      total >= seen->second * cfg_.cost_improve_factor)
+  // A copy that does not improve the best seen by the margin is dropped
+  // before the loop scan: both returns leave every state untouched.
+  const std::uint64_t key =
+      std::uint64_t{p.origin} << 32 | std::uint64_t{body.seq};
+  SeenTable::Slot& seen = rreq_best_.probe(key);
+  if (seen.key == key && total >= seen.best * cfg_.cost_improve_factor) {
+    ++stats_.rreq_suppressed;
     return;
-  rreq_best_[key] = seen == rreq_best_.end()
-                        ? total
-                        : std::min(total, seen->second);
+  }
+  if (contains(body.route, env_.id)) return;  // routing loop
+  if (seen.key == key)
+    seen.best = std::min(total, seen.best);
+  else
+    rreq_best_.insert(seen, key, total);
 
+  const bool i_am_target = p.final_dest == env_.id;
   if (i_am_target) {
     // Reply along the accumulated route.
     RrepBody rep;

@@ -16,10 +16,16 @@
 // may be sent, if they advertise a lower cost"); replies travel back along
 // the discovered route; data is source-routed; failed transmissions
 // produce route errors toward the origin.
+//
+// Duplicate suppression is the flood's hot path: most RREQ receptions are
+// copies that do not beat the best cost this node has seen. Each node keeps
+// its best cost per (origin, seq) in a flat open-addressing table, and
+// handle_rreq probes it before the loop scan, so a rejected copy costs one
+// probe plus the metric's own link-cost inputs.
 #pragma once
 
+#include <cstdint>
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -77,6 +83,32 @@ class ReactiveRouting final : public RoutingProtocol {
     sim::EventId timeout_event = sim::kInvalidEvent;
   };
 
+  /// Best cost seen per flood, keyed by (origin << 32) | seq. Linear
+  /// probing over a power-of-two array that doubles at load 1/2; key 0
+  /// marks an empty slot (sequence numbers start at 1). Only ever probed,
+  /// never iterated, so the layout cannot reach any output. The first
+  /// probe allocates 128 slots, room for the few dozen floods a node sees
+  /// in a typical run (building a network allocates nothing): a table
+  /// that started at 16 slots and doubled during the run raised the peak
+  /// RSS of a 500-node flood run by up to 17 MB through heap
+  /// fragmentation.
+  class SeenTable {
+   public:
+    struct Slot {
+      std::uint64_t key = 0;
+      double best = 0.0;
+    };
+    /// The slot holding `key`, or the empty slot where it would go.
+    Slot& probe(std::uint64_t key);
+    /// Record `key` in the empty slot `probe(key)` returned.
+    void insert(Slot& empty, std::uint64_t key, double best);
+
+   private:
+    void grow();
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+  };
+
   void on_receive(const mac::Packet& p, mac::NodeId from);
   void handle_rreq(const mac::Packet& p, mac::NodeId from);
   void handle_rrep(const mac::Packet& p);
@@ -104,7 +136,7 @@ class ReactiveRouting final : public RoutingProtocol {
   std::unordered_map<mac::NodeId, CachedRoute> cache_;
   std::unordered_map<mac::NodeId, std::deque<Buffered>> buffer_;
   std::unordered_map<mac::NodeId, Discovery> discovery_;
-  std::map<std::pair<mac::NodeId, std::uint32_t>, double> rreq_best_;
+  SeenTable rreq_best_;
   std::uint32_t next_seq_ = 1;
   std::uint64_t next_uid_ = 1;
 

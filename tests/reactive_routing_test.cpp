@@ -238,6 +238,103 @@ TEST(ReactiveRouting, JointHRateScalesCommunicationTerm) {
   EXPECT_NEAR(full, 10.0 * tenth, 1e-9);
 }
 
+/// Two-layer mesh around origin 0: relays 1-3 hear the origin and each
+/// other, nodes 4 and 5 hear every first-layer relay and each other but not
+/// the origin. Every node beyond the origin hears the flood from several
+/// neighbours.
+void add_two_layer_mesh(Rig& r) {
+  r.add(0, 0);
+  r.add(150, 100);
+  r.add(150, 0);
+  r.add(150, -100);
+  r.add(300, 60);
+  r.add(300, -60);
+}
+
+TEST(ReactiveRouting, HopFloodRelaysForwardOnceAndTargetRepliesOnce) {
+  Rig r;
+  add_two_layer_mesh(r);
+  r.wire();
+  r.send(0, 4);
+  r.sim.run_until(2.0);
+  ASSERT_EQ(r.delivered.size(), 1u);
+  for (mac::NodeId relay : {1u, 2u, 3u, 5u})
+    EXPECT_EQ(r.routing[relay]->stats().rreq_forwarded, 1u) << relay;
+  EXPECT_EQ(r.routing[4]->stats().rreq_forwarded, 0u);
+  EXPECT_EQ(r.routing[4]->stats().rrep_sent, 1u);
+  EXPECT_EQ(r.routing[0]->stats().rreq_sent, 1u);
+}
+
+TEST(ReactiveRouting, HopFloodSuppressesEveryNonImprovingCopy) {
+  // The target is an island, so the flood is the only traffic: each radio's
+  // decoded frames are exactly its RREQ receptions.
+  Rig r;
+  add_two_layer_mesh(r);
+  r.add(5000, 0);
+  r.wire();
+  r.send(0, 6);
+  r.sim.run_until(2.0);  // before the first discovery retry
+  std::uint64_t suppressed = 0;
+  for (mac::NodeId relay = 1; relay <= 5; ++relay) {
+    const RoutingStats& s = r.routing[relay]->stats();
+    EXPECT_EQ(s.rreq_forwarded, 1u) << relay;
+    EXPECT_EQ(s.rreq_suppressed,
+              r.radios[relay]->frames_received() - s.rreq_forwarded)
+        << relay;
+    suppressed += s.rreq_suppressed;
+  }
+  EXPECT_GT(suppressed, 0u);
+  // The origin's own flood coming back is not a duplicate.
+  EXPECT_GT(r.radios[0]->frames_received(), 0u);
+  EXPECT_EQ(r.routing[0]->stats().rreq_suppressed, 0u);
+}
+
+TEST(ReactiveRouting, MtprCheaperLateCopyIsForwardedAgain) {
+  // Relay 2 first hears the origin's flood over the long 0-2 link, then a
+  // copy through relay 1 at 2 Pt(120) = Pt(240) / 8 < 0.9 x best: it must
+  // forward that copy too, and the target answers both.
+  Rig r;
+  r.cfg.metric = LinkMetric::Mtpr;
+  r.add(0, 0);
+  r.add(120, 0);
+  r.add(240, 0);
+  r.add(480, 0);
+  r.wire();
+  r.send(0, 3);
+  r.sim.run_until(2.0);
+  ASSERT_EQ(r.delivered.size(), 1u);
+  EXPECT_EQ(r.routing[1]->stats().rreq_forwarded, 1u);
+  EXPECT_EQ(r.routing[2]->stats().rreq_forwarded, 2u);
+  EXPECT_EQ(r.routing[2]->stats().rreq_suppressed, 0u);
+  EXPECT_EQ(r.routing[3]->stats().rrep_sent, 2u);
+  EXPECT_EQ(r.routing[0]->cached_route(3),
+            (std::vector<mac::NodeId>{0, 1, 2, 3}));
+}
+
+TEST(ReactiveRouting, StaleSourceRouteIsCountedAsDrop) {
+  // Node 1 receives a data frame whose source route names node 2 at the
+  // frame's position: it drops the frame and counts it.
+  Rig r;
+  r.add(0, 0);
+  r.add(200, 0);
+  r.add(400, 0);
+  r.wire();
+  mac::Packet p;
+  p.uid = 1;
+  p.flow_id = 0;
+  p.origin = 0;
+  p.final_dest = 1;
+  p.size_bits = 1024;
+  p.type = kData;
+  p.payload = mac::Packet::wrap(r.sim.pool(), DataBody{{0, 2, 1}, 1});
+  r.macs[0]->send_unicast(std::move(p), 1,
+                          r.radios[0]->card().max_transmit_power());
+  r.sim.run_until(1.0);
+  EXPECT_TRUE(r.delivered.empty());
+  EXPECT_EQ(r.routing[1]->stats().drops_stale_route, 1u);
+  EXPECT_EQ(r.routing[1]->stats().data_forwarded, 0u);
+}
+
 TEST(ReactiveRouting, StatsCountDiscoveryTraffic) {
   Rig r;
   r.add(0, 0);
