@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "graph/connectivity.hpp"
 #include "obs/counters.hpp"
 #include "spatial/grid_index.hpp"
 #include "util/check.hpp"
@@ -73,15 +74,33 @@ void ChurnState::touch(EpochDelta& delta, graph::NodeId v) const {
   delta.touched_nodes.push_back(v);
 }
 
-bool ChurnState::routable() const {
-  return problem_.try_route_in_subgraph({}).has_value();
+/// Every live demand's endpoints share a component of `p`'s graph. Edge
+/// weights are finite and positive, so this is exactly when route_demands
+/// finds every demand a path.
+bool ChurnState::routable(const core::NetworkDesignProblem& p) {
+  const graph::Components c = graph::connected_components(p.graph());
+  return std::all_of(p.demands().begin(), p.demands().end(),
+                     [&](const graph::Demand& d) {
+                       return c.same(d.source, d.destination);
+                     });
 }
 
-/// Rebuild the connectivity graph over the current positions with failed
-/// nodes isolated. Mirrors NetworkDesignProblem::from_positions exactly —
-/// same spatial-index predicate, same id-sorted edge order — so an empty
-/// failed set reproduces its graph bit-for-bit (churn_test pins this).
-void ChurnState::rebuild_graph() {
+/// Take `g` (over the current positions and failed set) as the live graph
+/// when every live demand stays routable on it; otherwise keep the current
+/// problem untouched.
+bool ChurnState::adopt_if_routable(graph::Graph g) {
+  core::NetworkDesignProblem next(std::move(g));
+  next.set_demands(problem_.demands());
+  if (!routable(next)) return false;
+  problem_ = std::move(next);
+  return true;
+}
+
+/// The connectivity graph over the current positions with failed nodes
+/// isolated. Mirrors NetworkDesignProblem::from_positions exactly — same
+/// spatial-index predicate, same id-sorted edge order — so an empty failed
+/// set reproduces its graph bit-for-bit (churn_test pins this).
+graph::Graph ChurnState::build_graph() const {
   graph::Graph g(positions_.size());
   for (graph::NodeId v = 0; v < positions_.size(); ++v)
     g.set_node_weight(v, card_.p_idle);
@@ -101,9 +120,22 @@ void ChurnState::rebuild_graph() {
       g.add_edge(static_cast<graph::NodeId>(i), j,
                  card_.transmit_power(d) + card_.p_rx);
   }
-  std::vector<graph::Demand> demands = problem_.demands();
-  problem_ = core::NetworkDesignProblem(std::move(g));
-  problem_.set_demands(std::move(demands));
+  return g;
+}
+
+/// Fail `v` unless that strands a live demand. Positions are those the
+/// live graph was built over, so build_graph() would give exactly its
+/// edges minus v's, in the same order with the same weights: filter them.
+bool ChurnState::try_fail(graph::NodeId v) {
+  const graph::Graph& live = problem_.graph();
+  graph::Graph g(live.node_count());
+  for (graph::NodeId u = 0; u < live.node_count(); ++u)
+    g.set_node_weight(u, live.node_weight(u));
+  for (const graph::Edge& e : live.edges())
+    if (e.u != v && e.v != v) g.add_edge(e.u, e.v, e.weight);
+  if (!adopt_if_routable(std::move(g))) return false;
+  failed_[v] = 1;
+  return true;
 }
 
 /// Apply one *validated-at-runtime* event: explicit-schedule events land
@@ -122,9 +154,7 @@ void ChurnState::apply(const Event& ev, EpochDelta& delta) {
       EEND_REQUIRE_MSG(!is_endpoint(ev.node),
                        "fail: node " << ev.node
                        << " is a live demand endpoint");
-      failed_[ev.node] = 1;
-      rebuild_graph();
-      EEND_REQUIRE_MSG(routable(), "fail: losing node "
+      EEND_REQUIRE_MSG(try_fail(ev.node), "fail: losing node "
                        << ev.node << " strands a live demand");
       touch(delta, ev.node);
       delta.topology_changed = true;
@@ -136,8 +166,8 @@ void ChurnState::apply(const Event& ev, EpochDelta& delta) {
       EEND_REQUIRE_MSG(!failed_[ev.node],
                        "move: node " << ev.node << " is failed");
       positions_[ev.node] = phy::Position{ev.x, ev.y};
-      rebuild_graph();
-      EEND_REQUIRE_MSG(routable(), "move: relocating node "
+      EEND_REQUIRE_MSG(adopt_if_routable(build_graph()),
+                       "move: relocating node "
                        << ev.node << " strands a live demand");
       touch(delta, ev.node);
       delta.topology_changed = true;
@@ -166,8 +196,9 @@ void ChurnState::apply(const Event& ev, EpochDelta& delta) {
                                       demand_rate_ * ev.weight});
       base_weights_.push_back(ev.weight);
       problem_.set_demands(std::move(demands));
-      EEND_REQUIRE_MSG(routable(), "arrive: demand (" << ev.source << ", "
-                       << ev.destination << ") is unroutable");
+      EEND_REQUIRE_MSG(routable(problem_), "arrive: demand ("
+                       << ev.source << ", " << ev.destination
+                       << ") is unroutable");
       touch(delta, ev.source);
       touch(delta, ev.destination);
       break;
@@ -231,9 +262,7 @@ EpochDelta ChurnState::advance(const TraceSpec& trace, std::size_t epoch) {
           ++redrawn;
           continue;
         }
-        failed_[v] = 1;
-        rebuild_graph();
-        if (routable()) {
+        if (try_fail(v)) {
           Event ev;
           ev.op = EventOp::Fail;
           ev.node = v;
@@ -242,9 +271,7 @@ EpochDelta ChurnState::advance(const TraceSpec& trace, std::size_t epoch) {
           delta.topology_changed = true;
           break;
         }
-        failed_[v] = 0;  // revert: this node is a cut vertex right now
-        ++redrawn;
-        rebuild_graph();
+        ++redrawn;  // this node is a cut vertex right now
       }
     }
 
@@ -280,8 +307,7 @@ EpochDelta ChurnState::advance(const TraceSpec& trace, std::size_t epoch) {
         }
       }
       if (!moved.empty()) {
-        rebuild_graph();
-        if (routable()) {
+        if (adopt_if_routable(build_graph())) {
           for (const Event& ev : moved) {
             delta.applied.push_back(ev);
             touch(delta, ev.node);
@@ -289,7 +315,6 @@ EpochDelta ChurnState::advance(const TraceSpec& trace, std::size_t epoch) {
           delta.topology_changed = true;
         } else {
           positions_ = before;
-          rebuild_graph();
         }
       }
     }
@@ -329,7 +354,7 @@ EpochDelta ChurnState::advance(const TraceSpec& trace, std::size_t epoch) {
         std::vector<graph::Demand> demands = problem_.demands();
         demands.push_back(graph::Demand{s, d, demand_rate_ * weight});
         problem_.set_demands(std::move(demands));
-        if (!routable()) {
+        if (!routable(problem_)) {
           std::vector<graph::Demand> undo = problem_.demands();
           undo.pop_back();
           problem_.set_demands(std::move(undo));

@@ -94,10 +94,16 @@ struct EpochDelta {
 };
 
 /// The live, mutable instance a churn trace evolves: current positions,
-/// failed set and demand list, with the connectivity graph rebuilt (failed
-/// nodes isolated, ids stable) whenever topology changes. With no failures
-/// and untouched positions the graph is bit-identical to
-/// NetworkDesignProblem::from_positions on the same inputs.
+/// failed set and demand list, with the connectivity graph (failed nodes
+/// isolated, ids stable) kept equal to a from-scratch build over them. A
+/// failure drops the node's edges from the live graph (positions have not
+/// moved, so that is the rebuild's edge list); motion rebuilds through the
+/// spatial index. Topology changes are built next to the live problem and
+/// taken only when every live demand stays routable (one connected-
+/// components pass), so a rejected failure or motion batch leaves the live
+/// problem as it was. With no failures and untouched positions the graph
+/// is bit-identical to NetworkDesignProblem::from_positions on the same
+/// inputs.
 class ChurnState {
  public:
   /// Start from an untouched instance (epoch 0). `spec` supplies the card,
@@ -122,8 +128,10 @@ class ChurnState {
 
  private:
   void apply(const Event& ev, EpochDelta& delta);
-  void rebuild_graph();
-  bool routable() const;
+  graph::Graph build_graph() const;
+  bool adopt_if_routable(graph::Graph g);
+  bool try_fail(graph::NodeId v);
+  static bool routable(const core::NetworkDesignProblem& p);
   bool is_endpoint(graph::NodeId v) const;
   void touch(EpochDelta& delta, graph::NodeId v) const;
 

@@ -257,9 +257,10 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   // arrive sorted, each at its component's cheapest distance, and degree
   // m's ratio is acc / m with acc = step[center] + legs 1..m. With entry
   // costs >= 0 (else nothing is pruned) every later leg costs at least the
-  // distance d being settled, so every unseen degree has ratio >=
-  // min(acc / m, d) (d when m = 0). Only a strictly smaller ratio wins, so
-  // a search stops once that bound beats the round's best ratio by more
+  // distance d being settled, so no unseen degree has a ratio below
+  // spider_degree_bound(acc, m, d): the next degree's (acc + d) / (m + 1)
+  // when d >= acc / m, else d. Only a strictly smaller ratio wins, so a
+  // search stops once that bound beats the round's best ratio by more
   // than the rounding of ~20 additions, or once every component-labelled
   // node is settled.
   const bool prunable = *std::min_element(step.begin(), step.end()) >= 0.0;
@@ -350,9 +351,8 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       std::size_t unsettled = labelled, m = 0;
       double acc = step[center];
       ws.run(g, center, relax, [&](double d, NodeId u) {
-        const double bound =
-            m == 0 ? d : std::min(acc / static_cast<double>(m), d);
-        if (prunable && bound > best_ratio * (1.0 + 1e-9)) {
+        if (prunable &&
+            spider_degree_bound(acc, m, d) > best_ratio * (1.0 + 1e-9)) {
           ++pruned;
           return false;
         }
@@ -375,14 +375,27 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       break;
     }
 
-    // Re-run the winner unpruned (`step` is unchanged) for its parents and
-    // targets: per component the lowest id at the cheapest distance, legs
-    // sorted by (distance, id). The first-settled node can differ, since a
-    // cost-0 selected node may be pushed at the distance just popped.
+    // Re-run the winner (`step` is unchanged) for its parents and targets:
+    // per component the lowest id at the cheapest distance, legs sorted by
+    // (distance, id). The first-settled node can differ, since a cost-0
+    // selected node may be pushed at the distance just popped. With entry
+    // costs >= 0 the run ends at the first pop past `cut`, the distance at
+    // which the best_deg-th component was reached: by then every node at
+    // distance <= cut is settled, ties and cost-0 late pushes included,
+    // with its final distance and parent, and every other component lies
+    // wholly beyond cut, so the sort picks the same targets and paths.
     ++searches;
-    std::size_t unsettled = labelled;
-    ws.run(g, best_center, relax, [&](double, NodeId u) {
-      return comp[u] == kInvalidNode || --unsettled != 0;
+    std::fill(reached.begin(), reached.end(), 0);
+    std::size_t unsettled = labelled, m = 0;
+    double cut = kInfCost;
+    ws.run(g, best_center, relax, [&](double d, NodeId u) {
+      if (prunable && d > cut) return false;
+      if (comp[u] == kInvalidNode) return true;
+      if (!reached[comp[u]]) {
+        reached[comp[u]] = 1;
+        if (++m == best_deg) cut = d;
+      }
+      return --unsettled != 0;
     });
     std::vector<Item> legs(next_comp, {kInfCost, kInvalidNode});
     for (NodeId v = 0; v < n; ++v)

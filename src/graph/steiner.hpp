@@ -43,6 +43,18 @@ SteinerTree kmb_steiner_tree(const Graph& g,
 SteinerTree klein_ravi_steiner(const Graph& g,
                                std::span<const NodeId> terminals);
 
+/// Klein-Ravi's spider-search bound: a lower bound on the ratio of every
+/// spider degree m' > m (m' >= 2) a search has not reached yet. `acc` is
+/// the centre's cost plus its first m legs and `d` the distance being
+/// settled, so every unseen leg costs at least d (entry costs >= 0) and
+/// degree m' has ratio >= (acc + (m' - m)·d) / m'. That grows with m'
+/// when d >= acc / m, so its least value is the next degree's,
+/// (acc + d) / (m + 1); otherwise it falls toward d.
+inline double spider_degree_bound(double acc, std::size_t m, double d) {
+  if (m == 0 || d < acc / static_cast<double>(m)) return d;
+  return (acc + d) / static_cast<double>(m + 1);
+}
+
 /// Exact node-weighted Steiner tree by exhaustive search over subsets of
 /// optional nodes. Exponential; only valid for small instances (< ~20
 /// optional nodes). Used as a test oracle for the approximations.

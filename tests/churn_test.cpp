@@ -21,6 +21,7 @@
 #include "opt/design_instance.hpp"
 #include "opt/portfolio.hpp"
 #include "opt/warm_start.hpp"
+#include "util/rng.hpp"
 
 namespace eend::churn {
 namespace {
@@ -167,6 +168,77 @@ TEST(ChurnTrace, FeasibilityInvariantsHoldAcrossEpochs) {
               d.touched_nodes.end());
     EXPECT_FALSE(d.applied.empty()) << "epoch " << epoch;
   }
+}
+
+/// The connectivity graph a from-scratch build gives over `positions`
+/// with every edge of a failed node dropped.
+graph::Graph rebuilt_graph(const std::vector<phy::Position>& positions,
+                           const energy::RadioCard& card,
+                           const std::vector<char>& failed) {
+  const core::NetworkDesignProblem full =
+      core::NetworkDesignProblem::from_positions(positions, card);
+  graph::Graph g(positions.size());
+  for (graph::NodeId v = 0; v < positions.size(); ++v)
+    g.set_node_weight(v, full.graph().node_weight(v));
+  for (const graph::Edge& e : full.graph().edges())
+    if (!failed[e.u] && !failed[e.v]) g.add_edge(e.u, e.v, e.weight);
+  return g;
+}
+
+TEST(ChurnTrace, GraphMatchesIndependentRebuildAcrossEpochs) {
+  // After every epoch the live graph must equal a from-scratch build over
+  // the current positions minus the failed nodes' edges — failures filter
+  // the live edge list, motion rebuilds, and a rejected failure or motion
+  // batch must leave the previous graph in place. On a sparse field cut
+  // vertices are common, so both rejections happen. The failure draws are
+  // replayed here from the trace's own stream, with routability decided by
+  // routing on the rebuilt graph, to count the rejected failures.
+  opt::DesignInstanceSpec spec = small_spec();
+  spec.field_scale = 1.6;
+  const auto inst = opt::make_design_instance(spec);
+  ChurnState state(inst, spec);
+  TraceSpec trace = busy_trace(spec.seed);
+  trace.epochs = 16;
+  trace.failures_per_epoch = 2;
+  const std::size_t n = inst.positions.size();
+  std::size_t rejected_failures = 0, reverted_motion = 0;
+  for (std::size_t epoch = 1; epoch < trace.epochs; ++epoch) {
+    std::vector<char> failed(n, 0);
+    for (const graph::NodeId v : state.failed_nodes()) failed[v] = 1;
+    const std::vector<graph::Demand> demands = state.problem().demands();
+    const auto endpoint = [&](graph::NodeId v) {
+      return std::any_of(demands.begin(), demands.end(),
+                         [v](const graph::Demand& d) {
+                           return d.source == v || d.destination == v;
+                         });
+    };
+    Rng rng = Rng(trace.seed).fork(0xC42A).fork(epoch);
+    for (std::size_t k = 0; k < trace.failures_per_epoch; ++k)
+      for (int attempt = 0; attempt < 32; ++attempt) {
+        const auto v = static_cast<graph::NodeId>(rng.next_below(n));
+        if (failed[v] || endpoint(v)) continue;
+        failed[v] = 1;
+        core::NetworkDesignProblem probe(
+            rebuilt_graph(state.positions(), spec.card, failed));
+        probe.set_demands(demands);
+        if (probe.try_route_in_subgraph({}).has_value()) break;
+        failed[v] = 0;
+        ++rejected_failures;
+      }
+
+    const EpochDelta d = state.advance(trace, epoch);
+    std::vector<graph::NodeId> want_failed;
+    for (graph::NodeId v = 0; v < n; ++v)
+      if (failed[v]) want_failed.push_back(v);
+    EXPECT_EQ(state.failed_nodes(), want_failed) << "epoch " << epoch;
+    expect_same_graph(state.problem().graph(),
+                      rebuilt_graph(state.positions(), spec.card, failed));
+    if (std::none_of(d.applied.begin(), d.applied.end(),
+                     [](const Event& e) { return e.op == EventOp::Move; }))
+      ++reverted_motion;
+  }
+  EXPECT_GT(rejected_failures, 0u);
+  EXPECT_GT(reverted_motion, 0u);
 }
 
 TEST(ChurnTrace, ExplicitScheduleAppliesVerbatim) {

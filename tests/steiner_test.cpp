@@ -677,5 +677,115 @@ TEST(KleinRavi, ScreenMatchesReferenceBitIdentically) {
   }
 }
 
+TEST(KleinRavi, SpiderDegreeBoundIsSoundAndTight) {
+  // The bound the spider search prunes by, against exact ratios in long
+  // double. A centre of cost c >= 0 with sorted legs L_1 <= ... <= L_k has
+  // degree-m ratio (c + L_1 + ... + L_m) / m. After m legs, settling d in
+  // [L_m, L_{m+1}], the bound may not exceed the ratio of any degree
+  // m' > m, m' >= 2 (sound); and it must be the infimum of those ratios
+  // when every unseen leg equals d (tight): no larger value is sound.
+  // Four leg families: random doubles, small integers (ties and zeros),
+  // doubles with many zeros, and multiples of one float weight.
+  Rng rng(25025);
+  std::size_t next_degree = 0, sound_checks = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int family = trial % 4;
+    const auto draw = [&] {
+      switch (family) {
+        case 0: return rng.uniform(0.0, 10.0);
+        case 1: return static_cast<double>(rng.next_below(4));
+        case 2: return rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.0, 1.0);
+        default: return 0.83 * static_cast<double>(1 + rng.next_below(5));
+      }
+    };
+    const double centre = draw();
+    std::vector<double> legs(2 + rng.next_below(12));
+    for (double& leg : legs) leg = draw();
+    std::sort(legs.begin(), legs.end());
+
+    double acc = centre;  // the search's running sum: c + legs 1..m
+    for (std::size_t m = 0; m < legs.size(); ++m) {
+      if (m > 0) acc += legs[m - 1];
+      const double lo = m == 0 ? 0.0 : legs[m - 1];
+      const double hi = legs[m];
+      for (const double d : {lo, hi, lo + (hi - lo) * rng.uniform()}) {
+        const double bound = spider_degree_bound(acc, m, d);
+        long double exact = centre;
+        for (std::size_t i = 0; i < legs.size(); ++i) {
+          exact += legs[i];
+          const std::size_t deg = i + 1;
+          if (deg <= m || deg < 2) continue;
+          const long double ratio = exact / static_cast<long double>(deg);
+          EXPECT_LE(bound, ratio * (1.0L + 1e-12L))
+              << "trial " << trial << " m " << m << " d " << d << " deg "
+              << deg;
+          ++sound_checks;
+        }
+        // Every unseen leg at d: degree m' costs d + (acc - m·d) / m',
+        // monotone in m', so the infimum is at m' = m + 1 when that term
+        // is negative (then m >= 1, as acc >= 0) and d (m' -> infinity)
+        // otherwise.
+        const long double excess =
+            static_cast<long double>(acc) - static_cast<long double>(m) * d;
+        const long double inf =
+            excess < 0 ? d + excess / static_cast<long double>(m + 1)
+                       : static_cast<long double>(d);
+        if (excess < 0) ++next_degree;
+        EXPECT_LE(std::abs(bound - inf), 1e-12L * inf)
+            << "trial " << trial << " m " << m << " d " << d;
+      }
+    }
+  }
+  // Both branches must be exercised, the next-degree one often.
+  EXPECT_GT(next_degree, 5000u);
+  EXPECT_GT(sound_checks, 100000u);
+}
+
+TEST(KleinRavi, ReachableNegativeEntryCostMatchesReference) {
+  // A reachable negative entry cost turns off the centre screen, the
+  // spider bound and the winner re-run's cut, and the kernel must still
+  // match the reference. The hub of three arms weighs -0.5 and each
+  // arm's first relay weighs 1: a spider path through a relay either
+  // ends at its arm's terminal or goes on into the hub, so no relay is
+  // selected without the hub and no edge's two entry costs ever sum
+  // below 0 (a negative sum would keep a search from ending). The long
+  // arms add a cost-0 relay before the terminal.
+  for (const bool long_arms : {false, true}) {
+    Graph g;
+    const NodeId hub = g.add_node(-0.5);
+    std::vector<NodeId> terms;
+    for (int arm = 0; arm < 3; ++arm) {
+      NodeId prev = hub;
+      for (int hop = 0; hop < (long_arms ? 2 : 1); ++hop) {
+        const NodeId relay = g.add_node(hop == 0 ? 1.0 : 0.0);
+        g.add_edge(prev, relay, 1.0 + arm);
+        prev = relay;
+      }
+      terms.push_back(g.add_node(0.7));
+      g.add_edge(prev, terms.back(), 1.0);
+    }
+    // A detour of two unit relays between the first two terminals.
+    const NodeId a = g.add_node(1.0), b = g.add_node(1.0);
+    g.add_edge(terms[0], a, 1.0);
+    g.add_edge(a, b, 1.0);
+    g.add_edge(b, terms[1], 1.0);
+
+    obs::CounterRegistry reg;
+    SteinerTree got;
+    {
+      obs::ScopedRegistry scope(&reg);
+      got = klein_ravi_steiner(g, terms);
+    }
+    const SteinerTree want = klein_ravi_reference(g, terms);
+    expect_same_tree(got, want, long_arms);
+    EXPECT_TRUE(want.feasible);
+    EXPECT_TRUE(std::binary_search(want.nodes.begin(), want.nodes.end(), hub));
+    if (obs::kEnabled) {
+      EXPECT_EQ(reg.snapshot().counters["graph.klein_ravi.screen_settled"],
+                0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace eend::graph
