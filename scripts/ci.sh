@@ -133,13 +133,13 @@ done
 # The counter catalog must cover all four layers: sim core, design
 # search (route cache, the move evaluator's kept paths and the routing
 # searches it still runs), the graph kernels (Klein-Ravi's spider search,
-# its bound, the nodes its searches settle and its centre screen) and the
-# churn engine.
+# its bound, the nodes its searches settle, its centre screen and the
+# centres it scores from the screen rows) and the churn engine.
 for name in sim.events_fired opt.cache.route_hits opt.move.reused_routes \
     opt.route.searches opt.route.settled_nodes \
     graph.klein_ravi.spider_searches graph.klein_ravi.pruned_searches \
     graph.klein_ravi.settled_nodes graph.klein_ravi.screen_settled \
-    churn.events_applied; do
+    graph.klein_ravi.row_centres churn.events_applied; do
   grep -q "\"counter\":\"$name\"" /tmp/eend_design_churn_j1.counters.jsonl
 done
 # The routing layer publishes its duplicate suppression and drop reasons;

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
-#include <queue>
 #include <set>
 
 #include "graph/connectivity.hpp"
@@ -42,53 +40,51 @@ bool is_terminal(std::span<const NodeId> terminals, NodeId v) {
   return std::find(terminals.begin(), terminals.end(), v) != terminals.end();
 }
 
-/// Build the result record from a set of tree edges in g.
-SteinerTree assemble(const Graph& g, std::span<const NodeId> terminals,
-                     const std::set<EdgeId>& edges) {
-  SteinerTree t;
-  std::set<NodeId> nodes(terminals.begin(), terminals.end());
-  for (EdgeId e : edges) {
-    nodes.insert(g.edge(e).u);
-    nodes.insert(g.edge(e).v);
-    t.edge_cost += g.edge(e).weight;
-  }
-  t.edges.assign(edges.begin(), edges.end());
-  t.nodes.assign(nodes.begin(), nodes.end());
-  for (NodeId v : t.nodes)
-    if (!is_terminal(terminals, v)) t.node_cost += g.node_weight(v);
+/// Per node of g: 1 for the terminals, else 0.
+std::vector<char> terminal_mask(const Graph& g,
+                                std::span<const NodeId> terminals) {
+  std::vector<char> term(g.node_count(), 0);
+  for (NodeId t : terminals) term[t] = 1;
+  return term;
+}
 
+/// Build the result record from the tree edges in g, sorted by id.
+SteinerTree assemble(const Graph& g, std::span<const NodeId> terminals,
+                     std::vector<EdgeId> edges) {
+  const std::size_t n = g.node_count();
+  const std::vector<char> term = terminal_mask(g, terminals);
+  std::vector<char> in = term;
   // Feasibility: all terminals in one component of the tree subgraph.
-  std::map<NodeId, std::vector<std::pair<NodeId, EdgeId>>> adj;
+  std::vector<NodeId> root(n);
+  for (NodeId v = 0; v < n; ++v) root[v] = v;
+  const auto find = [&](NodeId v) {
+    while (root[v] != v) v = root[v] = root[root[v]];
+    return v;
+  };
+  SteinerTree t;
   for (EdgeId e : edges) {
-    adj[g.edge(e).u].push_back({g.edge(e).v, e});
-    adj[g.edge(e).v].push_back({g.edge(e).u, e});
+    const Edge& ed = g.edge(e);
+    in[ed.u] = in[ed.v] = 1;
+    t.edge_cost += ed.weight;
+    root[find(ed.u)] = find(ed.v);
   }
-  if (terminals.empty()) {
-    t.feasible = true;
-    return t;
+  t.edges = std::move(edges);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!in[v]) continue;
+    t.nodes.push_back(v);
+    if (!term[v]) t.node_cost += g.node_weight(v);
   }
-  std::set<NodeId> seen;
-  std::queue<NodeId> q;
-  q.push(terminals[0]);
-  seen.insert(terminals[0]);
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
-    for (const auto& [v, e] : adj[u]) {
-      (void)e;
-      if (seen.insert(v).second) q.push(v);
-    }
-  }
-  t.feasible = std::all_of(terminals.begin(), terminals.end(),
-                           [&](NodeId v) { return seen.count(v) > 0; });
+  t.feasible = std::all_of(terminals.begin(), terminals.end(), [&](NodeId v) {
+    return find(v) == find(terminals[0]);
+  });
   return t;
 }
 
 /// Edges of g forming Prim's MST, from `root`, of the subgraph induced by
 /// the nodes with in[v] set (nodes renumbered in id order, edges kept in id
-/// order).
-std::set<EdgeId> induced_mst(const Graph& g, const std::vector<bool>& in,
-                             NodeId root) {
+/// order), sorted by id.
+std::vector<EdgeId> induced_mst(const Graph& g, const std::vector<bool>& in,
+                                NodeId root) {
   std::vector<NodeId> remap(g.node_count(), kInvalidNode);
   Graph sub;
   std::vector<EdgeId> back;
@@ -101,44 +97,57 @@ std::set<EdgeId> induced_mst(const Graph& g, const std::vector<bool>& in,
       back.push_back(e);
     }
   }
-  std::set<EdgeId> edges;
-  for (EdgeId se : prim_mst(sub, remap[root]).edges) edges.insert(back[se]);
+  std::vector<EdgeId> edges;
+  for (EdgeId se : prim_mst(sub, remap[root]).edges) edges.push_back(back[se]);
+  std::sort(edges.begin(), edges.end());
   return edges;
 }
 
-}  // namespace
-
-/// Remove non-terminal leaves repeatedly (final KMB step). The leaf-removal
-/// fixed point is unique whatever the removal order, so a worklist over
-/// incremental degree counts visits each edge O(1) times instead of
-/// rebuilding the full incident map every sweep.
+/// Remove non-terminal leaves repeatedly (final KMB step) from `edges`,
+/// which stay in their order. The leaf-removal fixed point is unique
+/// whatever the removal order, so a worklist over incremental degree
+/// counts visits each edge O(1) times instead of rebuilding the full
+/// incident lists every sweep. A node of degree 1 finds its one live
+/// edge as the XOR of its live edges' positions in `edges`.
 void prune_leaves(const Graph& g, std::span<const NodeId> terminals,
-                  std::set<EdgeId>& edges) {
-  std::map<NodeId, std::vector<EdgeId>> incident;
-  for (EdgeId e : edges) {
-    incident[g.edge(e).u].push_back(e);
-    incident[g.edge(e).v].push_back(e);
-  }
-  std::map<NodeId, std::size_t> degree;
+                  std::vector<EdgeId>& edges) {
+  const std::size_t n = g.node_count();
+  const std::vector<char> term = terminal_mask(g, terminals);
+  std::vector<std::size_t> degree(n, 0), live_xor(n, 0);
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    for (NodeId v : {g.edge(edges[i]).u, g.edge(edges[i]).v}) {
+      ++degree[v];
+      live_xor[v] ^= i;
+    }
+  std::vector<char> live(edges.size(), 1);
   std::vector<NodeId> work;
-  for (const auto& [v, inc] : incident) {
-    degree[v] = inc.size();
-    if (inc.size() == 1 && !is_terminal(terminals, v)) work.push_back(v);
-  }
+  for (NodeId v = 0; v < n; ++v)
+    if (degree[v] == 1 && !term[v]) work.push_back(v);
   while (!work.empty()) {
     const NodeId v = work.back();
     work.pop_back();
     if (degree[v] != 1) continue;  // re-queued stale entry or already pruned
-    for (EdgeId e : incident[v]) {
-      if (!edges.erase(e)) continue;  // edge already pruned from the far side
-      const Edge& ed = g.edge(e);
-      const NodeId other = ed.u == v ? ed.v : ed.u;
-      --degree[v];
-      if (--degree[other] == 1 && !is_terminal(terminals, other))
-        work.push_back(other);
-      break;  // degree was 1: exactly one live incident edge existed
+    const std::size_t i = live_xor[v];
+    live[i] = 0;
+    for (NodeId end : {g.edge(edges[i]).u, g.edge(edges[i]).v}) {
+      --degree[end];
+      live_xor[end] ^= i;
+      if (degree[end] == 1 && !term[end]) work.push_back(end);
     }
   }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    if (live[i]) edges[kept++] = edges[i];
+  edges.resize(kept);
+}
+
+}  // namespace
+
+void prune_leaves(const Graph& g, std::span<const NodeId> terminals,
+                  std::set<EdgeId>& edges) {
+  std::vector<EdgeId> flat(edges.begin(), edges.end());
+  prune_leaves(g, terminals, flat);
+  edges = std::set<EdgeId>(flat.begin(), flat.end());
 }
 
 SteinerTree kmb_steiner_tree(const Graph& g,
@@ -167,14 +176,19 @@ SteinerTree kmb_steiner_tree(const Graph& g,
     best[j] = spt[0].distance[terminals[j]];
     best_from[j] = 0;
   }
-  std::set<EdgeId> chosen;
+  std::vector<EdgeId> chosen;  // sorted and made unique before use
+  const auto sort_unique = [](std::vector<EdgeId>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
   for (std::size_t round = 1; round < k; ++round) {
     std::size_t next = k;
     for (std::size_t j = 0; j < k; ++j)
       if (!in_tree[j] && (next == k || best[j] < best[next])) next = j;
     if (next == k || best[next] == kInfCost) {
       // Disconnected terminals: return infeasible result.
-      return assemble(g, terminals, chosen);
+      sort_unique(chosen);
+      return assemble(g, terminals, std::move(chosen));
     }
     // 4. Expand the closure edge into its underlying graph path.
     const auto path = spt[best_from[next]].path_to(terminals[next]);
@@ -188,7 +202,7 @@ SteinerTree kmb_steiner_tree(const Graph& g,
           cheapest = e;
         }
       EEND_CHECK(cheapest != kInvalidNode);
-      chosen.insert(cheapest);
+      chosen.push_back(cheapest);
     }
     in_tree[next] = true;
     for (std::size_t j = 0; j < k; ++j)
@@ -200,27 +214,24 @@ SteinerTree kmb_steiner_tree(const Graph& g,
 
   // 5. MST over the union subgraph, then prune non-terminal leaves.
   // Build an induced subgraph on `chosen`, run Prim, map edges back.
+  sort_unique(chosen);
   {
-    std::map<NodeId, NodeId> remap;
+    std::vector<NodeId> remap(g.node_count(), kInvalidNode);
     Graph sub;
-    std::vector<EdgeId> back;
     for (EdgeId e : chosen) {
       for (NodeId endpoint : {g.edge(e).u, g.edge(e).v})
-        if (!remap.count(endpoint)) {
-          remap[endpoint] = sub.add_node();
-        }
+        if (remap[endpoint] == kInvalidNode) remap[endpoint] = sub.add_node();
       sub.add_edge(remap[g.edge(e).u], remap[g.edge(e).v], g.edge(e).weight);
-      back.push_back(e);
     }
     if (sub.node_count() > 0) {
-      const MstResult mst = prim_mst(sub, 0);
-      std::set<EdgeId> kept;
-      for (EdgeId se : mst.edges) kept.insert(back[se]);
+      std::vector<EdgeId> kept;
+      for (EdgeId se : prim_mst(sub, 0).edges) kept.push_back(chosen[se]);
+      std::sort(kept.begin(), kept.end());
       chosen = std::move(kept);
     }
   }
   prune_leaves(g, terminals, chosen);
-  return assemble(g, terminals, chosen);
+  return assemble(g, terminals, std::move(chosen));
 }
 
 SteinerTree klein_ravi_steiner(const Graph& g,
@@ -250,6 +261,23 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   std::size_t active_components = next_comp;
   std::size_t labelled = next_comp;  // nodes with a component id
 
+  // An edge whose two entry costs sum below 0 is a negative cycle: every
+  // spider search that reaches it would go back and forth on it forever.
+  // Only a negative entry cost makes one, at entry or once a merge zeroes
+  // a neighbour's cost, so the newly selected nodes' edges are checked
+  // again after every merge that leaves searches to run.
+  const auto require_no_negative_edge = [&](NodeId u) {
+    for (const Adjacency& a : g.neighbors(u))
+      EEND_REQUIRE_MSG(step[u] + step[a.neighbor] >= 0.0,
+                       "Klein-Ravi needs the entry costs of every edge's "
+                       "two nodes to sum to >= 0; nodes "
+                           << u << " and " << a.neighbor << " sum to "
+                           << step[u] + step[a.neighbor]);
+  };
+  const bool prunable = *std::min_element(step.begin(), step.end()) >= 0.0;
+  if (!prunable && active_components > 1)
+    for (NodeId v = 0; v < n; ++v) require_no_negative_edge(v);
+
   // Node-weighted shortest path FROM a candidate spider center v to each
   // component: weight of a path = sum of entry costs of the nodes after the
   // center (the center is charged separately). One workspace serves every
@@ -263,12 +291,11 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   // search stops once that bound beats the round's best ratio by more
   // than the rounding of ~20 additions, or once every component-labelled
   // node is settled.
-  const bool prunable = *std::min_element(step.begin(), step.end()) >= 0.0;
   SpWorkspace ws(n);
   const std::vector<double>& dist = ws.tree.distance;
   const std::vector<NodeId>& par = ws.tree.parent;
   std::vector<char> reached(next_comp);  // per component: leg taken
-  std::uint64_t searches = 0, pruned = 0;
+  std::uint64_t searches = 0, pruned = 0, row_centres = 0;
   const auto relax = [&](double d, const Adjacency& a) {
     return d + step[a.neighbor];
   };
@@ -277,20 +304,17 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   // to v under `relax` (all of j sits at 0: its nodes cost 0 and are
   // connected). Reversing a path moves the charge from its far end onto
   // v, so v's leg to j is L_j[v] - step[v], and sorting v's legs gives
-  // its spider ratio r(v) up to rounding. Each round searches only the
-  // centres within kCentreScreenSlack of the smallest r(v); the winner is
-  // among them, and they run in id order with the same float values, so
-  // the lexicographic minimum of (ratio, centre, degree) is unchanged.
-  // After a merge only entry costs drop: the merged component's row starts
-  // as the minimum of its parts' rows, and every row takes just the
-  // decreases from the newly selected nodes. Float addition is monotone,
-  // so that is exactly the row a full search would give (the least float
-  // path sum).
+  // its spider ratio r(v) up to rounding. After a merge only entry costs
+  // drop: the merged component's row starts as the minimum of its parts'
+  // rows, and every row takes just the decreases from the newly selected
+  // nodes. Float addition is monotone, so that is exactly the row a full
+  // search would give (the least float path sum).
   const bool screened = prunable && centre_screen_exact(next_comp, n);
   std::vector<double> rows(screened ? next_comp * n : 0, kInfCost);
-  std::vector<char> alive(next_comp, 1);
+  std::vector<char> alive(next_comp, 1), merging(next_comp);
   std::vector<NodeId> fresh;           // nodes the last merge selected
-  std::vector<double> ratio(n), legs_of;
+  std::vector<NodeId> lead(next_comp);  // per component: its lowest id
+  std::vector<double> ratio(n), legs_of, leg(next_comp);
   std::vector<Item> row_heap;
   std::uint64_t screen_settled = 0;
   // Decrease-only Dijkstra on `row` from the entries already in row_heap.
@@ -323,10 +347,43 @@ SteinerTree klein_ravi_steiner(const Graph& g,
     double best_ratio = kInfCost;
     NodeId best_center = kInvalidNode;
     std::size_t best_deg = 0;
+    // Spider degree m of `center`, whose legs 1..m sum with its own entry
+    // cost to acc, offered to the round's argmin.
+    const auto offer = [&](double acc, std::size_t m, NodeId center) {
+      if (m >= 2 && acc / static_cast<double>(m) < best_ratio) {
+        best_ratio = acc / static_cast<double>(m);
+        best_center = center;
+        best_deg = m;
+      }
+    };
 
+    // Three kinds of centre, in id order; each scores exactly what a full
+    // spider search from it would, or cannot win.
+    //  * A component member after its lowest id is skipped. Every node of
+    //    component J costs 0 and J is connected through nodes that cost 0,
+    //    so a search from any of them reaches all of J at 0 and gives each
+    //    node x the least float path sum from J: legs and ratios are
+    //    bitwise those of J's lowest id, which comes first and keeps the
+    //    round's argmin, as only a strictly smaller ratio wins.
+    //  * J's lowest id, with the screen on, reads its legs off row J: leg
+    //    k is the least L_J[x] over the nodes x of component k, which is
+    //    the distance at which its search settles k's first node. Sorted,
+    //    they fold into acc in the search's order, so every degree offers
+    //    the search's float ratio.
+    //  * Every other centre runs the bound-pruned search. The screen skips
+    //    a centre more than kCentreScreenSlack above the round's smallest
+    //    r(v), which the winner never is. r(v) is computed for free nodes
+    //    and lowest ids only; any subset's minimum keeps the winner, since
+    //    the winner's r(v) is within the slack of every r(v).
     double rmin = kInfCost;
     if (screened) {
+      std::fill(lead.begin(), lead.end(), kInvalidNode);
       for (NodeId v = 0; v < n; ++v) {
+        ratio[v] = kInfCost;
+        if (comp[v] != kInvalidNode) {
+          if (lead[comp[v]] != kInvalidNode) continue;
+          lead[comp[v]] = v;
+        }
         legs_of.clear();
         for (NodeId j = 0; j < next_comp; ++j)
           if (alive[j]) legs_of.push_back(rows[j * n + v] - step[v]);
@@ -343,8 +400,23 @@ SteinerTree klein_ravi_steiner(const Graph& g,
 
     for (NodeId center = 0; center < n; ++center) {
       ++searches;
-      if (screened && ratio[center] > rmin * (1.0 + kCentreScreenSlack)) {
-        ++pruned;  // screened out: cannot be the round's winner
+      const NodeId own = screened ? comp[center] : kInvalidNode;
+      if ((own != kInvalidNode && lead[own] != center) ||
+          (screened && ratio[center] > rmin * (1.0 + kCentreScreenSlack))) {
+        ++pruned;  // cannot be the round's winner
+        continue;
+      }
+      if (own != kInvalidNode) {
+        ++row_centres;
+        const double* row = rows.data() + own * n;
+        std::fill(leg.begin(), leg.end(), kInfCost);
+        for (NodeId x = 0; x < n; ++x)
+          if (comp[x] != kInvalidNode)
+            leg[comp[x]] = std::min(leg[comp[x]], row[x]);
+        std::sort(leg.begin(), leg.end());
+        double acc = step[center];
+        for (std::size_t m = 1; m <= leg.size() && leg[m - 1] < kInfCost; ++m)
+          offer(acc += leg[m - 1], m, center);
         continue;
       }
       std::fill(reached.begin(), reached.end(), 0);
@@ -359,12 +431,7 @@ SteinerTree klein_ravi_steiner(const Graph& g,
         if (comp[u] == kInvalidNode) return true;
         if (!reached[comp[u]]) {
           reached[comp[u]] = 1;
-          acc += d;
-          if (++m >= 2 && acc / static_cast<double>(m) < best_ratio) {
-            best_ratio = acc / static_cast<double>(m);
-            best_center = center;
-            best_deg = m;
-          }
+          offer(acc += d, ++m, center);
         }
         return --unsettled != 0;
       });
@@ -425,19 +492,26 @@ SteinerTree klein_ravi_steiner(const Graph& g,
         select_node(cur);
     }
     // Relabel all nodes of merged components.
-    std::set<NodeId> merged_comps;
-    for (NodeId target : best_targets) merged_comps.insert(comp[target]);
+    std::fill(merging.begin(), merging.end(), 0);
+    std::size_t merged_count = 0;
+    for (NodeId target : best_targets)
+      if (!merging[comp[target]]) {
+        merging[comp[target]] = 1;
+        ++merged_count;
+      }
     for (NodeId v = 0; v < n; ++v)
-      if (comp[v] != kInvalidNode && merged_comps.count(comp[v]))
-        comp[v] = merged;
-    active_components -= merged_comps.size() - 1;
+      if (comp[v] != kInvalidNode && merging[comp[v]]) comp[v] = merged;
+    active_components -= merged_count - 1;
+    if (active_components <= 1) continue;
+    if (!prunable)
+      for (NodeId v : fresh) require_no_negative_edge(v);
 
     // Rows: merge the merged components' rows into one, then lower every
     // row through the nodes that now cost 0.
-    if (!screened || active_components <= 1) continue;
+    if (!screened) continue;
     double* merged_row = rows.data() + merged * n;
-    for (NodeId j : merged_comps) {
-      if (j == merged) continue;
+    for (NodeId j = 0; j < next_comp; ++j) {
+      if (!merging[j] || j == merged) continue;
       alive[j] = 0;
       const double* part = rows.data() + j * n;
       for (NodeId v = 0; v < n; ++v)
@@ -464,15 +538,16 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   obs::count("graph.klein_ravi.pruned_searches", pruned);
   obs::count("graph.klein_ravi.settled_nodes", ws.settled);
   obs::count("graph.klein_ravi.screen_settled", screen_settled);
+  obs::count("graph.klein_ravi.row_centres", row_centres);
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
   // spanning structure works; MST keeps edge cost tidy) from the lowest
   // selected id, then prune.
   const auto first = static_cast<NodeId>(
       std::find(selected.begin(), selected.end(), true) - selected.begin());
-  std::set<EdgeId> edges = induced_mst(g, selected, first);
+  std::vector<EdgeId> edges = induced_mst(g, selected, first);
   prune_leaves(g, terminals, edges);
-  return assemble(g, terminals, edges);
+  return assemble(g, terminals, std::move(edges));
 }
 
 SteinerTree exact_node_weighted_steiner(const Graph& g,
@@ -506,9 +581,9 @@ SteinerTree exact_node_weighted_steiner(const Graph& g,
     // component — and silently rejects a feasible candidate — whenever the
     // mask activates an optional node below terminals[0] that is
     // disconnected from them.
-    std::set<EdgeId> edges = induced_mst(g, active, terminals[0]);
+    std::vector<EdgeId> edges = induced_mst(g, active, terminals[0]);
     prune_leaves(g, terminals, edges);
-    SteinerTree cand = assemble(g, terminals, edges);
+    SteinerTree cand = assemble(g, terminals, std::move(edges));
     if (cand.feasible && cand.node_cost < best_cost) {
       best_cost = cand.node_cost;
       best = std::move(cand);

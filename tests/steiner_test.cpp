@@ -128,6 +128,16 @@ SteinerTree klein_ravi_reference(const Graph& g,
     if (comp[t] == kInvalidNode) comp[t] = next_comp++;
   std::size_t active_components = next_comp;
 
+  // An edge whose two entry costs sum below 0 would keep a search going
+  // back and forth on it forever; the kernel refuses it the same way.
+  const auto require_no_negative_edge = [&] {
+    for (const Edge& e : g.edges())
+      EEND_REQUIRE_MSG(entry[e.u] + entry[e.v] >= 0.0,
+                       "negative entry-cost sum on edge " << e.u << "-"
+                                                          << e.v);
+  };
+  if (active_components > 1) require_no_negative_edge();
+
   // Node-weighted shortest paths FROM a candidate spider center to every
   // node: weight of a path = sum of entry costs of the nodes after the
   // center (the center is charged separately).
@@ -231,6 +241,7 @@ SteinerTree klein_ravi_reference(const Graph& g,
     for (NodeId v = 0; v < n; ++v)
       if (comp[v] != kInvalidNode && merging[comp[v]]) comp[v] = merged;
     active_components -= merged_count - 1;
+    if (active_components > 1) require_no_negative_edge();
   }
 
   // Materialize tree edges: run an MST restricted to selected nodes (any
@@ -784,6 +795,116 @@ TEST(KleinRavi, ReachableNegativeEntryCostMatchesReference) {
       EXPECT_EQ(reg.snapshot().counters["graph.klein_ravi.screen_settled"],
                 0u);
     }
+  }
+}
+
+TEST(KleinRavi, NegativeEntryCostSumThrowsInsteadOfHanging) {
+  // An edge whose two entry costs sum below 0 makes every spider search
+  // that reaches it loop forever; both solvers must refuse it at once.
+  // First: a design instance with a non-terminal next to a terminal at
+  // -0.3 times the unit idle weight (the terminal costs 0).
+  opt::DesignInstanceSpec spec;
+  spec.node_count = 40;
+  spec.demand_count = 4;
+  spec.seed = 3;
+  const opt::DesignInstance inst = opt::make_design_instance(spec);
+  Graph g = inst.problem.graph();
+  const std::vector<NodeId> terms = inst.problem.terminals();
+  const auto relay = std::find_if(
+      g.neighbors(terms[0]).begin(), g.neighbors(terms[0]).end(),
+      [&](const Adjacency& a) { return !is_terminal(terms, a.neighbor); });
+  ASSERT_NE(relay, g.neighbors(terms[0]).end());
+  g.set_node_weight(relay->neighbor, -0.3 * g.node_weight(relay->neighbor));
+  EXPECT_THROW(klein_ravi_steiner(g, terms), CheckError);
+  EXPECT_THROW(klein_ravi_reference(g, terms), CheckError);
+
+  // Second: every sum is >= 0 at entry, but the first spider (0-1-2)
+  // selects relay 1, whose cost drops to 0 next to node 3 at -0.3.
+  Graph h(7);
+  h.set_node_weight(1, 1.0);
+  h.set_node_weight(3, -0.3);
+  h.set_node_weight(4, 5.0);
+  h.set_node_weight(5, 5.0);
+  for (const auto& [u, v] : {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {1, 3},
+                             {2, 4}, {4, 5}, {5, 6}})
+    h.add_edge(u, v, 1.0);
+  const std::vector<NodeId> three{0, 2, 6};
+  EXPECT_THROW(klein_ravi_steiner(h, three), CheckError);
+  EXPECT_THROW(klein_ravi_reference(h, three), CheckError);
+  // With two terminals the first spider is the last: nothing is searched
+  // after the cost drops, and both solvers return the same tree.
+  const std::vector<NodeId> two{0, 2};
+  expect_same_tree(klein_ravi_steiner(h, two), klein_ravi_reference(h, two),
+                   0);
+}
+
+TEST(KleinRavi, ClusteredTerminalsMatchReferenceBitIdentically) {
+  // 14-20 terminals packed into 2-4 clusters of an N = 40-60 field, so
+  // large components form early and their centres win most later rounds:
+  // these are the centres whose legs are read off the screen rows. Trees
+  // and the spider-search count must match the reference, which searches
+  // from every centre; every tree must score some centre from the rows.
+  // Uniform weights (dense ties) alternate with the 1 +- 0.3 jitter.
+  Rng rng(26026);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 40 + rng.next_below(21);
+    Graph g(n);
+    std::vector<std::pair<double, double>> pos(n);
+    for (auto& [x, y] : pos) {
+      x = rng.uniform(0.0, 1.0);
+      y = rng.uniform(0.0, 1.0);
+    }
+    const auto d2 = [&](NodeId u, NodeId v) {
+      const double dx = pos[u].first - pos[v].first;
+      const double dy = pos[u].second - pos[v].second;
+      return dx * dx + dy * dy;
+    };
+    for (NodeId u = 0; u < n; ++u) {
+      double w = 0.83;
+      if (trial % 2 == 1) w *= 1.0 + 0.3 * (2.0 * rng.uniform() - 1.0);
+      g.set_node_weight(u, w);
+      for (NodeId v = u + 1; v < n; ++v)
+        if (d2(u, v) <= 0.3 * 0.3) g.add_edge(u, v, 1.1 + 3.0 * d2(u, v));
+    }
+    const std::size_t k = 14 + rng.next_below(7);
+    const std::size_t clusters = 2 + rng.next_below(3);
+    std::vector<char> taken(n, 0);
+    std::vector<NodeId> terms;
+    for (std::size_t c = 0; c < clusters; ++c) {
+      // The free nodes nearest a random seed node join the terminal set.
+      const auto seed = static_cast<NodeId>(rng.next_below(n));
+      std::vector<NodeId> by_distance;
+      for (NodeId v = 0; v < n; ++v)
+        if (!taken[v]) by_distance.push_back(v);
+      std::sort(by_distance.begin(), by_distance.end(),
+                [&](NodeId a, NodeId b) {
+                  return std::pair(d2(seed, a), a) < std::pair(d2(seed, b), b);
+                });
+      const std::size_t size = (k - terms.size()) / (clusters - c);
+      for (std::size_t i = 0; i < size; ++i) {
+        taken[by_distance[i]] = 1;
+        terms.push_back(by_distance[i]);
+      }
+    }
+    for (std::size_t i = terms.size(); i > 1; --i)  // unsorted ids
+      std::swap(terms[i - 1], terms[rng.next_below(i)]);
+
+    obs::CounterRegistry reg;
+    SteinerTree got;
+    {
+      obs::ScopedRegistry scope(&reg);
+      got = klein_ravi_steiner(g, terms);
+    }
+    std::uint64_t want_searches = 0;
+    const SteinerTree want = klein_ravi_reference(g, terms, &want_searches);
+    expect_same_tree(got, want, trial);
+    if (!obs::kEnabled) continue;
+    auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters["graph.klein_ravi.spider_searches"],
+              want_searches)
+        << "trial " << trial;
+    EXPECT_GT(snap.counters["graph.klein_ravi.row_centres"], 0u)
+        << "trial " << trial;
   }
 }
 
