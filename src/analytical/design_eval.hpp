@@ -64,12 +64,12 @@ Eq5Breakdown evaluate_eq5(const graph::Graph& g,
                           const Eq5Params& params);
 
 /// The Eq. 5 kernel, on caller-owned buffers. Each hop's pair rank and
-/// weight come from `arcs` — g's ArcIndex, or any index with g's ranks
-/// that lists every hop (the move evaluator passes its design's induced
-/// view). No sort: F and the endpoints are bitsets read in ascending
-/// node order, where the idle costs sum; each pair's packets sum in route
-/// order, and the pairs' data costs in ascending rank — that is,
-/// ascending (min, max) — order.
+/// weight come from `arcs` — g's ArcIndex (a design problem's arcs()), or
+/// any index with g's ranks that lists every hop (the move evaluator
+/// passes its design's induced view). No sort: F and the endpoints are
+/// bitsets read in ascending node order, where the idle costs sum; each
+/// pair's packets sum in route order, and the pairs' data costs in
+/// ascending rank — that is, ascending (min, max) — order.
 Eq5Breakdown evaluate_eq5(const graph::Graph& g, const graph::ArcIndex& arcs,
                           std::span<const RoutedDemand> routes,
                           const Eq5Params& params, Eq5Scratch& scratch);

@@ -7,7 +7,6 @@
 
 #include "graph/connectivity.hpp"
 #include "obs/counters.hpp"
-#include "spatial/grid_index.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -74,12 +73,13 @@ void ChurnState::touch(EpochDelta& delta, graph::NodeId v) const {
   delta.touched_nodes.push_back(v);
 }
 
-/// Every live demand's endpoints share a component of `p`'s graph. Edge
-/// weights are finite and positive, so this is exactly when route_demands
-/// finds every demand a path.
-bool ChurnState::routable(const core::NetworkDesignProblem& p) {
-  const graph::Components c = graph::connected_components(p.graph());
-  return std::all_of(p.demands().begin(), p.demands().end(),
+/// Every demand's endpoints share a component of `g`. Edge weights are
+/// finite and positive, so this is exactly when route_demands finds every
+/// demand a path.
+bool ChurnState::routable(const graph::Graph& g,
+                          std::span<const graph::Demand> demands) {
+  const graph::Components c = graph::connected_components(g);
+  return std::all_of(demands.begin(), demands.end(),
                      [&](const graph::Demand& d) {
                        return c.same(d.source, d.destination);
                      });
@@ -87,40 +87,22 @@ bool ChurnState::routable(const core::NetworkDesignProblem& p) {
 
 /// Take `g` (over the current positions and failed set) as the live graph
 /// when every live demand stays routable on it; otherwise keep the current
-/// problem untouched.
+/// problem untouched. The check runs on `g` itself, so a rejected graph
+/// never becomes a problem (whose constructor indexes it).
 bool ChurnState::adopt_if_routable(graph::Graph g) {
-  core::NetworkDesignProblem next(std::move(g));
-  next.set_demands(problem_.demands());
-  if (!routable(next)) return false;
-  problem_ = std::move(next);
+  if (!routable(g, problem_.demands())) return false;
+  std::vector<graph::Demand> demands = problem_.demands();
+  problem_ = core::NetworkDesignProblem(std::move(g));
+  problem_.set_demands(std::move(demands));
   return true;
 }
 
 /// The connectivity graph over the current positions with failed nodes
-/// isolated. Mirrors NetworkDesignProblem::from_positions exactly — same
-/// spatial-index predicate, same id-sorted edge order — so an empty failed
-/// set reproduces its graph bit-for-bit (churn_test pins this).
+/// isolated. An empty failed set gives from_positions' graph bit-for-bit
+/// (churn_test pins this).
 graph::Graph ChurnState::build_graph() const {
-  graph::Graph g(positions_.size());
-  for (graph::NodeId v = 0; v < positions_.size(); ++v)
-    g.set_node_weight(v, card_.p_idle);
-  spatial::GridIndex idx;
-  idx.build(positions_, card_.max_range_m / 2.0);
-  std::vector<std::pair<graph::NodeId, double>> above;
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    if (failed_[i]) continue;
-    above.clear();
-    idx.for_each_within(i, card_.max_range_m, [&](std::size_t j, double d) {
-      if (j > i && !failed_[j])
-        above.emplace_back(static_cast<graph::NodeId>(j), d);
-    });
-    std::sort(above.begin(), above.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [j, d] : above)
-      g.add_edge(static_cast<graph::NodeId>(i), j,
-                 card_.transmit_power(d) + card_.p_rx);
-  }
-  return g;
+  return core::NetworkDesignProblem::connectivity_graph(positions_, card_,
+                                                        failed_);
 }
 
 /// Fail `v` unless that strands a live demand. Positions are those the
@@ -194,11 +176,11 @@ void ChurnState::apply(const Event& ev, EpochDelta& delta) {
             << ") already live");
       demands.push_back(graph::Demand{ev.source, ev.destination,
                                       demand_rate_ * ev.weight});
-      base_weights_.push_back(ev.weight);
-      problem_.set_demands(std::move(demands));
-      EEND_REQUIRE_MSG(routable(problem_), "arrive: demand ("
+      EEND_REQUIRE_MSG(routable(problem_.graph(), demands), "arrive: demand ("
                        << ev.source << ", " << ev.destination
                        << ") is unroutable");
+      base_weights_.push_back(ev.weight);
+      problem_.set_demands(std::move(demands));
       touch(delta, ev.source);
       touch(delta, ev.destination);
       break;
@@ -353,14 +335,11 @@ EpochDelta ChurnState::advance(const TraceSpec& trace, std::size_t epoch) {
                 : weight_cycle_[arrivals_seen_ % weight_cycle_.size()];
         std::vector<graph::Demand> demands = problem_.demands();
         demands.push_back(graph::Demand{s, d, demand_rate_ * weight});
-        problem_.set_demands(std::move(demands));
-        if (!routable(problem_)) {
-          std::vector<graph::Demand> undo = problem_.demands();
-          undo.pop_back();
-          problem_.set_demands(std::move(undo));
+        if (!routable(problem_.graph(), demands)) {
           ++redrawn;
           continue;
         }
+        problem_.set_demands(std::move(demands));
         base_weights_.push_back(weight);
         ++arrivals_seen_;
         Event ev;

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,7 +132,8 @@ class ChurnState {
   graph::Graph build_graph() const;
   bool adopt_if_routable(graph::Graph g);
   bool try_fail(graph::NodeId v);
-  static bool routable(const core::NetworkDesignProblem& p);
+  static bool routable(const graph::Graph& g,
+                       std::span<const graph::Demand> demands);
   bool is_endpoint(graph::NodeId v) const;
   void touch(EpochDelta& delta, graph::NodeId v) const;
 

@@ -13,7 +13,17 @@ namespace eend::core {
 NetworkDesignProblem NetworkDesignProblem::from_positions(
     const std::vector<phy::Position>& positions,
     const energy::RadioCard& card) {
+  return NetworkDesignProblem(connectivity_graph(positions, card));
+}
+
+graph::Graph NetworkDesignProblem::connectivity_graph(
+    const std::vector<phy::Position>& positions,
+    const energy::RadioCard& card, std::span<const char> isolated) {
   EEND_REQUIRE_MSG(card.max_range_m > 0.0, "card range must be positive");
+  EEND_REQUIRE(isolated.empty() || isolated.size() == positions.size());
+  const auto linked = [&](std::size_t v) {
+    return isolated.empty() || !isolated[v];
+  };
   graph::Graph g(positions.size());
   for (graph::NodeId v = 0; v < positions.size(); ++v)
     g.set_node_weight(v, card.p_idle);
@@ -27,9 +37,11 @@ NetworkDesignProblem NetworkDesignProblem::from_positions(
   idx.build(positions, card.max_range_m / 2.0);
   std::vector<std::pair<graph::NodeId, double>> above;  // neighbors j > i
   for (std::size_t i = 0; i < positions.size(); ++i) {
+    if (!linked(i)) continue;
     above.clear();
     idx.for_each_within(i, card.max_range_m, [&](std::size_t j, double d) {
-      if (j > i) above.emplace_back(static_cast<graph::NodeId>(j), d);
+      if (j > i && linked(j))
+        above.emplace_back(static_cast<graph::NodeId>(j), d);
     });
     std::sort(above.begin(), above.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -37,7 +49,7 @@ NetworkDesignProblem NetworkDesignProblem::from_positions(
       g.add_edge(static_cast<graph::NodeId>(i), j,
                  card.transmit_power(d) + card.p_rx);
   }
-  return NetworkDesignProblem(std::move(g));
+  return g;
 }
 
 std::vector<graph::NodeId> NetworkDesignProblem::terminals() const {
@@ -175,15 +187,22 @@ NetworkDesignProblem::route_in_subgraph(
   return std::move(*routes);
 }
 
+analytical::Eq5Breakdown NetworkDesignProblem::evaluate_routes(
+    std::span<const analytical::RoutedDemand> routes,
+    const analytical::Eq5Params& p) const {
+  analytical::Eq5Scratch scratch;
+  return analytical::evaluate_eq5(graph_, arcs_, routes, p, scratch);
+}
+
 analytical::Eq5Breakdown NetworkDesignProblem::evaluate_tree(
     const graph::SteinerTree& tree, const analytical::Eq5Params& p) const {
   EEND_REQUIRE_MSG(tree.feasible, "cannot evaluate an infeasible tree");
-  return analytical::evaluate_eq5(graph_, route_in_subgraph(tree.nodes), p);
+  return evaluate_routes(route_in_subgraph(tree.nodes), p);
 }
 
 analytical::Eq5Breakdown NetworkDesignProblem::evaluate_shortest_paths(
     const analytical::Eq5Params& p) const {
-  return analytical::evaluate_eq5(graph_, route_in_subgraph({}), p);
+  return evaluate_routes(route_in_subgraph({}), p);
 }
 
 }  // namespace eend::core

@@ -25,26 +25,37 @@ namespace eend::core {
 /// weights w(e) and idling node weights c(v), plus traffic demands.
 class NetworkDesignProblem {
  public:
-  /// Build from node positions and a radio card: nodes within transmission
-  /// range are connected; w(e) = Ptx(d) + Prx (per unit data time) and
-  /// c(v) = Pidle (per unit idle time), the Section 3 weighting.
-  /// Neighbor discovery goes through a spatial::GridIndex, so construction
-  /// is O(N·k) in the node count — the same predicate and arithmetic as the
-  /// historical all-pairs scan, byte-identical edge lists included
-  /// (design_problem_test pins the equivalence).
+  /// The problem over connectivity_graph(positions, card), no demands.
   static NetworkDesignProblem from_positions(
       const std::vector<phy::Position>& positions,
       const energy::RadioCard& card);
 
+  /// Nodes within transmission range are connected; w(e) = Ptx(d) + Prx
+  /// (per unit data time) and c(v) = Pidle (per unit idle time), the
+  /// Section 3 weighting. Neighbor discovery goes through a
+  /// spatial::GridIndex, so construction is O(N·k) in the node count — the
+  /// same predicate and arithmetic as the historical all-pairs scan,
+  /// byte-identical edge lists included (design_problem_test pins the
+  /// equivalence). Nodes marked in `isolated` (a mask over node ids, or
+  /// empty) get no edges: churn/ builds its live topologies with its
+  /// failed nodes marked.
+  static graph::Graph connectivity_graph(
+      const std::vector<phy::Position>& positions,
+      const energy::RadioCard& card, std::span<const char> isolated = {});
+
   /// Build directly from an explicit graph (weights already assigned).
-  explicit NetworkDesignProblem(graph::Graph g) : graph_(std::move(g)) {}
+  /// The graph is fixed from here on, and so is its ArcIndex, built once.
+  explicit NetworkDesignProblem(graph::Graph g)
+      : graph_(std::move(g)), arcs_(graph_) {}
 
   /// Empty problem (no nodes, no demands) — pre-sized result slots in the
   /// parallel engines are filled in place.
   NetworkDesignProblem() = default;
 
   const graph::Graph& graph() const { return graph_; }
-  graph::Graph& graph() { return graph_; }
+  /// The graph's ranked arcs: every Eq. 5 score and every routing search
+  /// of this instance reads its pair ranks and lightest weights here.
+  const graph::ArcIndex& arcs() const { return arcs_; }
 
   void add_demand(graph::Demand d) { demands_.push_back(d); }
   /// Replace the whole demand set (the churn/ subsystem evolves demands
@@ -73,6 +84,12 @@ class NetworkDesignProblem {
   /// Route all demands along global shortest paths (no tree restriction)
   /// and evaluate Eq. 5 — the "routing-aware" comparison point.
   analytical::Eq5Breakdown evaluate_shortest_paths(
+      const analytical::Eq5Params& p) const;
+
+  /// Evaluate Eq. 5 over routes of this instance, reading each hop's pair
+  /// rank and weight from arcs().
+  analytical::Eq5Breakdown evaluate_routes(
+      std::span<const analytical::RoutedDemand> routes,
       const analytical::Eq5Params& p) const;
 
   /// Route all demands along shortest paths restricted to `allowed_nodes`
@@ -123,16 +140,16 @@ class NetworkDesignProblem {
                      std::size_t* failed_demand = nullptr) const {
     EEND_REQUIRE(allowed.size() == graph_.node_count());
     return route_demands(
-        allowed, [this](graph::NodeId u) { return graph_.neighbors(u); },
-        keep, ws, routes, failed_demand);
+        allowed, [this](graph::NodeId u) { return arcs_.of(u); }, keep, ws,
+        routes, failed_demand);
   }
 
   /// The same loop over another neighbour source for the searches (see
-  /// graph::SpWorkspace::run): `neighbors(u)` returns u's graph::Adjacency
-  /// or graph::RankedArc entries. It must list every arc from u to an
-  /// allowed node with that pair's lightest weight; arcs to forbidden
-  /// nodes may be left out. The move evaluator passes its design's
-  /// induced view, which leaves out all but a few.
+  /// graph::SpWorkspace::run): `neighbors(u)` returns u's
+  /// graph::RankedArc entries. It must list every arc from u to an
+  /// allowed node with that pair's lightest weight, as arcs() does; arcs
+  /// to forbidden nodes may be left out. The move evaluator passes its
+  /// design's induced view, which leaves out all but a few.
   template <class Neighbors>
   bool route_demands(std::span<const char> allowed, Neighbors&& neighbors,
                      std::span<const std::vector<graph::NodeId>* const> keep,
@@ -161,9 +178,8 @@ class NetworkDesignProblem {
       const graph::NodeId t = d.destination;
       ws.run(
           d.source, neighbors,
-          [&](double dist, const auto& a) {
-            return allowed[a.neighbor] ? dist + arc_weight(a)
-                                       : graph::kInfCost;
+          [&](double dist, const graph::RankedArc& a) {
+            return allowed[a.neighbor] ? dist + a.weight : graph::kInfCost;
           },
           [t](double, graph::NodeId u) { return u != t; });
       ws.tree.path_to(t, r.path);  // t's parent chain was all set by this run
@@ -181,14 +197,11 @@ class NetworkDesignProblem {
  private:
   std::vector<analytical::RoutedDemand> route_in_subgraph(
       const std::vector<graph::NodeId>& allowed_nodes) const;
-  double arc_weight(const graph::Adjacency& a) const {
-    return graph_.edge(a.edge).weight;
-  }
-  static double arc_weight(const graph::RankedArc& a) { return a.weight; }
   /// opt.route.searches / settled_nodes, when `searches` is non-zero.
   static void publish_routing(std::uint64_t searches, std::uint64_t settled);
 
   graph::Graph graph_;
+  graph::ArcIndex arcs_;  ///< graph_'s; declared after it, built from it
   std::vector<graph::Demand> demands_;
 };
 

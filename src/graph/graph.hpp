@@ -96,9 +96,11 @@ struct RankedArc {
 /// O(N + E) memory (no N×N table). Ranks number the graph's distinct
 /// (min, max) endpoint pairs in ascending order; a pair's weight is the
 /// minimum over its parallel edges, as in Graph::edge_weight_between.
-/// ArcIndex(g) lists every node's arcs in adjacency order; the design
-/// search's move surface fills one with the arcs inside a design (its
-/// induced view, opt/move_evaluator.hpp) and keeps the instance's ranks.
+/// ArcIndex(g) lists every node's arcs in adjacency order. A
+/// core::NetworkDesignProblem builds its graph's index once and owns it
+/// (arcs()); the design search's move surface fills one with the arcs
+/// inside a design (its induced view, opt/move_evaluator.hpp) and keeps
+/// the instance's ranks.
 struct ArcIndex {
   ArcIndex() = default;
   explicit ArcIndex(const Graph& g);

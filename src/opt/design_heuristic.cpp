@@ -1,7 +1,6 @@
 #include "opt/design_heuristic.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "opt/annealing.hpp"
 #include "opt/local_search.hpp"
@@ -75,8 +74,7 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective,
                                 const RouteCache* reuse, RouteCache* fill,
-                                std::size_t* failed_demand,
-                                const graph::ArcIndex* arcs) {
+                                std::size_t* failed_demand) {
   EEND_REQUIRE_MSG(!nodes.empty(), "a design needs at least one node");
   CandidateDesign out;
   const auto routes =
@@ -90,11 +88,9 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
     out.feasible = false;
     return out;
   }
-  std::optional<graph::ArcIndex> own_arcs;
   analytical::Eq5Scratch scratch;
-  score_routes(problem.graph(),
-               arcs ? *arcs : own_arcs.emplace(problem.graph()), *routes,
-               objective, scratch, out);
+  score_routes(problem.graph(), problem.arcs(), *routes, objective, scratch,
+               out);
   if (fill) {
     // Memoize against the *allowed* set (pre-normalization): the subset
     // test in the cached routing twin compares allowed sets, not the
@@ -108,16 +104,14 @@ CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
 
 CandidateDesign design_from_tree(const core::NetworkDesignProblem& problem,
                                  const graph::SteinerTree& tree,
-                                 const DesignObjective& objective,
-                                 const graph::ArcIndex* arcs) {
+                                 const DesignObjective& objective) {
   if (!tree.feasible || tree.nodes.empty()) {
     CandidateDesign out;
     out.nodes = tree.nodes;
     out.feasible = false;
     return out;
   }
-  return evaluate_design(problem, tree.nodes, objective, nullptr, nullptr,
-                         nullptr, arcs);
+  return evaluate_design(problem, tree.nodes, objective);
 }
 
 namespace {

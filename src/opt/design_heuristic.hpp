@@ -81,7 +81,8 @@ std::vector<double> node_energy_loads(
     const analytical::Eq5Params& eval);
 
 /// The scoring tail every design evaluation shares: Eq. 5 over `routes`
-/// (on `scratch`'s buffers, with hop ranks and weights from `arcs`; see
+/// (on `scratch`'s buffers, with hop ranks and weights from `arcs`, the
+/// problem's arcs() or an induced view of them; see
 /// analytical::evaluate_eq5), the overload penalty when the objective
 /// carries a battery budget, and `out.nodes` normalized to the nodes the
 /// routes use. Overwrites every field of `out` and marks it feasible.
@@ -125,21 +126,18 @@ struct RouteCache {
 /// (only on feasible results) for the next round. Either pointer may be
 /// null; (nullptr, nullptr) is exactly the plain overload. On an
 /// infeasible result `failed_demand`, when non-null, receives the index of
-/// the first unroutable demand. `arcs`, when non-null, is the graph's
-/// ArcIndex (e.g. TerminalRows::arcs); otherwise the call builds its own.
+/// the first unroutable demand. Routing and Eq. 5 read the problem's
+/// arcs().
 CandidateDesign evaluate_design(const core::NetworkDesignProblem& problem,
                                 const std::vector<graph::NodeId>& nodes,
                                 const DesignObjective& objective,
                                 const RouteCache* reuse, RouteCache* fill,
-                                std::size_t* failed_demand = nullptr,
-                                const graph::ArcIndex* arcs = nullptr);
+                                std::size_t* failed_demand = nullptr);
 
-/// Evaluate a constructive solver's tree as a design seed; `arcs` as in
-/// evaluate_design.
+/// Evaluate a constructive solver's tree as a design seed.
 CandidateDesign design_from_tree(const core::NetworkDesignProblem& problem,
                                  const graph::SteinerTree& tree,
-                                 const DesignObjective& objective,
-                                 const graph::ArcIndex* arcs = nullptr);
+                                 const DesignObjective& objective);
 
 /// Knobs shared by every heuristic (each uses the subset it needs).
 struct HeuristicOptions {

@@ -85,8 +85,7 @@ void MoveSurface::close(graph::NodeId u) {
   view.first[u] = view.last[u] = 0;
 }
 
-TerminalRows::TerminalRows(const core::NetworkDesignProblem& problem)
-    : arcs(problem.graph()) {
+TerminalRows::TerminalRows(const core::NetworkDesignProblem& problem) {
   const graph::Graph& g = problem.graph();
   const std::vector<graph::NodeId> terminals = problem.terminals();
   if (std::any_of(g.edges().begin(), g.edges().end(),
@@ -97,10 +96,8 @@ TerminalRows::TerminalRows(const core::NetworkDesignProblem& problem)
   dist.resize(terminals.size() * n);
   for (std::size_t k = 0; k < terminals.size(); ++k) {
     ws.run(
-        g, terminals[k],
-        [&](double d, const graph::Adjacency& a) {
-          return d + g.edge(a.edge).weight;
-        },
+        terminals[k], [&](graph::NodeId u) { return problem.arcs().of(u); },
+        [](double d, const graph::RankedArc& a) { return d + a.weight; },
         [](double, graph::NodeId) { return true; });
     std::copy(ws.tree.distance.begin(), ws.tree.distance.end(),
               dist.begin() + static_cast<std::ptrdiff_t>(k * n));
@@ -124,7 +121,6 @@ MoveEvaluator::MoveEvaluator(
     const std::vector<analytical::RoutedDemand>* routes,
     const TerminalRows* rows)
     : problem_(problem),
-      g_(problem.graph()),
       objective_(objective),
       terminals_(problem.terminals()),
       incumbent_(incumbent),
@@ -135,7 +131,7 @@ MoveEvaluator::MoveEvaluator(
   EEND_REQUIRE_MSG(incumbent.feasible,
                    "the move evaluator needs a feasible incumbent");
   const auto& demands = problem_.demands();
-  surface_.rebuild(rows_->arcs, incumbent_.nodes, terminals_);
+  surface_.rebuild(problem_.arcs(), incumbent_.nodes, terminals_);
   keep_.assign(demands.size(), nullptr);
 
   if (routes && routes->size() == demands.size())
@@ -223,7 +219,7 @@ void MoveEvaluator::score(Move move, Scored& out) {
   EEND_REQUIRE(!opening || !surface_.in_design[u]);
   std::vector<char>& allowed = surface_.in_design;
   if (opening) {
-    surface_.open(rows_->arcs, u);
+    surface_.open(problem_.arcs(), u);
     allowed[u] = 1;
   }
   if (closing) allowed[v] = 0;
@@ -253,8 +249,8 @@ void MoveEvaluator::score(Move move, Scored& out) {
   // Eq. 5 reads the hops through u from the view, so it runs before the
   // move is undone.
   if (ok)
-    score_routes(g_, surface_.view, out.routes, objective_, eq5_,
-                 out.design);
+    score_routes(problem_.graph(), surface_.view, out.routes, objective_,
+                 eq5_, out.design);
   if (closing) allowed[v] = 1;
   if (opening) {
     allowed[u] = 0;
@@ -293,7 +289,7 @@ void MoveEvaluator::adopt(Scored& s) {
   EEND_REQUIRE_MSG(s.design.feasible, "cannot adopt an infeasible design");
   std::swap(incumbent_, s.design);
   std::swap(routes_, s.routes);
-  surface_.rebuild(rows_->arcs, incumbent_.nodes, terminals_);
+  surface_.rebuild(problem_.arcs(), incumbent_.nodes, terminals_);
   if (reuse_) set_bounds();
 }
 

@@ -31,17 +31,16 @@
 // Every search and every Eq. 5 sum reads only the design's own subgraph:
 // MoveSurface keeps an induced view of it, an ArcIndex of the arcs between
 // design nodes (a few per node, where a node has many graph neighbours),
-// carrying each arc's weight and the instance's pair rank. A move closing
-// v leaves v's arcs in place and masks v; a move opening u adds u's arcs
-// to design nodes, and writes the arc back to u into each such node's
-// spare slot, for the length of the move. Searching the view instead of
-// the masked graph is exact: it lists every arc the masked search would
-// relax to a finite offer, with the pair's lightest weight, and the order
-// of a node's offers cannot change the settle sequence or any parent
+// copied from the problem's arcs() with each arc's weight and pair rank. A
+// move closing v leaves v's arcs in place and masks v; a move opening u adds
+// u's arcs to design nodes, and writes the arc back to u into each such
+// node's spare slot, for the length of the move. Searching the view instead
+// of the masked graph is exact: it lists every arc the masked search would
+// relax to a finite offer, with the pair's lightest weight, and the order of
+// a node's offers cannot change the settle sequence or any parent
 // (graph::SpWorkspace). So paths and the opt.route.* counts are the
-// full-graph search's, zero-weight and parallel edges included. Eq. 5
-// reads each hop's rank and weight from the view too (analytical::
-// evaluate_eq5).
+// full-graph search's, zero-weight and parallel edges included. Eq. 5 reads
+// each hop's rank and weight from the view too (analytical::evaluate_eq5).
 //
 // Why the screen is exact: with strictly positive weights Dijkstra settles
 // nodes in (distance, id) order and replaces a parent only on a strictly
@@ -72,15 +71,13 @@ inline constexpr double kScreenMargin = 1e-9;
 
 /// Full-graph distance rows from every terminal of one problem — the
 /// insertion screen's lower bound on any walk through an opened node —
-/// and the graph's ArcIndex, whose pair ranks every induced view keeps.
-/// They depend only on the instance, so design_portfolio and
-/// warm_start_search compute them once and every evaluator of the call
-/// reads them; an evaluator given none computes its own. Construction
-/// publishes its searches as opt.route.searches / settled_nodes.
+/// searched over the problem's arcs(). They depend only on the instance,
+/// so design_portfolio and warm_start_search compute them once and every
+/// evaluator of the call reads them; an evaluator given none computes its
+/// own. Construction publishes its searches as opt.route.searches /
+/// settled_nodes.
 struct TerminalRows {
   explicit TerminalRows(const core::NetworkDesignProblem& problem);
-
-  graph::ArcIndex arcs;  ///< the whole graph's ranked arcs
 
   /// dist[k · N + x] = dG(terminal k, x). Empty on a graph with a
   /// zero-weight edge, where evaluators reroute every demand.
@@ -110,7 +107,7 @@ struct MoveSurface {
   /// followed by one spare slot that open() fills.
   graph::ArcIndex view;
 
-  /// `arcs` is the graph's ArcIndex.
+  /// `arcs` is the problem's arcs(), whose pair ranks the view keeps.
   void rebuild(const graph::ArcIndex& arcs,
                std::span<const graph::NodeId> nodes,
                std::span<const graph::NodeId> terminals);
@@ -202,7 +199,6 @@ class MoveEvaluator {
              std::vector<analytical::RoutedDemand>& routes);
 
   const core::NetworkDesignProblem& problem_;
-  const graph::Graph& g_;
   DesignObjective objective_;
   std::vector<graph::NodeId> terminals_;
   /// False on graphs with zero-weight edges (or an unroutable incumbent):

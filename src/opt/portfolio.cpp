@@ -57,8 +57,7 @@ PortfolioStart run_start(const core::NetworkDesignProblem& p,
                          std::size_t start) {
   PortfolioStart out;
   out.seed_kind = seed_kind_for(start);
-  out.seeded = design_from_tree(p, construct_seed(p, o, start), o.objective,
-                                &rows.arcs);
+  out.seeded = design_from_tree(p, construct_seed(p, o, start), o.objective);
   if (!out.seeded.feasible) {
     out.improved = out.seeded;
     return out;

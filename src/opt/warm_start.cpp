@@ -53,8 +53,7 @@ WarmStartResult warm_start_search(
   const auto terminals = problem.terminals();  // sorted
 
   // The terminal rows every evaluator of this call reads: stage 2's and
-  // the fallback portfolio's. Computed on first use; from then on the
-  // plain evaluations score with its ArcIndex too.
+  // the fallback portfolio's. Computed on first use.
   std::optional<TerminalRows> rows;
   const auto shared_rows = [&]() -> const TerminalRows& {
     return rows ? *rows : rows.emplace(problem);
@@ -66,7 +65,7 @@ WarmStartResult warm_start_search(
                         std::size_t* failed = nullptr) {
     ++out.evaluations;
     return evaluate_design(problem, cand, options.objective, reuse, fill,
-                           failed, rows ? &rows->arcs : nullptr);
+                           failed);
   };
 
   // ---- stage 1: feasibility. Previous active set + current terminals;
@@ -127,8 +126,7 @@ WarmStartResult warm_start_search(
   // wins.
   const graph::SteinerTree kr_tree = problem.solve_node_weighted();
   const CandidateDesign reference =
-      design_from_tree(problem, kr_tree, options.objective,
-                       rows ? &rows->arcs : nullptr);
+      design_from_tree(problem, kr_tree, options.objective);
   EEND_CHECK_MSG(reference.feasible,
                  "Klein-Ravi reference infeasible on a routable instance");
   if (!cur.feasible ||

@@ -97,7 +97,7 @@ DesignRealization finish_realization(net::ScenarioConfig sc,
   EEND_CHECK_MSG(routes.has_value(),
                  "feasible design failed to re-route during realization");
   out.routes = std::move(*routes);
-  out.analytic = analytical::evaluate_eq5(problem.graph(), out.routes, eq5);
+  out.analytic = problem.evaluate_routes(out.routes, eq5);
   const std::vector<double> loads =
       opt::node_energy_loads(problem.graph(), out.routes, eq5);
   for (const double l : loads)

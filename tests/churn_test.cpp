@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "arc_index_check.hpp"
 #include "churn/trace.hpp"
 #include "opt/design_instance.hpp"
 #include "opt/portfolio.hpp"
@@ -233,6 +234,7 @@ TEST(ChurnTrace, GraphMatchesIndependentRebuildAcrossEpochs) {
     EXPECT_EQ(state.failed_nodes(), want_failed) << "epoch " << epoch;
     expect_same_graph(state.problem().graph(),
                       rebuilt_graph(state.positions(), spec.card, failed));
+    expect_owned_index(state.problem(), "epoch " + std::to_string(epoch));
     if (std::none_of(d.applied.begin(), d.applied.end(),
                      [](const Event& e) { return e.op == EventOp::Move; }))
       ++reverted_motion;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 
+#include "arc_index_check.hpp"
 #include "core/design_problem.hpp"
 #include "graph/shortest_path.hpp"
 #include "obs/counters.hpp"
@@ -75,6 +76,7 @@ TEST(DesignProblem, FromPositionsMatchesBruteForceScan) {
     }
     for (graph::NodeId v = 0; v < n; ++v)
       EXPECT_EQ(g.node_weight(v), brute.node_weight(v));
+    expect_owned_index(p, "trial " + std::to_string(trial));
   }
 }
 

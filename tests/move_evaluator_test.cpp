@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 
+#include "arc_index_check.hpp"
 #include "obs/counters.hpp"
 #include "opt/design_instance.hpp"
 #include "opt/move_evaluator.hpp"
@@ -35,9 +36,9 @@ core::NetworkDesignProblem instance(std::size_t n, Weights w,
   spec.demand_count = 6;
   spec.seed = seed;
   spec.demand_weights = {0.5, 1.0, 3.0};
-  core::NetworkDesignProblem p = make_design_instance(spec).problem;
+  const core::NetworkDesignProblem base = make_design_instance(spec).problem;
   Rng rng = Rng(seed).fork(0x3E16);
-  graph::Graph& g = p.graph();
+  graph::Graph g = base.graph();
   for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
     double& weight = g.edge(e).weight;
     if (w == Weights::kJitter)
@@ -57,6 +58,8 @@ core::NetworkDesignProblem instance(std::size_t n, Weights w,
       g.add_edge(edge.u, edge.v, edge.weight * 1.25);
     }
   }
+  core::NetworkDesignProblem p(std::move(g));
+  p.set_demands(base.demands());
   return p;
 }
 
@@ -152,6 +155,8 @@ TEST(MoveEvaluator, MatchesEvaluateDesignOnEveryMove) {
          {Weights::kUniform, Weights::kJitter, Weights::kInteger,
           Weights::kDecimal, Weights::kZero, Weights::kParallel}) {
       const auto p = instance(n, w, 11 + n);
+      if (w == Weights::kParallel)
+        expect_owned_index(p, "n=" + std::to_string(n));
       DesignObjective lifetime(analytical::Eq5Params{});
       lifetime.battery_budget_j = 3.0;  // binds on the busiest relays
       for (const bool life : {false, true}) {
@@ -171,8 +176,10 @@ TEST(MoveEvaluator, MatchesEvaluateDesignOnEveryMove) {
     }
   }
   // Node ids spanning five 64-bit words of Eq. 5's bitsets.
-  check_every_move(instance(300, Weights::kParallel, 300), DesignObjective{},
-                   "n=300 weights=parallel plain", tally);
+  const auto wide = instance(300, Weights::kParallel, 300);
+  expect_owned_index(wide, "n=300");
+  check_every_move(wide, DesignObjective{}, "n=300 weights=parallel plain",
+                   tally);
   EXPECT_GT(tally.moves, 10000u);
   EXPECT_GT(tally.infeasible, 0u);  // cut relays are covered too
 }
