@@ -10,9 +10,9 @@
 # `eend_run --quick --quiet` at --jobs 1 and 8 on both builds, with --csv,
 # --jsonl and --counters, and compares stdout, CSV, JSONL and counters
 # with cmp. Lists each file that differs and exits 1 on any difference (2
-# on a usage or build error). Last, prints the `git diff --numstat
-# BASE_REF -- src/` totals; untracked files are not counted. Writes
-# nothing in the tree.
+# on a usage or build error). Last, prints the `git diff BASE_REF -- src/`
+# line totals, then the same split into code lines and comment or blank
+# lines; untracked files are not counted. Writes nothing in the tree.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -82,7 +82,24 @@ done
 echo "same_outputs: $runs runs, $compared files compared against" \
   "$base_ref ($base_sha), $differ differ"
 
-git -C "$root" diff --numstat "$base_sha" -- src/ |
-  awk '{ a += $1; d += $2 }
-       END { printf "src/ vs base: +%d -%d (net %+d)\n", a, d, a - d }'
+# Each changed line in a hunk counts as code unless it is blank or starts
+# with //, /* or * (a comment line).
+git -C "$root" diff --unified=0 "$base_sha" -- src/ |
+  awk '/^diff / { hunk = 0 }
+       /^@@/ { hunk = 1; next }
+       hunk && /^[+-]/ {
+         side = substr($0, 1, 1); text = substr($0, 2)
+         sub(/^[ \t]+/, "", text)
+         kind = (text == "" || text ~ /^(\/\/|\/\*|\*)/) ? "other" : "code"
+         n[side, kind]++
+       }
+       END {
+         a = n["+", "code"] + n["+", "other"]
+         d = n["-", "code"] + n["-", "other"]
+         printf "src/ vs base: +%d -%d (net %+d)\n", a, d, a - d
+         printf "  code: +%d -%d (net %+d); comments and blank: +%d -%d" \
+                " (net %+d)\n", n["+", "code"], n["-", "code"],
+                n["+", "code"] - n["-", "code"], n["+", "other"],
+                n["-", "other"], n["+", "other"] - n["-", "other"]
+       }'
 [[ $differ -eq 0 ]]

@@ -73,27 +73,19 @@ void ChurnState::touch(EpochDelta& delta, graph::NodeId v) const {
   delta.touched_nodes.push_back(v);
 }
 
-/// Every demand's endpoints share a component of `g`. Edge weights are
-/// finite and positive, so this is exactly when route_demands finds every
-/// demand a path.
-bool ChurnState::routable(const graph::Graph& g,
-                          std::span<const graph::Demand> demands) {
-  const graph::Components c = graph::connected_components(g);
-  return std::all_of(demands.begin(), demands.end(),
-                     [&](const graph::Demand& d) {
-                       return c.same(d.source, d.destination);
-                     });
-}
-
-/// Take `g` (over the current positions and failed set) as the live graph
-/// when every live demand stays routable on it; otherwise keep the current
-/// problem untouched. The check runs on `g` itself, so a rejected graph
-/// never becomes a problem (whose constructor indexes it).
-bool ChurnState::adopt_if_routable(graph::Graph g) {
-  if (!routable(g, problem_.demands())) return false;
+/// Take `g`, over the current positions and failed set, as the live graph.
+void ChurnState::adopt(graph::Graph g) {
   std::vector<graph::Demand> demands = problem_.demands();
   problem_ = core::NetworkDesignProblem(std::move(g));
   problem_.set_demands(std::move(demands));
+}
+
+/// adopt(g) when every live demand stays routable on it; otherwise keep
+/// the current problem untouched. The check runs on `g` itself, so a
+/// rejected graph never becomes a problem (whose constructor indexes it).
+bool ChurnState::adopt_if_routable(graph::Graph g) {
+  if (!graph::demands_satisfiable(g, problem_.demands())) return false;
+  adopt(std::move(g));
   return true;
 }
 
@@ -105,18 +97,23 @@ graph::Graph ChurnState::build_graph() const {
                                                         failed_);
 }
 
-/// Fail `v` unless that strands a live demand. Positions are those the
-/// live graph was built over, so build_graph() would give exactly its
-/// edges minus v's, in the same order with the same weights: filter them.
+/// Fail `v` unless that strands a live demand, asked on the live graph
+/// with the failed set masked. Positions are those the live graph was
+/// built over, so build_graph() would give exactly its edges minus v's, in
+/// the same order with the same weights: an accepted failure filters them.
 bool ChurnState::try_fail(graph::NodeId v) {
   const graph::Graph& live = problem_.graph();
+  failed_[v] = 1;
+  if (!graph::demands_satisfiable(live, problem_.demands(), failed_)) {
+    failed_[v] = 0;
+    return false;
+  }
   graph::Graph g(live.node_count());
   for (graph::NodeId u = 0; u < live.node_count(); ++u)
     g.set_node_weight(u, live.node_weight(u));
   for (const graph::Edge& e : live.edges())
     if (e.u != v && e.v != v) g.add_edge(e.u, e.v, e.weight);
-  if (!adopt_if_routable(std::move(g))) return false;
-  failed_[v] = 1;
+  adopt(std::move(g));
   return true;
 }
 
@@ -176,9 +173,9 @@ void ChurnState::apply(const Event& ev, EpochDelta& delta) {
             << ") already live");
       demands.push_back(graph::Demand{ev.source, ev.destination,
                                       demand_rate_ * ev.weight});
-      EEND_REQUIRE_MSG(routable(problem_.graph(), demands), "arrive: demand ("
-                       << ev.source << ", " << ev.destination
-                       << ") is unroutable");
+      EEND_REQUIRE_MSG(graph::demands_satisfiable(problem_.graph(), demands),
+                       "arrive: demand (" << ev.source << ", "
+                       << ev.destination << ") is unroutable");
       base_weights_.push_back(ev.weight);
       problem_.set_demands(std::move(demands));
       touch(delta, ev.source);
@@ -335,7 +332,7 @@ EpochDelta ChurnState::advance(const TraceSpec& trace, std::size_t epoch) {
                 : weight_cycle_[arrivals_seen_ % weight_cycle_.size()];
         std::vector<graph::Demand> demands = problem_.demands();
         demands.push_back(graph::Demand{s, d, demand_rate_ * weight});
-        if (!routable(problem_.graph(), demands)) {
+        if (!graph::demands_satisfiable(problem_.graph(), demands)) {
           ++redrawn;
           continue;
         }

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -99,12 +98,12 @@ struct EpochDelta {
 /// isolated, ids stable) kept equal to a from-scratch build over them. A
 /// failure drops the node's edges from the live graph (positions have not
 /// moved, so that is the rebuild's edge list); motion rebuilds through the
-/// spatial index. Topology changes are built next to the live problem and
-/// taken only when every live demand stays routable (one connected-
-/// components pass), so a rejected failure or motion batch leaves the live
-/// problem as it was. With no failures and untouched positions the graph
-/// is bit-identical to NetworkDesignProblem::from_positions on the same
-/// inputs.
+/// spatial index. A topology change is taken only when every live demand
+/// stays routable (one graph::demands_satisfiable pass: on the live graph
+/// with the failing node masked, or on the rebuilt graph for motion), so
+/// a rejected failure or motion batch leaves the live problem as it was.
+/// With no failures and untouched positions the graph is bit-identical to
+/// NetworkDesignProblem::from_positions on the same inputs.
 class ChurnState {
  public:
   /// Start from an untouched instance (epoch 0). `spec` supplies the card,
@@ -130,10 +129,9 @@ class ChurnState {
  private:
   void apply(const Event& ev, EpochDelta& delta);
   graph::Graph build_graph() const;
+  void adopt(graph::Graph g);
   bool adopt_if_routable(graph::Graph g);
   bool try_fail(graph::NodeId v);
-  static bool routable(const graph::Graph& g,
-                       std::span<const graph::Demand> demands);
   bool is_endpoint(graph::NodeId v) const;
   void touch(EpochDelta& delta, graph::NodeId v) const;
 

@@ -1,6 +1,7 @@
 #include "core/design_problem.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 
@@ -9,6 +10,47 @@
 #include "spatial/grid_index.hpp"
 
 namespace eend::core {
+
+namespace {
+
+/// `g`, once every weight keeps the instance contract.
+graph::Graph checked(graph::Graph g) {
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    const double c = g.node_weight(v);
+    EEND_REQUIRE_MSG(std::isfinite(c) && c >= 0.0,
+                     "design problem: node " << v << " has weight " << c
+                     << " (needs finite and >= 0)");
+  }
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    const graph::Edge& ed = g.edge(e);
+    EEND_REQUIRE_MSG(std::isfinite(ed.weight) && ed.weight > 0.0,
+                     "design problem: edge " << e << " (" << ed.u << "-"
+                     << ed.v << ") has weight " << ed.weight
+                     << " (needs finite and > 0)");
+  }
+  return g;
+}
+
+}  // namespace
+
+NetworkDesignProblem::NetworkDesignProblem(graph::Graph g)
+    : graph_(checked(std::move(g))), arcs_(graph_) {}
+
+void NetworkDesignProblem::require_demand(std::size_t i,
+                                          const graph::Demand& d) const {
+  const std::size_t n = graph_.node_count();
+  EEND_REQUIRE_MSG(d.source < n && d.destination < n &&
+                       std::isfinite(d.rate) && d.rate > 0.0,
+                   "design problem: demand " << i << " (" << d.source << "->"
+                   << d.destination << ", rate " << d.rate
+                   << ") needs endpoints below " << n
+                   << " and a finite rate > 0");
+}
+
+void NetworkDesignProblem::set_demands(std::vector<graph::Demand> d) {
+  for (std::size_t i = 0; i < d.size(); ++i) require_demand(i, d[i]);
+  demands_ = std::move(d);
+}
 
 NetworkDesignProblem NetworkDesignProblem::from_positions(
     const std::vector<phy::Position>& positions,

@@ -23,6 +23,10 @@ namespace eend::core {
 
 /// A design-problem instance: connectivity graph with communication edge
 /// weights w(e) and idling node weights c(v), plus traffic demands.
+/// Contract, checked where the parts come in: node weights finite and >= 0,
+/// edge weights finite and > 0, demand endpoints node ids and rates finite
+/// and > 0. With w > 0 searches settle in (distance, id) order, which the
+/// cached routing and the move evaluator's screens rely on.
 class NetworkDesignProblem {
  public:
   /// The problem over connectivity_graph(positions, card), no demands.
@@ -44,9 +48,10 @@ class NetworkDesignProblem {
       const energy::RadioCard& card, std::span<const char> isolated = {});
 
   /// Build directly from an explicit graph (weights already assigned).
-  /// The graph is fixed from here on, and so is its ArcIndex, built once.
-  explicit NetworkDesignProblem(graph::Graph g)
-      : graph_(std::move(g)), arcs_(graph_) {}
+  /// Throws CheckError naming the first node or edge whose weight breaks
+  /// the contract. The graph is fixed from here on, and so is its
+  /// ArcIndex, built once.
+  explicit NetworkDesignProblem(graph::Graph g);
 
   /// Empty problem (no nodes, no demands) — pre-sized result slots in the
   /// parallel engines are filled in place.
@@ -57,10 +62,14 @@ class NetworkDesignProblem {
   /// of this instance reads its pair ranks and lightest weights here.
   const graph::ArcIndex& arcs() const { return arcs_; }
 
-  void add_demand(graph::Demand d) { demands_.push_back(d); }
+  void add_demand(graph::Demand d) {
+    require_demand(demands_.size(), d);
+    demands_.push_back(d);
+  }
   /// Replace the whole demand set (the churn/ subsystem evolves demands
-  /// across epochs over a fixed node id space).
-  void set_demands(std::vector<graph::Demand> d) { demands_ = std::move(d); }
+  /// across epochs over a fixed node id space). Both throw CheckError on a
+  /// demand that breaks the contract.
+  void set_demands(std::vector<graph::Demand> d);
   const std::vector<graph::Demand>& demands() const { return demands_; }
 
   /// Terminals = all demand endpoints (deduplicated, sorted).
@@ -114,8 +123,8 @@ class NetworkDesignProblem {
   /// (e.g. nodes were *added*, which can create shorter paths). Exact ties
   /// re-break identically: with positive weights nodes settle in (distance,
   /// id) order, and a shrink only removes or delays the neighbours a cached
-  /// path's nodes chose among. Caveat: zero-weight edges break that order
-  /// (design_problem_test pins the equality with and without exact ties).
+  /// path's nodes chose among (design_problem_test pins the equality with
+  /// and without exact ties).
   std::optional<std::vector<analytical::RoutedDemand>>
   try_route_in_subgraph_cached(
       const std::vector<graph::NodeId>& allowed_nodes,
@@ -197,6 +206,7 @@ class NetworkDesignProblem {
  private:
   std::vector<analytical::RoutedDemand> route_in_subgraph(
       const std::vector<graph::NodeId>& allowed_nodes) const;
+  void require_demand(std::size_t i, const graph::Demand& d) const;
   /// opt.route.searches / settled_nodes, when `searches` is non-zero.
   static void publish_routing(std::uint64_t searches, std::uint64_t settled);
 

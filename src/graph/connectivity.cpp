@@ -1,14 +1,18 @@
 #include "graph/connectivity.hpp"
 
+#include <algorithm>
 #include <queue>
 
 namespace eend::graph {
 
-Components connected_components(const Graph& g) {
+Components connected_components(const Graph& g,
+                                std::span<const char> masked) {
+  EEND_REQUIRE(masked.empty() || masked.size() == g.node_count());
+  const auto skip = [&](NodeId v) { return !masked.empty() && masked[v]; };
   Components c;
   c.label.assign(g.node_count(), kInvalidNode);
   for (NodeId start = 0; start < g.node_count(); ++start) {
-    if (c.label[start] != kInvalidNode) continue;
+    if (c.label[start] != kInvalidNode || skip(start)) continue;
     const auto id = static_cast<NodeId>(c.count++);
     std::queue<NodeId> q;
     q.push(start);
@@ -18,7 +22,7 @@ Components connected_components(const Graph& g) {
       q.pop();
       for (const auto& [v, e] : g.neighbors(u)) {
         (void)e;
-        if (c.label[v] == kInvalidNode) {
+        if (c.label[v] == kInvalidNode && !skip(v)) {
           c.label[v] = id;
           q.push(v);
         }
@@ -34,33 +38,12 @@ bool is_connected(const Graph& g) {
 }
 
 bool demands_satisfiable(const Graph& g, std::span<const Demand> demands,
-                         const std::vector<bool>& active) {
-  EEND_REQUIRE(active.size() == g.node_count());
-  // BFS in the induced subgraph from each unique source.
-  for (const Demand& d : demands) {
-    if (!active[d.source] || !active[d.destination]) return false;
-    std::vector<bool> seen(g.node_count(), false);
-    std::queue<NodeId> q;
-    q.push(d.source);
-    seen[d.source] = true;
-    bool found = d.source == d.destination;
-    while (!q.empty() && !found) {
-      const NodeId u = q.front();
-      q.pop();
-      for (const auto& [v, e] : g.neighbors(u)) {
-        (void)e;
-        if (!active[v] || seen[v]) continue;
-        seen[v] = true;
-        if (v == d.destination) {
-          found = true;
-          break;
-        }
-        q.push(v);
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
+                         std::span<const char> masked) {
+  const Components c = connected_components(g, masked);
+  return std::all_of(demands.begin(), demands.end(), [&](const Demand& d) {
+    return c.label[d.source] != kInvalidNode &&
+           c.same(d.source, d.destination);
+  });
 }
 
 std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source) {

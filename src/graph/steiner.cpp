@@ -81,15 +81,15 @@ SteinerTree assemble(const Graph& g, std::span<const NodeId> terminals,
 }
 
 /// Edges of g forming Prim's MST, from `root`, of the subgraph induced by
-/// the nodes with in[v] set (nodes renumbered in id order, edges kept in id
-/// order), sorted by id.
-std::vector<EdgeId> induced_mst(const Graph& g, const std::vector<bool>& in,
-                                NodeId root) {
+/// the nodes with in(v) true (nodes renumbered in id order, edges kept in
+/// id order), sorted by id.
+template <class In>
+std::vector<EdgeId> induced_mst(const Graph& g, In in, NodeId root) {
   std::vector<NodeId> remap(g.node_count(), kInvalidNode);
   Graph sub;
   std::vector<EdgeId> back;
   for (NodeId v = 0; v < g.node_count(); ++v)
-    if (in[v]) remap[v] = sub.add_node();
+    if (in(v)) remap[v] = sub.add_node();
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& ed = g.edge(e);
     if (remap[ed.u] != kInvalidNode && remap[ed.v] != kInvalidNode) {
@@ -239,6 +239,11 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   EEND_REQUIRE(!terminals.empty());
   for (NodeId t : terminals) EEND_REQUIRE(g.valid_node(t));
   const std::size_t n = g.node_count();
+  // Entry costs >= 0 end every spider search; the bound and screen need it.
+  for (NodeId v = 0; v < n; ++v)
+    EEND_REQUIRE_MSG(g.node_weight(v) >= 0.0,
+                     "Klein-Ravi needs node weights >= 0; node "
+                         << v << " has " << g.node_weight(v));
 
   // Entry cost of each node: c(v), or 0 once the node is selected (already
   // paid for). Terminals start selected, so they are free (c(si) = c(di) = 0
@@ -261,31 +266,14 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   std::size_t active_components = next_comp;
   std::size_t labelled = next_comp;  // nodes with a component id
 
-  // An edge whose two entry costs sum below 0 is a negative cycle: every
-  // spider search that reaches it would go back and forth on it forever.
-  // Only a negative entry cost makes one, at entry or once a merge zeroes
-  // a neighbour's cost, so the newly selected nodes' edges are checked
-  // again after every merge that leaves searches to run.
-  const auto require_no_negative_edge = [&](NodeId u) {
-    for (const Adjacency& a : g.neighbors(u))
-      EEND_REQUIRE_MSG(step[u] + step[a.neighbor] >= 0.0,
-                       "Klein-Ravi needs the entry costs of every edge's "
-                       "two nodes to sum to >= 0; nodes "
-                           << u << " and " << a.neighbor << " sum to "
-                           << step[u] + step[a.neighbor]);
-  };
-  const bool prunable = *std::min_element(step.begin(), step.end()) >= 0.0;
-  if (!prunable && active_components > 1)
-    for (NodeId v = 0; v < n; ++v) require_no_negative_edge(v);
-
   // Node-weighted shortest path FROM a candidate spider center v to each
   // component: weight of a path = sum of entry costs of the nodes after the
   // center (the center is charged separately). One workspace serves every
   // center. A component's leg is taken when its first node settles: legs
   // arrive sorted, each at its component's cheapest distance, and degree
-  // m's ratio is acc / m with acc = step[center] + legs 1..m. With entry
-  // costs >= 0 (else nothing is pruned) every later leg costs at least the
-  // distance d being settled, so no unseen degree has a ratio below
+  // m's ratio is acc / m with acc = step[center] + legs 1..m. Entry costs
+  // are >= 0, so every later leg costs at least the distance d being
+  // settled and no unseen degree has a ratio below
   // spider_degree_bound(acc, m, d): the next degree's (acc + d) / (m + 1)
   // when d >= acc / m, else d. Only a strictly smaller ratio wins, so a
   // search stops once that bound beats the round's best ratio by more
@@ -309,7 +297,7 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   // rows, and every row takes just the decreases from the newly selected
   // nodes. Float addition is monotone, so that is exactly the row a full
   // search would give (the least float path sum).
-  const bool screened = prunable && centre_screen_exact(next_comp, n);
+  const bool screened = centre_screen_exact(next_comp, n);
   std::vector<double> rows(screened ? next_comp * n : 0, kInfCost);
   std::vector<char> alive(next_comp, 1), merging(next_comp);
   std::vector<NodeId> fresh;           // nodes the last merge selected
@@ -423,8 +411,7 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       std::size_t unsettled = labelled, m = 0;
       double acc = step[center];
       ws.run(g, center, relax, [&](double d, NodeId u) {
-        if (prunable &&
-            spider_degree_bound(acc, m, d) > best_ratio * (1.0 + 1e-9)) {
+        if (spider_degree_bound(acc, m, d) > best_ratio * (1.0 + 1e-9)) {
           ++pruned;
           return false;
         }
@@ -456,7 +443,7 @@ SteinerTree klein_ravi_steiner(const Graph& g,
     std::size_t unsettled = labelled, m = 0;
     double cut = kInfCost;
     ws.run(g, best_center, relax, [&](double d, NodeId u) {
-      if (prunable && d > cut) return false;
+      if (d > cut) return false;
       if (comp[u] == kInvalidNode) return true;
       if (!reached[comp[u]]) {
         reached[comp[u]] = 1;
@@ -503,8 +490,6 @@ SteinerTree klein_ravi_steiner(const Graph& g,
       if (comp[v] != kInvalidNode && merging[comp[v]]) comp[v] = merged;
     active_components -= merged_count - 1;
     if (active_components <= 1) continue;
-    if (!prunable)
-      for (NodeId v : fresh) require_no_negative_edge(v);
 
     // Rows: merge the merged components' rows into one, then lower every
     // row through the nodes that now cost 0.
@@ -545,7 +530,8 @@ SteinerTree klein_ravi_steiner(const Graph& g,
   // selected id, then prune.
   const auto first = static_cast<NodeId>(
       std::find(selected.begin(), selected.end(), true) - selected.begin());
-  std::vector<EdgeId> edges = induced_mst(g, selected, first);
+  std::vector<EdgeId> edges =
+      induced_mst(g, [&](NodeId v) { return selected[v]; }, first);
   prune_leaves(g, terminals, edges);
   return assemble(g, terminals, std::move(edges));
 }
@@ -559,29 +545,30 @@ SteinerTree exact_node_weighted_steiner(const Graph& g,
   EEND_REQUIRE_MSG(optional.size() <= 20,
                    "exact solver limited to 20 optional nodes");
 
+  std::vector<Demand> pairwise;
+  for (std::size_t i = 1; i < terminals.size(); ++i)
+    pairwise.push_back({terminals[0], terminals[i], 1.0});
   SteinerTree best;
   double best_cost = kInfCost;
   const std::size_t subsets = std::size_t{1} << optional.size();
   for (std::size_t mask = 0; mask < subsets; ++mask) {
-    std::vector<bool> active(g.node_count(), false);
-    for (NodeId t : terminals) active[t] = true;
+    std::vector<char> off(g.node_count(), 1);  // nodes left out
+    for (NodeId t : terminals) off[t] = 0;
     double node_cost = 0.0;
     for (std::size_t i = 0; i < optional.size(); ++i)
       if (mask & (std::size_t{1} << i)) {
-        active[optional[i]] = true;
+        off[optional[i]] = 0;
         node_cost += g.node_weight(optional[i]);
       }
     if (node_cost >= best_cost) continue;
-    std::vector<Demand> pairwise;
-    for (std::size_t i = 1; i < terminals.size(); ++i)
-      pairwise.push_back({terminals[0], terminals[i], 1.0});
-    if (!demands_satisfiable(g, pairwise, active)) continue;
+    if (!demands_satisfiable(g, pairwise, off)) continue;
     // Tree edges: MST over the active induced subgraph, rooted at
     // terminals[0]: rooting at the lowest active id spans the wrong
     // component — and silently rejects a feasible candidate — whenever the
     // mask activates an optional node below terminals[0] that is
     // disconnected from them.
-    std::vector<EdgeId> edges = induced_mst(g, active, terminals[0]);
+    std::vector<EdgeId> edges =
+        induced_mst(g, [&](NodeId v) { return !off[v]; }, terminals[0]);
     prune_leaves(g, terminals, edges);
     SteinerTree cand = assemble(g, terminals, std::move(edges));
     if (cand.feasible && cand.node_cost < best_cost) {

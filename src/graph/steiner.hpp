@@ -39,9 +39,8 @@ SteinerTree kmb_steiner_tree(const Graph& g,
 /// Node-weighted Steiner tree via the Klein–Ravi greedy spider algorithm.
 /// Terminal node weights are treated as 0 (the paper's c(si)=c(di)=0
 /// simplification). Approximation factor 2·ln(t) on the node-weighted
-/// optimum. Throws CheckError when, with spiders left to search, an
-/// edge's two entry costs (0 for selected nodes, else the weight) sum
-/// below 0: no spider search would end.
+/// optimum. Requires every node weight >= 0 (one O(N) scan at entry,
+/// CheckError otherwise): its spider searches rest on it.
 SteinerTree klein_ravi_steiner(const Graph& g,
                                std::span<const NodeId> terminals);
 

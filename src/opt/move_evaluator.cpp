@@ -86,12 +86,8 @@ void MoveSurface::close(graph::NodeId u) {
 }
 
 TerminalRows::TerminalRows(const core::NetworkDesignProblem& problem) {
-  const graph::Graph& g = problem.graph();
   const std::vector<graph::NodeId> terminals = problem.terminals();
-  if (std::any_of(g.edges().begin(), g.edges().end(),
-                  [](const graph::Edge& e) { return e.weight == 0.0; }))
-    return;
-  const std::size_t n = g.node_count();
+  const std::size_t n = problem.graph().node_count();
   graph::SpWorkspace ws(n);
   dist.resize(terminals.size() * n);
   for (std::size_t k = 0; k < terminals.size(); ++k) {
@@ -136,11 +132,10 @@ MoveEvaluator::MoveEvaluator(
 
   if (routes && routes->size() == demands.size())
     routes_ = *routes;
-  else if (!route({}, routes_))
-    routes_.clear();  // a hand-built incumbent: nothing to reuse
-  if (routes_.empty()) return;
-  reuse_ = !rows_->dist.empty();
-  if (reuse_) set_bounds();
+  else
+    EEND_REQUIRE_MSG(route({}, routes_),
+                     "the move evaluator's incumbent must route every demand");
+  set_bounds();
 }
 
 MoveEvaluator::~MoveEvaluator() {
@@ -225,25 +220,23 @@ void MoveEvaluator::score(Move move, Scored& out) {
   if (closing) allowed[v] = 0;
 
   std::fill(keep_.begin(), keep_.end(), nullptr);
-  if (reuse_) {
-    pending_.clear();
-    for (std::size_t i = 0; i < routes_.size(); ++i) {
-      const std::vector<graph::NodeId>& path = routes_[i].path;
-      if (closing && std::find(path.begin(), path.end(), v) != path.end())
-        continue;  // crosses the closed relay: reroute
-      if (opening && !(rows_->dist[rows_->src_row[i] + u] +
-                           rows_->dist[rows_->dst_row[i] + u] >
-                       bound_[i])) {
-        pending_.push_back(i);  // the global rows cannot clear it
-        continue;
-      }
-      keep_[i] = &path;
+  pending_.clear();
+  for (std::size_t i = 0; i < routes_.size(); ++i) {
+    const std::vector<graph::NodeId>& path = routes_[i].path;
+    if (closing && std::find(path.begin(), path.end(), v) != path.end())
+      continue;  // crosses the closed relay: reroute
+    if (opening && !(rows_->dist[rows_->src_row[i] + u] +
+                         rows_->dist[rows_->dst_row[i] + u] >
+                     bound_[i])) {
+      pending_.push_back(i);  // the global rows cannot clear it
+      continue;
     }
-    if (!pending_.empty()) screen_from(u);
-    reused_routes_ += static_cast<std::uint64_t>(
-        std::count_if(keep_.begin(), keep_.end(),
-                      [](const auto* p) { return p != nullptr; }));
+    keep_[i] = &path;
   }
+  if (!pending_.empty()) screen_from(u);
+  reused_routes_ += static_cast<std::uint64_t>(
+      std::count_if(keep_.begin(), keep_.end(),
+                    [](const auto* p) { return p != nullptr; }));
 
   const bool ok = route(keep_, out.routes);
   // Eq. 5 reads the hops through u from the view, so it runs before the
@@ -290,7 +283,7 @@ void MoveEvaluator::adopt(Scored& s) {
   std::swap(incumbent_, s.design);
   std::swap(routes_, s.routes);
   surface_.rebuild(problem_.arcs(), incumbent_.nodes, terminals_);
-  if (reuse_) set_bounds();
+  set_bounds();
 }
 
 }  // namespace eend::opt

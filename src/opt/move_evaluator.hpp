@@ -39,8 +39,8 @@
 // relax to a finite offer, with the pair's lightest weight, and the order of
 // a node's offers cannot change the settle sequence or any parent
 // (graph::SpWorkspace). So paths and the opt.route.* counts are the
-// full-graph search's, zero-weight and parallel edges included. Eq. 5 reads
-// each hop's rank and weight from the view too (analytical::evaluate_eq5).
+// full-graph search's, parallel edges included. Eq. 5 reads each hop's
+// rank and weight from the view too (analytical::evaluate_eq5).
 //
 // Why the screen is exact: with strictly positive weights Dijkstra settles
 // nodes in (distance, id) order and replaces a parent only on a strictly
@@ -51,9 +51,8 @@
 // whose offers tie x's distance cannot be shortened through u for the
 // same reason, so they keep their distances and their settle order, and
 // t_i's parent chain — the path — stays. The relative margin covers float
-// rounding in the prefix sums. Zero-weight edges break the settle order;
-// on a graph with any, the evaluator reroutes every demand (the caveat in
-// core/design_problem.hpp).
+// rounding in the prefix sums. The problem's contract
+// (core/design_problem.hpp) makes every edge weight > 0.
 #pragma once
 
 #include <optional>
@@ -79,9 +78,7 @@ inline constexpr double kScreenMargin = 1e-9;
 struct TerminalRows {
   explicit TerminalRows(const core::NetworkDesignProblem& problem);
 
-  /// dist[k · N + x] = dG(terminal k, x). Empty on a graph with a
-  /// zero-weight edge, where evaluators reroute every demand.
-  std::vector<double> dist;
+  std::vector<double> dist;  ///< dist[k · N + x] = dG(terminal k, x)
   std::vector<std::size_t> src_row, dst_row;  ///< per demand: row offset
 };
 
@@ -201,9 +198,6 @@ class MoveEvaluator {
   const core::NetworkDesignProblem& problem_;
   DesignObjective objective_;
   std::vector<graph::NodeId> terminals_;
-  /// False on graphs with zero-weight edges (or an unroutable incumbent):
-  /// then every demand is rerouted.
-  bool reuse_ = false;
 
   CandidateDesign incumbent_;
   std::vector<analytical::RoutedDemand> routes_;

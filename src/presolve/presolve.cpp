@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/connectivity.hpp"
 #include "graph/shortest_path.hpp"
 #include "util/check.hpp"
 
@@ -206,10 +207,6 @@ PresolveResult presolve_design(const core::NetworkDesignProblem& problem) {
     EEND_REQUIRE_MSG(g.node_weight(v) > 0.0,
                      "presolve requires strictly positive node weights "
                      "(node " << v << " has " << g.node_weight(v) << ")");
-  for (EdgeId e = 0; e < g.edge_count(); ++e)
-    EEND_REQUIRE_MSG(g.edge(e).weight > 0.0,
-                     "presolve requires strictly positive edge weights "
-                     "(edge " << e << " has " << g.edge(e).weight << ")");
 
   const std::vector<NodeId> terminals = problem.terminals();
   std::vector<char> is_term(g.node_count(), 0);
@@ -352,33 +349,14 @@ PresolveResult presolve_design(const core::NetworkDesignProblem& problem) {
   for (const NodeId t : terminals) compact_term[trace.compact_of[t]] = 1;
   std::vector<char> forced(cgr.node_count(), 0);
   {
-    std::vector<NodeId> comp(cgr.node_count()), queue;
+    // cand is forced when compact without it strands a demand.
+    std::vector<char> without(cgr.node_count(), 0);
     for (const NodeId cand : articulation_points(cgr)) {
       if (compact_term[cand]) continue;
-      // Label components of compact minus cand, then test each pair.
-      std::fill(comp.begin(), comp.end(), kInvalidNode);
-      NodeId next_label = 0;
-      for (NodeId v = 0; v < cgr.node_count(); ++v) {
-        if (v == cand || comp[v] != kInvalidNode) continue;
-        comp[v] = next_label;
-        queue.assign(1, v);
-        while (!queue.empty()) {
-          const NodeId u = queue.back();
-          queue.pop_back();
-          for (const auto& [nbr, e] : cgr.neighbors(u)) {
-            (void)e;
-            if (nbr == cand || comp[nbr] != kInvalidNode) continue;
-            comp[nbr] = next_label;
-            queue.push_back(nbr);
-          }
-        }
-        ++next_label;
-      }
-      for (const graph::Demand& dem : out.compact.demands())
-        if (comp[dem.source] != comp[dem.destination]) {
-          forced[cand] = 1;
-          break;
-        }
+      without[cand] = 1;
+      forced[cand] =
+          !graph::demands_satisfiable(cgr, out.compact.demands(), without);
+      without[cand] = 0;
     }
   }
   std::vector<NodeId> forced_compact;

@@ -22,9 +22,9 @@
 // the Eq. 5 total of every feasible design — including under replay
 // scoring, whose endpoint-inclusive idle term only adds cost.
 //
-// presolve_design() REQUIRES strictly positive node and edge weights and
-// throws otherwise; from_positions instances satisfy this by construction
-// (c = Pidle > 0, w = Ptx + Prx > 0).
+// presolve_design() REQUIRES strictly positive node weights and throws
+// otherwise (edge weights are > 0 by the problem's own contract);
+// from_positions instances have c = Pidle > 0 by construction.
 #pragma once
 
 #include <cstddef>
@@ -100,8 +100,8 @@ struct PresolveResult {
 };
 
 /// Run the full reduction + bound pipeline. Requires at least one demand
-/// and strictly positive node and edge weights; throws CheckError
-/// otherwise. Deterministic in the problem alone.
+/// and strictly positive node weights; throws CheckError otherwise.
+/// Deterministic in the problem alone.
 PresolveResult presolve_design(const core::NetworkDesignProblem& problem);
 
 }  // namespace eend::presolve

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "arc_index_check.hpp"
 #include "core/design_problem.hpp"
@@ -16,6 +18,71 @@ std::vector<phy::Position> cross_positions() {
   // A center hub with four arms, each within Cabletron range of the hub
   // but not of each other.
   return {{250, 250}, {250, 50}, {250, 450}, {50, 250}, {450, 250}};
+}
+
+/// What the CheckError that `fn` throws says, or "" when it throws none.
+template <class Fn>
+std::string check_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DesignProblem, RejectsInstancesOutsideTheContract) {
+  // Node weights must be finite and >= 0, edge weights finite and > 0,
+  // demand endpoints node ids and rates finite and > 0. The constructor
+  // and add_demand / set_demands refuse anything else with a CheckError
+  // that names the element.
+  const auto chain = [] {  // 0 - 1 - 2; node 0 weighs 0, the rest 1
+    graph::Graph g(3);
+    g.set_node_weight(1, 1.0);
+    g.set_node_weight(2, 1.0);
+    g.add_edge(0, 1, 1.0);
+    g.add_edge(1, 2, 1.0);
+    return g;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double w : {0.0, nan, inf}) {
+    graph::Graph g = chain();
+    g.edge(1).weight = w;
+    const std::string what =
+        check_message([&] { NetworkDesignProblem p(std::move(g)); });
+    EXPECT_NE(what.find("edge 1 (1-2) has weight"), std::string::npos)
+        << w << ": " << what;
+  }
+  for (const double c : {-0.5, nan, inf}) {
+    graph::Graph g = chain();
+    g.set_node_weight(2, c);
+    const std::string what =
+        check_message([&] { NetworkDesignProblem p(std::move(g)); });
+    EXPECT_NE(what.find("node 2 has weight"), std::string::npos)
+        << c << ": " << what;
+  }
+
+  NetworkDesignProblem p(chain());
+  p.add_demand({0, 2, 1.0});
+  p.add_demand({1, 1, 1.0});  // a self-loop is allowed
+  for (const graph::Demand& d :
+       {graph::Demand{0, 3, 1.0}, graph::Demand{3, 0, 1.0},
+        graph::Demand{0, 2, 0.0}, graph::Demand{0, 2, -1.0},
+        graph::Demand{0, 2, nan}, graph::Demand{0, 2, inf}}) {
+    const std::string label = std::to_string(d.source) + "->" +
+                              std::to_string(d.destination) + " rate " +
+                              std::to_string(d.rate);
+    std::string what = check_message([&] { p.add_demand(d); });
+    EXPECT_NE(what.find("demand 2 (" + std::to_string(d.source) + "->"),
+              std::string::npos)
+        << label << ": " << what;
+    what = check_message([&] { p.set_demands({{0, 1, 1.0}, d}); });
+    EXPECT_NE(what.find("demand 1 (" + std::to_string(d.source) + "->"),
+              std::string::npos)
+        << label << ": " << what;
+  }
+  EXPECT_EQ(p.demands().size(), 2u);  // a refused demand changes nothing
 }
 
 TEST(DesignProblem, FromPositionsBuildsRangeGraph) {

@@ -218,11 +218,14 @@ TEST(Connectivity, DemandsSatisfiableRespectsActiveSet) {
   g.add_edge(1, 2);
   g.add_edge(2, 3);
   const std::vector<Demand> demands{{0, 3, 1.0}};
-  std::vector<bool> all(4, true);
-  EXPECT_TRUE(demands_satisfiable(g, demands, all));
-  std::vector<bool> cut = all;
-  cut[2] = false;  // relay removed
+  EXPECT_TRUE(demands_satisfiable(g, demands));
+  std::vector<char> cut(4, 0);
+  cut[2] = 1;  // relay masked
   EXPECT_FALSE(demands_satisfiable(g, demands, cut));
+  const std::vector<Demand> self{{1, 1, 1.0}};  // a self-loop
+  EXPECT_TRUE(demands_satisfiable(g, self, cut));
+  cut[1] = 1;  // a masked endpoint fails its demand
+  EXPECT_FALSE(demands_satisfiable(g, self, cut));
 }
 
 TEST(Connectivity, BfsHops) {

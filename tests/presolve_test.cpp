@@ -229,8 +229,8 @@ TEST(Presolve, RequiresStrictlyPositiveWeightsAndDemands) {
   zero_edge.set_node_weight(0, 1.0);
   zero_edge.set_node_weight(1, 1.0);
   zero_edge.add_edge(0, 1, 0.0);
-  EXPECT_THROW(presolve_design(problem_of(zero_edge, {{0, 1, 1.0}})),
-               CheckError);
+  // The problem's own constructor refuses the zero edge weight.
+  EXPECT_THROW(problem_of(zero_edge, {{0, 1, 1.0}}), CheckError);
 }
 
 // ---------------------------------------------- randomized invariance ---
