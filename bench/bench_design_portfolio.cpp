@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     e.node_counts.push_back(2000);
   }
   // Plain-objective heuristics only: the *_lifetime registry twins need a
-  // battery budget and belong to the replay kind (bench_design_replay).
+  // battery budget and belong to the replay kind (design_replay.json).
   for (const auto& name : opt::heuristic_names())
     if (!opt::heuristic_uses_battery_budget(name))
       e.heuristics.push_back(name);

@@ -33,6 +33,10 @@ sanitizer_gate() {
   # inside each cell — the racy-by-construction path TSan must clear.
   "$dir/tools/eend_run" --manifest examples/manifests/design_churn.json \
     --quick --quiet --jobs=8 > /dev/null
+  # The grid kind fills the engine's freeze memo after each fan-out and
+  # serves fig15/fig16 from it.
+  "$dir/tools/eend_run" --manifest examples/manifests/hypo_grid.json \
+    --quick --quiet --jobs=8 > /dev/null
   echo "== [$kind] gate passed =="
 }
 
@@ -86,12 +90,6 @@ echo "== design search: portfolio bench (JSON artifact) =="
   --json=BENCH_design_portfolio.json > /dev/null
 test -s BENCH_design_portfolio.json
 echo "OK: wrote BENCH_design_portfolio.json (presolve shrink floor held)"
-
-echo "== design replay: simulated-vs-analytic bench (JSON artifact) =="
-./build/bench/bench_design_replay --quick --quiet \
-  --json=BENCH_design_replay.json > /dev/null
-test -s BENCH_design_replay.json
-echo "OK: wrote BENCH_design_replay.json"
 
 echo "== design churn: warm-start serving-loop bench (JSON artifact) =="
 # Self-asserting floors: the warm repair must beat the from-scratch

@@ -231,7 +231,7 @@ void ExperimentEngine::note(const Experiment& e, const std::string& cell) {
     *opts_.progress << "  [" << e.title << "] " << cell << '\n';
 }
 
-void ExperimentEngine::fan_cells(
+std::vector<obs::CounterSnapshot> ExperimentEngine::fan_cells(
     const Experiment& e, const char* span, std::size_t count,
     const std::function<std::string(std::size_t)>& cell) {
   std::vector<obs::CounterSnapshot> snaps(count);
@@ -247,6 +247,7 @@ void ExperimentEngine::fan_cells(
     note(e, done);
   });
   for (const obs::CounterSnapshot& s : snaps) exp_counters_.merge_from(s);
+  return snaps;
 }
 
 net::ScenarioConfig ExperimentEngine::resolve_scenario(
@@ -333,14 +334,45 @@ void ExperimentEngine::run_grid(const Experiment& e) {
   const std::vector<net::StackSpec> stacks = resolve_stacks(e);
   const std::vector<double>& rates = rate_axis(e, opts_.quick);
 
-  // One base-rate simulation per stack; fan out, keep stack order.
-  std::vector<GridSeries> series(stacks.size());
-  fan_cells(e, "grid.series", stacks.size(), [&](std::size_t i) {
-    series[i] = grid_series(sc, stacks[i], rates);
-    return stacks[i].label + " done (" +
-           std::to_string(series[i].active_nodes.size()) + " active nodes)";
-  });
+  const auto done = [](const RouteFreeze& f) {
+    return f.label + " done (" + std::to_string(f.active_nodes.size()) +
+           " active nodes)";
+  };
+  const auto memo = [&](const net::StackSpec& stack) {
+    return std::find_if(grid_freezes_.begin(), grid_freezes_.end(),
+                        [&](const GridFreeze& f) {
+                          return f.scenario == sc && f.stack == stack;
+                        });
+  };
 
+  // The base-rate simulation depends only on (scenario, stack), never on
+  // the rate axis: each stack looks in the memo first, only the misses fan
+  // out, and their freezes join the memo after the pool is done, so no
+  // worker writes it.
+  std::vector<GridFreeze> fresh;
+  for (const net::StackSpec& stack : stacks) {
+    const auto hit = memo(stack);
+    if (hit == grid_freezes_.end()) {
+      fresh.push_back({sc, stack, {}, {}});
+      continue;
+    }
+    exp_counters_.merge_from(hit->counters);
+    note(e, done(hit->freeze));
+  }
+  std::vector<obs::CounterSnapshot> snaps =
+      fan_cells(e, "grid.series", fresh.size(), [&](std::size_t k) {
+        fresh[k].freeze = freeze_routes(sc, fresh[k].stack);
+        return done(fresh[k].freeze);
+      });
+  for (std::size_t k = 0; k < fresh.size(); ++k) {
+    fresh[k].counters = std::move(snaps[k]);
+    grid_freezes_.push_back(std::move(fresh[k]));
+  }
+
+  std::vector<GridSeries> series;
+  for (const net::StackSpec& stack : stacks)
+    series.push_back(
+        grid_series_from_freeze(memo(stack)->freeze, sc, stack, rates));
   for (std::size_t ri = 0; ri < rates.size(); ++ri)
     for (const GridSeries& s : series)
       emit(make_row(e, s.label, rates[ri], 1, sc.seed, kGridMetrics,

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/grid_study.hpp"
 #include "core/manifest.hpp"
 #include "core/result_sink.hpp"
 #include "net/stack.hpp"
@@ -58,8 +59,22 @@ class ExperimentEngine {
   /// Execute one experiment (benches drive single figures this way).
   void run(const Experiment& e);
 
+  /// Base-rate simulations the grid kind has run so far: one per distinct
+  /// (scenario, stack) pair, however many experiments used it.
+  std::size_t grid_freezes() const { return grid_freezes_.size(); }
+
  private:
   struct SearchCells;
+  /// One grid base-rate simulation, keyed by the exact (scenario, stack)
+  /// it ran, with its frozen routes and the counters it published. Keys
+  /// compare with the configs' defaulted operator==, so every field of
+  /// either takes part.
+  struct GridFreeze {
+    net::ScenarioConfig scenario;
+    net::StackSpec stack;
+    RouteFreeze freeze;
+    obs::CounterSnapshot counters;
+  };
 
   /// Sweep and density: (x × stack) replication cells on one pool.
   void run_simulation(const Experiment& e);
@@ -71,10 +86,12 @@ class ExperimentEngine {
 
   /// Run cells 0..count-1 on the pool under the trace span `span`. Each
   /// cell gets a private counter registry, snapshotted into its slot and
-  /// merged into the experiment's counters in cell order; `cell(i)` returns
-  /// its progress text, noted as the cell finishes.
-  void fan_cells(const Experiment& e, const char* span, std::size_t count,
-                 const std::function<std::string(std::size_t)>& cell);
+  /// merged into the experiment's counters in cell order; the snapshots are
+  /// returned. `cell(i)` returns its progress text, noted as the cell
+  /// finishes.
+  std::vector<obs::CounterSnapshot> fan_cells(
+      const Experiment& e, const char* span, std::size_t count,
+      const std::function<std::string(std::size_t)>& cell);
   SearchCells search_cells(const Experiment& e) const;
 
   void emit(const ResultRow& r);
@@ -94,6 +111,10 @@ class ExperimentEngine {
   /// Counters accumulated by the experiment currently inside run(); each
   /// kind's per-cell snapshots merge here in cell order.
   obs::CounterSnapshot exp_counters_;
+  /// The grid kind's memo. A hit reuses the freeze and merges its counters
+  /// into the experiment's, so an experiment's counters never depend on
+  /// which experiments ran before it.
+  std::vector<GridFreeze> grid_freezes_;
 };
 
 }  // namespace eend::core

@@ -1,160 +1,11 @@
 #include "core/grid_study.hpp"
 
 #include <map>
-#include <mutex>
 #include <set>
-#include <sstream>
 
 #include "routing/messages.hpp"
-#include "util/format.hpp"
 
 namespace eend::core {
-
-namespace {
-
-// ---------------------------------------------------------- cache keying ---
-
-/// Exact fingerprint of every (scenario, stack) field the base-rate
-/// simulation can observe. Doubles are rendered with the shortest
-/// round-trip formatter, so distinct IEEE-754 values never collide and a
-/// field nudged by 1 ulp is a different key (correct: the simulation is
-/// bit-sensitive). A missed field here would alias two different
-/// simulations — keep this list in lockstep with ScenarioConfig/StackSpec.
-void fp(std::ostringstream& os, double v) { os << format_double(v) << '|'; }
-void fp(std::ostringstream& os, std::uint64_t v) {
-  os << format_u64(v) << '|';
-}
-void fp(std::ostringstream& os, const std::string& v) {
-  os << v.size() << ':' << v << '|';
-}
-
-// Trip-wire: freeze_key below must enumerate every field the simulation
-// can observe, or two different configurations would alias one cache entry
-// and silently reuse stale frozen routes. A new field changes the struct
-// size; this assert turns the silent aliasing into a compile error that
-// points here. (Sizes are libstdc++/x86-64-specific — the layout CI pins —
-// so the guard is scoped to that ABI.)
-#if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(net::ScenarioConfig) == 456 &&
-                  sizeof(net::StackSpec) == 128 &&
-                  sizeof(energy::RadioCard) == 112,
-              "ScenarioConfig/StackSpec/RadioCard changed — update "
-              "freeze_key() to fingerprint any new field, then refresh "
-              "these sizes");
-#endif
-
-std::string freeze_key(const net::ScenarioConfig& sc,
-                       const net::StackSpec& st) {
-  std::ostringstream os;
-  // scenario: topology
-  fp(os, static_cast<std::uint64_t>(sc.node_count));
-  fp(os, sc.field_w);
-  fp(os, sc.field_h);
-  fp(os, static_cast<std::uint64_t>(sc.placement));
-  fp(os, static_cast<std::uint64_t>(sc.grid_cols));
-  fp(os, static_cast<std::uint64_t>(sc.grid_rows));
-  fp(os, static_cast<std::uint64_t>(sc.explicit_positions.size()));
-  for (const phy::Position& p : sc.explicit_positions) {
-    fp(os, p.x);
-    fp(os, p.y);
-  }
-  // scenario: card
-  fp(os, sc.card.name);
-  fp(os, sc.card.p_idle);
-  fp(os, sc.card.p_rx);
-  fp(os, sc.card.p_sleep);
-  fp(os, sc.card.p_base);
-  fp(os, sc.card.alpha2);
-  fp(os, sc.card.path_loss_n);
-  fp(os, sc.card.max_range_m);
-  fp(os, sc.card.bandwidth_bps);
-  fp(os, sc.card.switch_energy_j);
-  fp(os, sc.card.switch_latency_s);
-  // scenario: propagation
-  fp(os, sc.prop.cs_range_factor);
-  fp(os, sc.prop.interference_range_factor);
-  fp(os, static_cast<std::uint64_t>(sc.prop.scale_footprint_with_power));
-  // scenario: traffic
-  fp(os, static_cast<std::uint64_t>(sc.flow_count));
-  fp(os, sc.rate_pps);
-  fp(os, static_cast<std::uint64_t>(sc.payload_bits));
-  fp(os, sc.flow_start_min_s);
-  fp(os, sc.flow_start_max_s);
-  fp(os, static_cast<std::uint64_t>(sc.flow_endpoint_pool));
-  fp(os, static_cast<std::uint64_t>(sc.rate_multipliers.size()));
-  for (const double m : sc.rate_multipliers) fp(os, m);
-  fp(os, static_cast<std::uint64_t>(sc.flows_left_right));
-  fp(os, static_cast<std::uint64_t>(sc.flow_endpoints.size()));
-  for (const auto& [s, d] : sc.flow_endpoints) {
-    fp(os, static_cast<std::uint64_t>(s));
-    fp(os, static_cast<std::uint64_t>(d));
-  }
-  fp(os, static_cast<std::uint64_t>(sc.powered_off_nodes.size()));
-  for (const std::size_t id : sc.powered_off_nodes)
-    fp(os, static_cast<std::uint64_t>(id));
-  // scenario: execution
-  fp(os, sc.duration_s);
-  fp(os, sc.seed);
-  fp(os, sc.mac.slot_s);
-  fp(os, static_cast<std::uint64_t>(sc.mac.cw_min_slots));
-  fp(os, static_cast<std::uint64_t>(sc.mac.cw_max_slots));
-  fp(os, static_cast<std::uint64_t>(sc.mac.retry_limit));
-  fp(os, static_cast<std::uint64_t>(sc.mac.max_defer_rounds));
-  fp(os, static_cast<std::uint64_t>(sc.mac.max_cs_defers));
-  fp(os, sc.mac.frame_overhead_s);
-  fp(os, static_cast<std::uint64_t>(sc.mac.mac_header_bits));
-  fp(os, static_cast<std::uint64_t>(sc.mac.queue_limit));
-  fp(os, sc.mac.bcast_jitter_s);
-  fp(os, sc.mac.window_jitter_s);
-  fp(os, sc.mac.bcast_window_fraction);
-  fp(os, sc.mac.bcast_max_age_s);
-  fp(os, sc.battery_capacity_j);
-  fp(os, sc.battery_check_interval_s);
-  // stack
-  fp(os, st.label);
-  fp(os, static_cast<std::uint64_t>(st.routing));
-  fp(os, static_cast<std::uint64_t>(st.power));
-  fp(os, static_cast<std::uint64_t>(st.tpc));
-  fp(os, static_cast<std::uint64_t>(st.rate_info));
-  fp(os, st.odpm.keepalive_data_s);
-  fp(os, st.odpm.keepalive_rrep_s);
-  fp(os, st.psm.beacon_interval_s);
-  fp(os, st.psm.atim_window_s);
-  fp(os, static_cast<std::uint64_t>(st.psm.span_improvements));
-  fp(os, st.psm.atim_frame_s);
-  fp(os, st.psm.atim_utilization);
-  fp(os, st.dsdv_quality_interval_s);
-  fp(os, st.dsdv_quality_noise);
-  fp(os, st.titan_alpha);
-  return os.str();
-}
-
-std::mutex g_cache_mutex;
-std::map<std::string, std::shared_ptr<const RouteFreeze>>& freeze_cache() {
-  static std::map<std::string, std::shared_ptr<const RouteFreeze>> cache;
-  return cache;
-}
-
-std::shared_ptr<const RouteFreeze> freeze_routes_cached(
-    const net::ScenarioConfig& scenario, const net::StackSpec& stack) {
-  const std::string key = freeze_key(scenario, stack);
-  {
-    std::lock_guard<std::mutex> lk(g_cache_mutex);
-    const auto it = freeze_cache().find(key);
-    if (it != freeze_cache().end()) return it->second;
-  }
-  // Simulate outside the lock so distinct stacks freeze in parallel under
-  // ParallelRunner; a same-key race wastes one duplicate simulation but
-  // both compute identical data and the first insert wins.
-  auto fresh =
-      std::make_shared<const RouteFreeze>(freeze_routes(scenario, stack));
-  std::lock_guard<std::mutex> lk(g_cache_mutex);
-  const auto [it, inserted] = freeze_cache().emplace(key, std::move(fresh));
-  (void)inserted;
-  return it->second;
-}
-
-}  // namespace
 
 RouteFreeze freeze_routes(const net::ScenarioConfig& scenario,
                           const net::StackSpec& stack) {
@@ -265,18 +116,8 @@ GridSeries grid_series_from_freeze(const RouteFreeze& freeze,
 GridSeries grid_series(const net::ScenarioConfig& scenario,
                        const net::StackSpec& stack,
                        const std::vector<double>& rates_pps) {
-  const auto freeze = freeze_routes_cached(scenario, stack);
-  return grid_series_from_freeze(*freeze, scenario, stack, rates_pps);
-}
-
-std::size_t grid_freeze_cache_size() {
-  std::lock_guard<std::mutex> lk(g_cache_mutex);
-  return freeze_cache().size();
-}
-
-void clear_grid_freeze_cache() {
-  std::lock_guard<std::mutex> lk(g_cache_mutex);
-  freeze_cache().clear();
+  return grid_series_from_freeze(freeze_routes(scenario, stack), scenario,
+                                 stack, rates_pps);
 }
 
 }  // namespace eend::core

@@ -11,17 +11,16 @@
 //     all other nodes follow the PSM beacon/ATIM duty cycle;
 //   * always-active — the DSR-Active baseline: everyone idles.
 //
-// The base-rate simulation is the expensive half, and it depends only on
-// (scenario, stack) — never on the rate axis. freeze_routes() runs it once
-// and grid_series() memoizes the result process-wide, so the four Fig 13-16
-// figures (which pair the same stacks with low- and high-rate axes), a
-// multi-experiment manifest, and repeated test fixtures all share one
-// simulation per (scenario, stack). The analytic re-costing
-// (grid_series_from_freeze) is pure and byte-stable, so cached and uncached
-// paths produce identical GridSeries — grid_study_test pins that.
+// The base-rate simulation (freeze_routes) is the expensive half, and it
+// depends only on (scenario, stack) — never on the rate axis. The analytic
+// re-costing (grid_series_from_freeze) is pure, so one freeze serves any
+// number of rate axes. ExperimentEngine keeps the freezes it has made,
+// keyed by the (ScenarioConfig, StackSpec) pair under their defaulted
+// operator==, so the four Fig 13-16 experiments of one manifest share one
+// simulation per pair. grid_series() shares nothing: one call, one
+// simulation.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,7 +58,6 @@ struct RouteFreeze {
 };
 
 /// Run the base-rate simulation for `stack` and freeze its routes.
-/// Uncached — each call simulates; tests use this as the reference path.
 RouteFreeze freeze_routes(const net::ScenarioConfig& scenario,
                           const net::StackSpec& stack);
 
@@ -70,16 +68,9 @@ GridSeries grid_series_from_freeze(const RouteFreeze& freeze,
                                    const net::StackSpec& stack,
                                    const std::vector<double>& rates_pps);
 
-/// freeze_routes + grid_series_from_freeze, with the freeze memoized per
-/// (scenario, stack) for the process lifetime. Thread-safe: concurrent
-/// calls under ParallelRunner may race to compute the same key once, but
-/// every caller observes the same deterministic freeze.
+/// freeze_routes + grid_series_from_freeze: one simulation per call.
 GridSeries grid_series(const net::ScenarioConfig& scenario,
                        const net::StackSpec& stack,
                        const std::vector<double>& rates_pps);
-
-/// Cache introspection (tests): number of distinct freezes held / drop all.
-std::size_t grid_freeze_cache_size();
-void clear_grid_freeze_cache();
 
 }  // namespace eend::core

@@ -34,6 +34,8 @@ struct RadioCard {
   double switch_energy_j = 1e-3;  ///< Esw per sleep<->idle transition [J]
   double switch_latency_s = 1e-3; ///< time to wake from sleep [s]
 
+  bool operator==(const RadioCard&) const = default;
+
   /// Transmit power level Pt(d) (amplifier only) for distance d.
   double transmit_level(double d) const {
     EEND_REQUIRE(d >= 0.0);

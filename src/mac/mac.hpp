@@ -45,6 +45,8 @@ struct MacConfig {
   /// stale flood fragments (RREQs from long-gone discovery rounds) must
   /// not clog the queue ahead of data.
   double bcast_max_age_s = 1.0;
+
+  bool operator==(const MacConfig&) const = default;
 };
 
 /// MAC statistics used by the evaluation metrics.

@@ -39,6 +39,8 @@ struct PsmConfig {
   /// mechanism that limits PSM networks at high density.
   double atim_frame_s = 0.8e-3;
   double atim_utilization = 0.35; ///< usable fraction (CSMA contention)
+
+  bool operator==(const PsmConfig&) const = default;
 };
 
 /// Global, beacon-synchronized PSM coordinator. Nodes are either in AM

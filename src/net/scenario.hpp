@@ -89,6 +89,8 @@ struct ScenarioConfig {
 
   ScenarioConfig();
 
+  bool operator==(const ScenarioConfig&) const = default;
+
   /// Throws CheckError on nonsensical configurations (non-positive rates,
   /// durations, fields, zero-size grids, flow windows outside the run…).
   /// Network's constructor calls this; harness code may call it earlier.

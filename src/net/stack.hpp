@@ -43,6 +43,8 @@ struct StackSpec {
   /// p = titan_alpha / (1 + #AM neighbors). Ablation knob.
   double titan_alpha = 1.0;
 
+  bool operator==(const StackSpec&) const = default;
+
   // ------------------------------------------------------------ presets ---
   static StackSpec dsr_active();
   static StackSpec dsr_odpm();

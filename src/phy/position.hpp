@@ -8,6 +8,8 @@ namespace eend::phy {
 struct Position {
   double x = 0.0;
   double y = 0.0;
+
+  bool operator==(const Position&) const = default;
 };
 
 inline double distance(const Position& a, const Position& b) {

@@ -24,6 +24,8 @@ struct PropagationConfig {
   /// regardless of TPC level (ablation knob; the paper defers spatial-reuse
   /// effects of TPC to future work).
   bool scale_footprint_with_power = true;
+
+  bool operator==(const PropagationConfig&) const = default;
 };
 
 /// Stateless propagation calculator for one card model.

@@ -67,6 +67,8 @@ class AlwaysPsm final : public PowerManager {
 struct OdpmConfig {
   double keepalive_data_s = 5.0;   ///< paper §5.2: 5 s for data
   double keepalive_rrep_s = 10.0;  ///< paper §5.2: 10 s for RREPs
+
+  bool operator==(const OdpmConfig&) const = default;
 };
 
 /// On-Demand Power Management.

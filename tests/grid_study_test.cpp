@@ -1,8 +1,19 @@
 // Unit tests: the §5.2.3 grid-study harness (route freezing + analytic
-// re-costing under perfect / ODPM / always-active scheduling).
+// re-costing under perfect / ODPM / always-active scheduling) and the
+// engine's memo of base-rate freezes.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "core/experiment_engine.hpp"
 #include "core/grid_study.hpp"
+#include "core/manifest.hpp"
+#include "core/result_sink.hpp"
+
+#ifndef EEND_MANIFEST_DIR
+#error "EEND_MANIFEST_DIR must point at examples/manifests"
+#endif
 
 namespace eend::core {
 namespace {
@@ -66,62 +77,101 @@ TEST(GridStudy, AlwaysActivePaysIdleEverywhere) {
               49 * card.p_idle * 0.05);
 }
 
-TEST(GridStudy, CachedFreezeMatchesUncachedPath) {
-  // The memoized grid_series path must be indistinguishable from running
-  // the base-rate simulation fresh: same active set, same points, bit for
-  // bit. Run the cached entry twice (miss, then hit) and diff both against
-  // the uncached reference pipeline.
-  const auto sc = quick_grid();
-  const auto stack = net::StackSpec::mtpr_perfect();
-  const std::vector<double> rates{2.0, 5.0, 40.0};
-
-  const auto reference =
-      grid_series_from_freeze(freeze_routes(sc, stack), sc, stack, rates);
-  const auto first = grid_series(sc, stack, rates);
-  const auto second = grid_series(sc, stack, rates);  // served from cache
-
-  for (const auto* s : {&first, &second}) {
-    EXPECT_EQ(s->label, reference.label);
-    EXPECT_EQ(s->active_nodes, reference.active_nodes);
-    ASSERT_EQ(s->points.size(), reference.points.size());
-    for (std::size_t i = 0; i < reference.points.size(); ++i) {
-      EXPECT_EQ(s->points[i].rate_pps, reference.points[i].rate_pps);
-      EXPECT_EQ(s->points[i].goodput_bit_per_j,
-                reference.points[i].goodput_bit_per_j);
-      EXPECT_EQ(s->points[i].network_power_w,
-                reference.points[i].network_power_w);
-      EXPECT_EQ(s->points[i].data_power_w, reference.points[i].data_power_w);
-      EXPECT_EQ(s->points[i].passive_power_w,
-                reference.points[i].passive_power_w);
-    }
-  }
-}
-
-TEST(GridStudy, FreezeCacheHoldsOneEntryPerScenarioStackPair) {
-  clear_grid_freeze_cache();
-  const auto sc = quick_grid();
-  grid_series(sc, net::StackSpec::dsr_active(), {2.0});
-  EXPECT_EQ(grid_freeze_cache_size(), 1u);
-  // Same (scenario, stack), different rate axis: no new simulation.
-  grid_series(sc, net::StackSpec::dsr_active(), {50.0, 100.0});
-  EXPECT_EQ(grid_freeze_cache_size(), 1u);
-  // Different stack — and a scenario nudged by one field — are new keys.
-  grid_series(sc, net::StackSpec::titan_pc(), {2.0});
-  EXPECT_EQ(grid_freeze_cache_size(), 2u);
-  auto sc2 = sc;
-  sc2.seed += 1;
-  grid_series(sc2, net::StackSpec::titan_pc(), {2.0});
-  EXPECT_EQ(grid_freeze_cache_size(), 3u);
-  clear_grid_freeze_cache();
-  EXPECT_EQ(grid_freeze_cache_size(), 0u);
-}
-
 TEST(GridStudy, GoodputIncreasesWithRateUnderFixedIdle) {
   // With ODPM idle dominating, higher rates amortize it: goodput rises.
   const auto s = grid_series(quick_grid(), net::StackSpec::dsr_odpm_pc(),
                              {2.0, 5.0, 20.0});
   EXPECT_LT(s.points[0].goodput_bit_per_j, s.points[1].goodput_bit_per_j);
   EXPECT_LT(s.points[1].goodput_bit_per_j, s.points[2].goodput_bit_per_j);
+}
+
+// ------------------------------------------------ the engine's freeze memo ---
+
+Manifest hypo_grid() {
+  return Manifest::load(std::string(EEND_MANIFEST_DIR) + "/hypo_grid.json");
+}
+
+Manifest only(const Experiment& e) {
+  Manifest m;
+  m.experiments = {e};
+  return m;
+}
+
+struct QuickRun {
+  std::string rows;      ///< JSON-lines sink
+  std::string counters;  ///< --counters stream
+};
+
+QuickRun run_quick(const Manifest& m) {
+  std::ostringstream rows, counters;
+  EngineOptions opts;
+  opts.quick = true;
+  opts.counters = &counters;
+  ExperimentEngine engine(opts);
+  JsonlSink sink(rows);
+  engine.add_sink(sink);
+  engine.run(m);
+  return {rows.str(), counters.str()};
+}
+
+/// The lines of a counters stream that belong to experiment `id`.
+std::string lines_of(const std::string& counters, const std::string& id) {
+  const std::string prefix = "{\"experiment\":\"" + id + "\",";
+  std::istringstream in(counters);
+  std::string out, line;
+  while (std::getline(in, line))
+    if (line.starts_with(prefix)) out += line + '\n';
+  return out;
+}
+
+TEST(GridStudy, CountersDoNotDependOnRunOrder) {
+  // fig15 and fig16 reuse every freeze of fig13 and fig14, and fig14
+  // reuses fig13's dsr_active: each must still publish the counters of
+  // the simulations behind its rows, exactly as when it runs alone.
+  const Manifest m = hypo_grid();
+  const QuickRun all = run_quick(m);
+  for (std::size_t i = 0; i < m.experiments.size(); ++i) {
+    const std::string& id = m.experiments[i].id;
+    const std::string alone = run_quick(only(m.experiments[i])).counters;
+    EXPECT_FALSE(alone.empty()) << id;
+    EXPECT_EQ(lines_of(all.counters, id), alone) << id;
+  }
+}
+
+TEST(GridStudy, MemoKeepsConfigurationsApart) {
+  // Two grid experiments that differ only in seed: a memo key that
+  // ignored the seed would hand the second one the first one's routes.
+  Experiment a = hypo_grid().experiments[1];
+  a.stacks = {"titan_pc", "dsr_active"};
+  Experiment b = a;
+  b.seed = 2;
+  // Under one id the two seeds must publish different counters, or the
+  // test shows nothing.
+  const QuickRun first = run_quick(only(a));
+  ASSERT_NE(first.counters, run_quick(only(b)).counters);
+
+  b.id = "fig14_seed2";
+  Manifest m;
+  m.experiments = {a, b};
+  const QuickRun both = run_quick(m);
+  const QuickRun second = run_quick(only(b));
+  EXPECT_EQ(both.rows, first.rows + second.rows);
+  EXPECT_EQ(both.counters, first.counters + second.counters);
+}
+
+TEST(GridStudy, MemoSimulatesEachScenarioStackPairOnce) {
+  // hypo_grid's 24 stack slots hold 11 distinct (scenario, stack) pairs:
+  // fig15/fig16 pair fig13/fig14's stacks with a higher rate axis, and
+  // dsr_active appears in both scheduling models.
+  const Manifest m = hypo_grid();
+  EngineOptions opts;
+  opts.quick = true;
+  ExperimentEngine engine(opts);
+  const std::size_t after[] = {6, 11, 11, 11};
+  for (std::size_t i = 0; i < m.experiments.size(); ++i) {
+    engine.run(m.experiments[i]);
+    EXPECT_EQ(engine.grid_freezes(), after[i]) << m.experiments[i].id;
+  }
 }
 
 }  // namespace
